@@ -10,7 +10,7 @@ from .corpus import (
     load_manifest,
     save_manifest,
 )
-from .ctc import brute_force_ctc, collapse, ctc_log_prob, ctc_loss_batch, greedy_decode
+from .ctc import brute_force_ctc, collapse, ctc_log_prob, greedy_decode
 from .metrics import edit_counts, histogram, overlap_rate, wer
 from .model import AcousticModel, FrameLogProbs, TrainConfig, forward, init_model, lr_at, train
 from .pipeline import (

@@ -4,7 +4,10 @@ Everything here works on plain (T, C) arrays of row-normalized
 log-probabilities, with class 0 reserved for the blank. The forward/backward
 recursions run over the blank-interleaved label sequence and accumulate with
 log-sum-exp; -inf is the absorbing "no path" value and numpy's ``logaddexp``
-propagates it without special casing.
+propagates it without special casing. The same fact pads batches: a state or
+frame whose emission is -inf stays -inf, and ``logaddexp(x, -inf)`` is
+exactly ``x``, so one padded recursion over a whole minibatch gives every
+utterance bit for bit what a recursion over that utterance alone gives.
 
 Infeasible (frames, label) pairs raise :class:`FeasibilityError` from the
 training-facing entry points, while the brute-force oracle stays total and
@@ -29,9 +32,13 @@ BRUTE_FORCE_LIMIT = 10**6
 
 @dataclass
 class CtcResult:
-    """Path-sum log-probability and, optionally, d(-log P)/d(logits)."""
+    """Path-sum log-probability and, optionally, d(-log P)/d(logits).
 
-    log_prob: float
+    For a stacked batch (see :func:`ctc_log_prob`) ``log_prob`` is a (B,)
+    array and ``grad`` is stacked row for row like the input.
+    """
+
+    log_prob: float | np.ndarray
     grad: np.ndarray | None = None
 
 
@@ -63,90 +70,129 @@ def is_feasible(num_frames: int, labels) -> bool:
     return num_frames >= len(list(labels)) + _num_repeat_pairs(labels)
 
 
-def _extended(labels) -> np.ndarray:
-    toks = np.asarray(list(labels), dtype=np.int64)
-    ext = np.full(2 * toks.size + 1, BLANK, dtype=np.int64)
-    ext[1::2] = toks
-    return ext
-
-
-def ctc_log_prob(logp, labels, with_grad: bool = False) -> CtcResult:
+def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResult:
     """Log path-sum probability of ``labels`` under a (T, C) log-prob matrix.
 
     Standard forward dynamic program over the blank-interleaved label
-    sequence. With ``with_grad`` the forward-backward occupancies are turned
-    into the gradient of the loss -log P with respect to the logits behind
-    the given log-softmax output.
+    sequence (Graves et al., ICML 2006). With ``with_grad`` the
+    forward-backward occupancies are turned into the gradient of the loss
+    -log P with respect to the logits behind the given log-softmax output.
+
+    With ``lengths`` the call covers a batch: ``logp`` stacks the frames of
+    B utterances (utterance b owns the next ``lengths[b]`` rows), ``labels``
+    holds their B token sequences, and the result holds a (B,) array of
+    log-probs and a gradient stacked like ``logp``. A single utterance is
+    the batch of one; either way one padded, time-major pass covers the
+    whole batch.
     """
-    arr = _as_logp(logp)
-    T, C = arr.shape
-    toks = list(labels)
-    if any(t == BLANK or t >= C for t in toks):
-        raise ValueError("label token outside the non-blank class range")
-    if not is_feasible(T, toks):
-        raise FeasibilityError(
-            f"label of length {len(toks)} with {_num_repeat_pairs(toks)} repeat pair(s) "
-            f"does not fit in {T} frame(s)"
-        )
+    if lengths is None:
+        arr = _as_logp(logp)
+        log_prob, grad = _forward_backward(arr, [list(labels)], np.array([arr.shape[0]]), with_grad)
+        return CtcResult(log_prob=float(log_prob[0]), grad=grad)
+    arr = np.asarray(logp, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    labs = [list(lab) for lab in labels]
+    if arr.ndim != 2 or lengths.ndim != 1:
+        raise ValueError("a batch needs a stacked (N, C) logp and a 1-D lengths")
+    if len(labs) != lengths.size:
+        raise ValueError(f"batch length mismatch: {lengths.size} lengths vs {len(labs)} labels")
+    if (lengths < 1).any() or lengths.sum() != arr.shape[0]:
+        raise ValueError(f"lengths must be >= 1 and sum to the {arr.shape[0]} stacked frame(s)")
+    if not labs:
+        return CtcResult(log_prob=np.zeros(0), grad=np.zeros_like(arr) if with_grad else None)
+    return CtcResult(*_forward_backward(arr, labs, lengths, with_grad))
 
-    ext = _extended(toks)
-    S = ext.size
-    e = arr[:, ext]  # (T, S) emission log-probs
-    allow = np.zeros(S, dtype=bool)
-    if S > 2:
-        allow[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = e[0, 0]
-    if S > 1:
-        alpha[0, 1] = e[0, 1]
+def _forward_backward(arr: np.ndarray, labels: list[list[int]], lengths: np.ndarray, with_grad: bool):
+    """(B,) log-probs and the stacked gradient (or None) of a stacked batch.
+
+    Layout (T, S + 2, B): time-major, then state, then utterance, padded to
+    the longest utterance and label. Frames past an utterance's end and
+    states past its label have -inf emissions, and transitions only move
+    along the state axis, so utterances never mix. Every logaddexp/exp is
+    the same elementwise operation a single utterance's recursion performs.
+    """
+    N, C = arr.shape
+    B = lengths.size
+    ar = np.arange(B)
+    for b, toks in enumerate(labels):
+        if any(t == BLANK or t >= C for t in toks):
+            raise ValueError(f"utterance {b}: label token outside the non-blank class range")
+        if not is_feasible(int(lengths[b]), toks):
+            raise FeasibilityError(
+                f"utterance {b}: label of length {len(toks)} with {_num_repeat_pairs(toks)} "
+                f"repeat pair(s) does not fit in {lengths[b]} frame(s)"
+            )
+
+    T = int(lengths.max())
+    n_states = np.array([2 * len(toks) + 1 for toks in labels])
+    S = int(n_states.max())
+    ext = np.full((S, B), BLANK, dtype=np.int64)
+    for b, toks in enumerate(labels):
+        ext[1 : 2 * len(toks) : 2, b] = toks
+    live = np.arange(S)[:, None] < n_states  # (S, B)
+    # A label state s (odd) may also come from s - 2, unless both carry the
+    # same token; blanks (even) never skip. Forbidden skips add -inf, and
+    # logaddexp(x, -inf) is exactly x.
+    skip = np.full(ext.shape, NEG_INF)
+    skip[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
+    into = skip[1::2]  # s - 2 -> s, for s = 1, 3, ..., S - 2
+    back = np.full_like(into, NEG_INF)  # s + 2 -> s, for the same s
+    back[:-1] = skip[3::2]
+
+    starts = np.cumsum(lengths) - lengths
+    row_b = np.repeat(ar, lengths)
+    row_t = np.arange(N) - starts[row_b]
+    padded = np.full((T, B, C), NEG_INF)
+    padded[row_t, row_b] = arr
+    e = padded[:, ar, ext]  # (T, S, B) emission log-probs
+    e[:, ~live] = NEG_INF
+
+    # state s sits in row s + 2; the two -inf rows in front make the s-1 and
+    # s-2 transitions plain slices
+    alpha = np.full((T, S + 2, B), NEG_INF)
+    alpha[0, 2:4] = e[0, :2]
+    tmp = np.empty_like(into)
     for t in range(1, T):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if S > 2:
-            acc[2:] = np.where(allow[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:])
-        alpha[t] = acc + e[t]
+        prev, cur = alpha[t - 1], alpha[t]
+        np.logaddexp(prev[2:], prev[1:-1], out=cur[2:])
+        np.add(prev[1:-2:2], into, out=tmp)
+        np.logaddexp(cur[3::2], tmp, out=cur[3::2])
+        cur[2:] += e[t]
 
-    log_prob = alpha[-1, -1] if S == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    log_prob = float(log_prob)
+    last = lengths - 1
+    log_prob = np.logaddexp(alpha[last, n_states + 1, ar], alpha[last, n_states, ar])
     if not with_grad:
-        return CtcResult(log_prob=log_prob)
+        return log_prob, None
 
-    beta = np.full((T, S), NEG_INF)
-    beta[-1, -1] = e[-1, -1]
-    if S > 1:
-        beta[-1, -2] = e[-1, -2]
+    # state s sits in row s; two -inf rows behind make s+1 and s+2 plain
+    # slices. Past its last frame an utterance's column stays -inf (its
+    # emissions there are -inf); at that frame it is reset to its seed.
+    beta = np.full((T, S + 2, B), NEG_INF)
+    seed_t = np.concatenate([last, last[n_states > 1]])
+    seed_s = np.concatenate([n_states - 1, n_states[n_states > 1] - 2])
+    seed_b = np.concatenate([ar, ar[n_states > 1]])
+    beta[seed_t, seed_s, seed_b] = e[seed_t, seed_s, seed_b]
+    seed_times = set(last.tolist())
     for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if S > 2:
-            acc[:-2] = np.where(allow[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
-        beta[t] = acc + e[t]
+        nxt, cur = beta[t + 1], beta[t]
+        np.logaddexp(nxt[:S], nxt[1:-1], out=cur[:S])
+        np.add(nxt[3::2], back, out=tmp)
+        np.logaddexp(cur[1:S:2], tmp, out=cur[1:S:2])
+        cur[:S] += e[t]
+        if t in seed_times:
+            at = seed_t == t
+            cur[seed_s[at], seed_b[at]] = e[t, seed_s[at], seed_b[at]]
 
-    # alpha + beta counts the emission at t twice
-    occupancy = np.exp(alpha + beta - e - log_prob)  # (T, S)
-    gamma = np.zeros((T, C))
-    np.add.at(gamma, (np.arange(T)[:, None], ext[None, :]), occupancy)
-    grad = np.exp(arr) - gamma
-    return CtcResult(log_prob=log_prob, grad=grad)
-
-
-def ctc_loss_batch(model_outputs, labels) -> float:
-    """Sum of -log P over a batch; empty batches cost 0."""
-    outs = list(model_outputs)
-    labs = list(labels)
-    if len(outs) != len(labs):
-        raise ValueError(f"batch length mismatch: {len(outs)} outputs vs {len(labs)} labels")
-    total = 0.0
-    for i, (out, lab) in enumerate(zip(outs, labs)):
-        try:
-            total += -ctc_log_prob(out, lab).log_prob
-        except FeasibilityError as e:
-            uid = getattr(out, "utterance_id", i)
-            raise FeasibilityError(f"utterance {uid}: {e}") from e
-    return total
+    # Padded cells have alpha = beta = e = -inf, and -inf - -inf is NaN, so
+    # they subtract 0 instead and come out exp(-inf) = 0. alpha + beta counts
+    # the emission at t twice. bincount adds in input order, (t, s, b), so
+    # each class sums its states in increasing s, like the single recursion.
+    valid = (np.arange(T)[:, None] < lengths)[:, None, :] & live
+    occupancy = np.exp(alpha[:, 2:] + beta[:, :S] - np.where(valid, e, 0.0) - log_prob)
+    cell = (np.arange(T)[:, None, None] * B + ar) * C + ext  # (T, S, B) -> (t, b, class)
+    gamma = np.bincount(cell.ravel(), weights=occupancy.ravel(), minlength=T * B * C)
+    return log_prob, np.exp(arr) - gamma.reshape(T, B, C)[row_t, row_b]
 
 
 def greedy_decode(logp) -> tuple[LabelSequence, np.ndarray]:

@@ -77,24 +77,23 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
 
 
+def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes, in initialization order."""
+    C = vocab_size + 1
+    if hidden_dim == 0:
+        return {"W": (feature_dim, C), "b": (C,)}
+    return {"W1": (feature_dim, hidden_dim), "b1": (hidden_dim,), "W2": (hidden_dim, C), "b2": (C,)}
+
+
 def init_model(feature_dim: int, vocab_size: int, hidden_dim: int = 0, seed: int = 0) -> AcousticModel:
     """Deterministic initialization; weights scale with 1/sqrt(fan-in)."""
     if feature_dim < 1 or vocab_size < 1 or hidden_dim < 0:
         raise ConfigurationError("feature_dim, vocab_size >= 1 and hidden_dim >= 0 required")
     rng = np.random.default_rng(seed)
-    C = vocab_size + 1
-    if hidden_dim == 0:
-        params = {
-            "W": rng.standard_normal((feature_dim, C)) / math.sqrt(feature_dim),
-            "b": np.zeros(C),
-        }
-    else:
-        params = {
-            "W1": rng.standard_normal((feature_dim, hidden_dim)) / math.sqrt(feature_dim),
-            "b1": np.zeros(hidden_dim),
-            "W2": rng.standard_normal((hidden_dim, C)) / math.sqrt(hidden_dim),
-            "b2": np.zeros(C),
-        }
+    params = {
+        k: rng.standard_normal(shape) / math.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
+        for k, shape in _param_shapes(feature_dim, vocab_size, hidden_dim).items()
+    }
     return AcousticModel(
         feature_dim=feature_dim,
         vocab_size=vocab_size,
@@ -160,6 +159,14 @@ def utterance_loss_and_grads(model: AcousticModel, features: FeatureSequence, la
     return -res.log_prob, _backprop(model, features.frames, hidden, res.grad)
 
 
+def _first_nonfinite(ids, losses, dlogits) -> str:
+    """The first utterance with a non-finite loss or CTC gradient; else all of them."""
+    for uid, loss, g in zip(ids, losses, dlogits):
+        if not (np.isfinite(loss) and np.isfinite(g).all()):
+            return uid
+    return ", ".join(ids)
+
+
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     """Tri-state schedule over training progress step / (total_steps - 1).
 
@@ -192,7 +199,14 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     The shuffle order, and therefore the final weights, are a pure function
     of (model, data order, cfg). Batch gradients are the mean of per-utterance
     gradients, optionally weighted (used to down/up-weight pseudo-labels).
+    Each minibatch's CTC forward-backward is one batched kernel call; the
+    per-utterance gradients are still summed in batch order, so the weights
+    equal those of a per-utterance loop bit for bit.
     The loss curve records the per-epoch mean of unweighted utterance losses.
+
+    A non-finite loss or batch gradient raises :class:`TrainingError` naming
+    the utterance, the epoch and the step (both counted from 0) before the
+    weights are touched.
     """
     pairs = list(data)
     for fs, lab in pairs:
@@ -225,18 +239,32 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     adam_v = {k: np.zeros_like(v) for k, v in out.params.items()}
     step = 0
     curve = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         epoch_losses = []
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            frames = [pairs[i][0].frames for i in idx]
+            caches = [_forward_cache(out, f) for f in frames]
+            lengths = [f.shape[0] for f in frames]
+            res = ctc_log_prob(
+                np.concatenate([logp for logp, _ in caches]),
+                [pairs[i][1] for i in idx],
+                with_grad=True,
+                lengths=lengths,
+            )
+            losses = -res.log_prob
+            dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
             batch_grads = {k: np.zeros_like(v) for k, v in out.params.items()}
-            for i in idx:
-                fs, lab = pairs[i]
-                loss, grads = utterance_loss_and_grads(out, fs, lab)
-                epoch_losses.append(loss)
-                for k, g in grads.items():
-                    batch_grads[k] += w[i] * g
+            for i, f, (_, hidden), g in zip(idx, frames, caches, dlogits):
+                for k, gk in _backprop(out, f, hidden, g).items():
+                    batch_grads[k] += w[i] * gk
+            if not (np.isfinite(losses).all() and all(np.isfinite(g).all() for g in batch_grads.values())):
+                uid = _first_nonfinite([pairs[i][0].utterance_id for i in idx], losses, dlogits)
+                raise TrainingError(
+                    f"utterance {uid}: non-finite loss or gradient in epoch {epoch}, step {step}"
+                )
+            epoch_losses.extend(losses.tolist())
             for k in batch_grads:
                 batch_grads[k] /= idx.size
             lr = lr_at(step, total_steps, cfg)
@@ -281,14 +309,46 @@ def save_checkpoint(model: AcousticModel, path) -> None:
 
 
 def load_checkpoint(path) -> AcousticModel:
-    rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    if rec.get("schema") != CHECKPOINT_SCHEMA:
-        raise ConfigurationError(f"not a model checkpoint: schema {rec.get('schema')!r}")
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in rec["params"].items()}
-    return AcousticModel(
-        feature_dim=int(rec["feature_dim"]),
-        vocab_size=int(rec["vocab_size"]),
-        hidden_dim=int(rec["hidden_dim"]),
-        seed=int(rec["seed"]),
-        params=params,
-    )
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Anything else raises :class:`ConfigurationError`: invalid JSON, another
+    schema or version, a missing or non-integer dimension, or parameters
+    whose names or shapes do not follow from the recorded dimensions.
+    """
+    path = Path(path)
+    try:
+        rec = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ConfigurationError(f"{path}: invalid checkpoint JSON: {e.msg}") from e
+    if not isinstance(rec, dict) or rec.get("schema") != CHECKPOINT_SCHEMA:
+        raise ConfigurationError(f"{path}: not a model checkpoint")
+    if rec.get("version") != CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"{path}: checkpoint version {rec.get('version')!r}, expected {CHECKPOINT_VERSION}"
+        )
+    dims = {k: rec.get(k) for k in ("feature_dim", "vocab_size", "hidden_dim", "seed")}
+    if not all(type(v) is int for v in dims.values()) or not isinstance(rec.get("params"), dict):
+        raise ConfigurationError(
+            f"{path}: checkpoint needs integer feature_dim, vocab_size, hidden_dim and seed, and params"
+        )
+    if dims["feature_dim"] < 1 or dims["vocab_size"] < 1 or dims["hidden_dim"] < 0:
+        raise ConfigurationError(f"{path}: feature_dim, vocab_size >= 1 and hidden_dim >= 0 required")
+    shapes = _param_shapes(dims["feature_dim"], dims["vocab_size"], dims["hidden_dim"])
+    if sorted(rec["params"]) != sorted(shapes):
+        raise ConfigurationError(
+            f"{path}: parameters {sorted(rec['params'])}, expected {sorted(shapes)} "
+            f"for hidden_dim {dims['hidden_dim']}"
+        )
+    params = {}
+    for k, shape in shapes.items():
+        try:
+            params[k] = np.asarray(rec["params"][k], dtype=np.float64)
+        except (TypeError, ValueError) as e:  # ragged or non-numeric lists
+            raise ConfigurationError(f"{path}: parameter {k}: {e}") from e
+        if params[k].shape != shape:
+            raise ConfigurationError(
+                f"{path}: parameter {k} has shape {params[k].shape}, expected {shape} from "
+                f"feature_dim {dims['feature_dim']}, vocab_size {dims['vocab_size']}, "
+                f"hidden_dim {dims['hidden_dim']}"
+            )
+    return AcousticModel(params=params, **dims)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import BLANK, LabelSequence
 from .ctc import greedy_decode
-from .errors import ConfigurationError, ManifestError, OracleError
+from .errors import ConfigurationError, ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
 from .model import AcousticModel, forward
 
@@ -65,7 +65,9 @@ def score_utterance(logp, exclude_blank: bool = False) -> float:
 
     ``exclude_blank`` restricts the mean to frames whose argmax is a real
     token (falling back to all frames when the decode is pure blank); off by
-    default so every frame counts.
+    default so every frame counts. A score that is not finite raises
+    :class:`MetricError`, naming the utterance when ``logp`` carries one:
+    no decision boundary can rank it.
     """
     arr = np.asarray(getattr(logp, "logp", logp), dtype=np.float64)
     fmax = arr.max(axis=1)
@@ -73,11 +75,20 @@ def score_utterance(logp, exclude_blank: bool = False) -> float:
         mask = arr.argmax(axis=1) != BLANK
         if mask.any():
             fmax = fmax[mask]
-    return float(fmax.mean())
+    score = float(fmax.mean())
+    if not np.isfinite(score):
+        uid = getattr(logp, "utterance_id", None)
+        where = "" if uid is None else f"utterance {uid}: "
+        raise MetricError(f"{where}non-finite confidence score {score}")
+    return score
 
 
 def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool = False) -> list[PseudoLabel]:
-    """Greedy-decode every unlabeled utterance; order preserved, no oracle info."""
+    """Greedy-decode every unlabeled utterance; order preserved, no oracle info.
+
+    An utterance whose score is not finite raises :class:`MetricError`
+    naming it, instead of a NaN label that every filter would drop.
+    """
     out = []
     for fs in unlabeled:
         flp = forward(model, fs)
@@ -143,14 +154,15 @@ def load_pseudolabels(path) -> list[PseudoLabel]:
                     raise ManifestError(f"{path.name}:1: unexpected schema {rec.get('schema')!r}")
                 continue
             try:
-                out.append(
-                    PseudoLabel(
-                        utterance_id=rec["utterance_id"],
-                        hypothesis=LabelSequence(tuple(rec["tokens"])),
-                        score=float(rec["score"]),
-                        oracle_wer=float(rec["oracle_wer"]) if "oracle_wer" in rec else None,
-                    )
+                pl = PseudoLabel(
+                    utterance_id=rec["utterance_id"],
+                    hypothesis=LabelSequence(tuple(rec["tokens"])),
+                    score=float(rec["score"]),
+                    oracle_wer=float(rec["oracle_wer"]) if "oracle_wer" in rec else None,
                 )
             except KeyError as e:
                 raise ManifestError(f"{path.name}:{lineno}: missing field {e}") from e
+            if not np.isfinite(pl.score):
+                raise ManifestError(f"{path.name}:{lineno}: non-finite score {pl.score}")
+            out.append(pl)
     return out

@@ -85,6 +85,22 @@ class TestPseudolabelAndFilter:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "exactly one" in err["message"]
 
+    def test_mismatched_checkpoint_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        teacher = tmp_path / "teacher"
+        main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(teacher), *FAST_TRAIN])
+        rec = json.loads((teacher / "teacher_model.json").read_text())
+        rec["feature_dim"] += 1
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(rec))
+        capsys.readouterr()
+        rc = main(["pseudolabel", "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "pl"),
+                   "--model", str(bad)])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigurationError" and "parameter W has shape" in err["message"]
+
     def test_score_filter_file(self, labeled_run, tmp_path):
         out = tmp_path / "f1"
         rc = main(["filter", "--pseudo-labels", str(labeled_run),

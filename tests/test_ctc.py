@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iplfilter.corpus import BLANK
 from iplfilter.ctc import (
     brute_force_ctc,
     collapse,
     ctc_log_prob,
-    ctc_loss_batch,
     greedy_decode,
     is_feasible,
 )
@@ -132,34 +132,130 @@ class TestCtcLogProb:
         assert np.isfinite(ctc_log_prob(logp, labels).log_prob)
 
 
+def reference_ctc_log_prob(logp, labels):
+    """One utterance's forward-backward, one frame at a time: the reference
+    the batched kernel must match bit for bit. Returns (log P, d(-log P)/d(logits))."""
+    T, C = logp.shape
+    toks = np.asarray(list(labels), dtype=np.int64)
+    ext = np.full(2 * toks.size + 1, BLANK, dtype=np.int64)
+    ext[1::2] = toks
+    S = ext.size
+    e = logp[:, ext]
+    allow = np.zeros(S, dtype=bool)
+    if S > 2:
+        allow[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, 0] = e[0, 0]
+    if S > 1:
+        alpha[0, 1] = e[0, 1]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        if S > 2:
+            acc[2:] = np.where(allow[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:])
+        alpha[t] = acc + e[t]
+    log_prob = alpha[-1, -1] if S == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    log_prob = float(log_prob)
+
+    beta = np.full((T, S), -np.inf)
+    beta[-1, -1] = e[-1, -1]
+    if S > 1:
+        beta[-1, -2] = e[-1, -2]
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
+        if S > 2:
+            acc[:-2] = np.where(allow[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
+        beta[t] = acc + e[t]
+
+    occupancy = np.exp(alpha + beta - e - log_prob)
+    gamma = np.zeros((T, C))
+    np.add.at(gamma, (np.arange(T)[:, None], ext[None, :]), occupancy)
+    return log_prob, np.exp(logp) - gamma
+
+
+def stacked(batch):
+    """(stacked logp, labels, lengths) of a list of (logp, labels) pairs."""
+    return (
+        np.concatenate([lp for lp, _ in batch]),
+        [lab for _, lab in batch],
+        [lp.shape[0] for lp, _ in batch],
+    )
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-8 utterances of 1-8 frames; empty labels and, with few classes, repeats."""
+    C = draw(st.integers(min_value=2, max_value=5))
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        T = draw(st.integers(min_value=1, max_value=8))
+        labels = draw(st.lists(st.integers(min_value=1, max_value=C - 1), max_size=T))
+        while not is_feasible(T, labels):
+            labels.pop()
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        batch.append((random_logp(rng, T, C), labels))
+    return batch
+
+
 class TestBatchLoss:
     def test_empty_batch_costs_zero(self):
-        assert ctc_loss_batch([], []) == 0.0
+        res = ctc_log_prob(np.zeros((0, 3)), [], with_grad=True, lengths=[])
+        assert res.log_prob.shape == (0,) and -res.log_prob.sum() == 0.0
+        assert res.grad.shape == (0, 3)
 
     def test_singleton_equals_negative_log_prob(self):
         rng = np.random.default_rng(5)
         logp = random_logp(rng, 4, 3)
         labels = [1, 2]
-        assert ctc_loss_batch([logp], [labels]) == pytest.approx(
-            -ctc_log_prob(logp, labels).log_prob
-        )
+        batch = ctc_log_prob(logp, [labels], with_grad=True, lengths=[4])
+        single = ctc_log_prob(logp, labels, with_grad=True)
+        assert np.array_equal(batch.log_prob, [single.log_prob])
+        assert np.array_equal(batch.grad, single.grad)
 
     def test_additive_over_pairs(self):
         rng = np.random.default_rng(6)
-        a, b = random_logp(rng, 4, 3), random_logp(rng, 5, 3)
-        la, lb = [1], [2, 1]
-        total = ctc_loss_batch([a, b], [la, lb])
-        assert total == pytest.approx(
-            ctc_loss_batch([a], [la]) + ctc_loss_batch([b], [lb])
-        )
-        assert total >= 0.0
+        batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 5, 3), [2, 1])]
+        logp, labels, lengths = stacked(batch)
+        res = ctc_log_prob(logp, labels, with_grad=True, lengths=lengths)
+        singles = [ctc_log_prob(lp, lab, with_grad=True) for lp, lab in batch]
+        assert np.array_equal(res.log_prob, [r.log_prob for r in singles])
+        assert np.array_equal(res.grad, np.concatenate([r.grad for r in singles]))
+        assert -res.log_prob.sum() >= 0.0
 
     def test_feasibility_error_names_index(self):
         rng = np.random.default_rng(8)
-        good = random_logp(rng, 4, 3)
-        bad = random_logp(rng, 1, 3)
+        batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 1, 3), [1, 2])]
+        logp, labels, lengths = stacked(batch)
         with pytest.raises(FeasibilityError, match="utterance 1"):
-            ctc_loss_batch([good, bad], [[1], [1, 2]])
+            ctc_log_prob(logp, labels, lengths=lengths)
+
+    def test_length_mismatch_raises(self):
+        rng = np.random.default_rng(7)
+        logp = np.concatenate([random_logp(rng, 4, 3), random_logp(rng, 5, 3)])
+        with pytest.raises(ValueError, match="mismatch"):
+            ctc_log_prob(logp, [[1]], lengths=[4, 5])
+        with pytest.raises(ValueError, match="sum to the 9 stacked"):
+            ctc_log_prob(logp, [[1], [2]], lengths=[4, 4])
+
+    @given(ragged_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_utterance_reference_exactly(self, batch):
+        # array_equal, not a max-abs difference: Python's max() skips NaN
+        logp, labels, lengths = stacked(batch)
+        res = ctc_log_prob(logp, labels, with_grad=True, lengths=lengths)
+        fwd = ctc_log_prob(logp, labels, lengths=lengths)
+        rows = np.cumsum([0, *lengths])
+        for b, (lp, lab) in enumerate(batch):
+            ref_lp, ref_grad = reference_ctc_log_prob(lp, lab)
+            assert np.array_equal(res.log_prob[b], ref_lp)
+            assert np.array_equal(fwd.log_prob[b], ref_lp)
+            assert np.array_equal(res.grad[rows[b] : rows[b + 1]], ref_grad)
+            single = ctc_log_prob(lp, lab, with_grad=True)
+            assert single.log_prob == ref_lp and np.array_equal(single.grad, ref_grad)
 
 
 class TestGreedyDecode:

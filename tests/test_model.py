@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ class TestTrain:
         with pytest.raises(TrainingError, match="bad-utt"):
             train(model, [bad], TrainConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_frames_name_utterance_epoch_and_step(self):
+        rng = np.random.default_rng(0)
+        data = [(FeatureSequence(f"u{i}", rng.standard_normal((4, 2))), LabelSequence((1, 2))) for i in range(3)]
+        frames = rng.standard_normal((4, 2))
+        frames[2, 1] = np.nan
+        data.append((FeatureSequence("nan-utt", frames), LabelSequence((2,))))
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=4)
+        step = int(np.flatnonzero(np.random.default_rng(cfg.seed).permutation(4) == 3)[0]) // 2
+        with pytest.raises(TrainingError, match=rf"^utterance nan-utt: .* epoch 0, step {step}$"):
+            train(init_model(2, 3, 0, seed=0), data, cfg)
+
     def test_zero_epochs_returns_model_unchanged(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=2, n_dev=2, n_test=2), seed=0)
         model = init_model(splits.feature_dim, 8, 0, seed=0)
@@ -256,5 +269,34 @@ class TestCheckpoint:
 
     def test_rejects_wrong_schema(self, tmp_path):
         (tmp_path / "x.json").write_text('{"schema": "other"}')
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(tmp_path / "x.json")
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda r: r.update(version=99), "version 99"),
+            (lambda r: r.update(feature_dim=3), r"parameter W has shape \(8, 9\), expected \(3, 9\)"),
+            (lambda r: r.update(vocab_size=2), r"parameter W has shape \(8, 9\), expected \(8, 3\)"),
+            (lambda r: r.update(hidden_dim=4), "expected \\['W1', 'W2', 'b1', 'b2'\\]"),
+            (lambda r: r.pop("seed"), "integer"),
+            (lambda r: r.update(feature_dim="8"), "integer"),
+            (lambda r: r.update(feature_dim=0), "feature_dim, vocab_size >= 1"),
+            (lambda r: r["params"].pop("b"), "parameters \\['W'\\]"),
+            (lambda r: r["params"].update(b=[[0.0], [1.0, 2.0]]), "parameter b"),
+        ],
+    )
+    def test_rejects_mismatched_checkpoint(self, tmp_path, corrupt, message):
+        path = tmp_path / "m.json"
+        save_checkpoint(init_model(8, 8, 0, seed=0), path)
+        rec = json.loads(path.read_text())
+        corrupt(rec)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ConfigurationError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_rejects_non_checkpoint_json(self, tmp_path, text):
+        (tmp_path / "x.json").write_text(text)
         with pytest.raises(ConfigurationError):
             load_checkpoint(tmp_path / "x.json")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iplfilter.corpus import CorpusGenConfig, LabelSequence, generate_corpus
+from iplfilter.corpus import CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
 from iplfilter.ctc import greedy_decode
-from iplfilter.errors import ConfigurationError, ManifestError, OracleError
+from iplfilter.errors import ConfigurationError, ManifestError, MetricError, OracleError
 from iplfilter.model import init_model, forward
 from iplfilter.pseudolabel import (
     PseudoLabel,
@@ -73,7 +73,22 @@ class TestScore:
         assert score_utterance(logp, exclude_blank=True) == pytest.approx(np.log(0.9))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        logp = random_logp(np.random.default_rng(3), 3, 4)
+        logp[1] = bad
+        with pytest.raises(MetricError, match="non-finite confidence score"):
+            score_utterance(logp)
+
+
 class TestGenerate:
+    def test_non_finite_frames_raise_naming_utterance(self):
+        frames = np.ones((3, 2))
+        frames[1, 0] = np.nan
+        unlabeled = [FeatureSequence("ok", np.ones((3, 2))), FeatureSequence("u-nan", frames)]
+        with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+
     def test_empty_input(self):
         model = init_model(3, 2, 0, seed=0)
         assert generate_pseudolabels(model, []) == []
@@ -246,4 +261,10 @@ class TestPseudolabelFiles:
         text = tmp_path.joinpath("p.jsonl").read_text()
         tmp_path.joinpath("p.jsonl").write_text(text[:-10])
         with pytest.raises(ManifestError, match="p.jsonl:3"):
+            load_pseudolabels(tmp_path / "p.jsonl")
+
+    def test_non_finite_score_names_line(self, tmp_path):
+        # json writes and reads NaN; a boundary could neither keep nor drop it
+        save_pseudolabels(make_pls([-0.1, float("nan")]), tmp_path / "p.jsonl")
+        with pytest.raises(ManifestError, match="p.jsonl:3: non-finite score nan"):
             load_pseudolabels(tmp_path / "p.jsonl")
