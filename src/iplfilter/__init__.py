@@ -25,7 +25,6 @@ from .pseudolabel import (
     PseudoLabel,
     ThresholdSchedule,
     generate_pseudolabels,
-    next_threshold,
     score_filter,
     score_utterance,
     wer_filter,

@@ -27,14 +27,19 @@ from .errors import (
 from .metrics import histogram
 from .model import TrainConfig, load_checkpoint
 from .pipeline import (
+    ESTIMATE_FIELDS,
+    ESTIMATE_SCHEMA,
+    FILTER_MODES,
+    SWEEP_FIELDS,
+    SWEEP_SCHEMA,
     IplConfig,
     IterationReport,
     RunWriter,
     estimate_threshold,
+    load_record,
     load_reports,
     run_ipl,
-    summary_table,
-    sweep_summary_table,
+    run_summary,
     sweep_threshold,
     train_teacher,
     write_histogram,
@@ -54,85 +59,89 @@ CONFIG_SCHEMA = "run-config"
 
 _USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, FileNotFoundError)
 
-_GEN_DEFAULTS = {
-    "seed": 0,
-    "vocab_size": 8,
-    "feature_dim": 8,
-    "label_len_min": 2,
-    "label_len_max": 6,
-    "frames_per_token_min": 1,
-    "frames_per_token_max": 4,
-    "noise_sigma": 0.5,
-    "n_labeled": 8,
-    "n_unlabeled": 200,
-    "n_dev": 64,
-    "n_test": 64,
+# One table per command: config key -> (flag type, default). The key names
+# the --flag and the config.json entry; the type is int, float, str, bool
+# (a --flag/--no-flag pair) or a tuple of choices. Every command also takes
+# --seed; the ones whose table has no "seed" accept it and ignore it.
+_GEN = CorpusGenConfig()
+_TRAIN = TrainConfig()
+_IPL = IplConfig()
+_SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03)
+
+_TRAIN_FLAGS = {
+    "corpus": (str, None),
+    "seed": (int, _IPL.seed),
+    "hidden_dim": (int, _IPL.hidden_dim),
+    "epochs": (int, _TRAIN.epochs),
+    "batch_size": (int, _TRAIN.batch_size),
+    "base_lr": (float, _TRAIN.base_lr),
+    "optimizer": (("adam", "sgd"), _TRAIN.optimizer),
+    "warmup_frac": (float, _TRAIN.warmup_frac),
+    "hold_frac": (float, _TRAIN.hold_frac),
 }
 
-_TRAIN_DEFAULTS = {
-    "seed": 0,
-    "hidden_dim": 0,
-    "epochs": 30,
-    "batch_size": 8,
-    "base_lr": 0.15,
-    "optimizer": "adam",
-    "warmup_frac": 0.10,
-    "hold_frac": 0.40,
+_FLAGS = {
+    "gen-corpus": {
+        "seed": (int, 0),
+        "vocab_size": (int, _GEN.vocab_size),
+        "feature_dim": (int, _GEN.feature_dim),
+        "label_len_min": (int, _GEN.label_len[0]),
+        "label_len_max": (int, _GEN.label_len[1]),
+        "frames_per_token_min": (int, _GEN.frames_per_token[0]),
+        "frames_per_token_max": (int, _GEN.frames_per_token[1]),
+        "noise_sigma": (float, _GEN.noise_sigma),
+        "n_labeled": (int, _GEN.n_labeled),
+        "n_unlabeled": (int, _GEN.n_unlabeled),
+        "n_dev": (int, _GEN.n_dev),
+        "n_test": (int, _GEN.n_test),
+    },
+    "train-teacher": _TRAIN_FLAGS,
+    "pseudolabel": {
+        "corpus": (str, None),
+        "model": (str, None),
+        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "annotate_oracle": (bool, False),
+    },
+    "filter": {
+        "pseudo_labels": (str, None),
+        "corpus": (str, None),
+        "score_threshold": (float, None),
+        "max_wer": (float, None),
+    },
+    "ipl": {
+        **_TRAIN_FLAGS,
+        "iter_max": (int, _IPL.iter_max),
+        "filter_mode": (FILTER_MODES, _IPL.filter_mode),
+        "score_threshold": (float, _IPL.score_threshold),
+        "max_wer": (float, _IPL.max_wer),
+        "warm_start": (bool, _IPL.warm_start),
+        "pseudo_weight": (float, _IPL.pseudo_weight),
+        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+    },
+    "sweep": {
+        **_TRAIN_FLAGS,
+        "initial": (float, _SCHEDULE.initial),
+        "step": (float, _SCHEDULE.step),
+        "iters_per_update": (int, _SCHEDULE.iterations_per_update),
+        "max_updates": (int, 8),
+    },
+    "estimate-threshold": {
+        **_TRAIN_FLAGS,
+        "model": (str, None),
+        "max_wer": (float, 0.10),
+        "coverage": (float, 0.9),
+        "min_probe": (int, 20),
+        "probe": (("dev", "labeled"), "dev"),
+        "probe_size": (int, None),
+        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "bins": (int, 20),
+    },
+    "report": {"run_dir": (str, None), "bins": (int, 20)},
 }
 
-_IPL_DEFAULTS = {
-    **_TRAIN_DEFAULTS,
-    "corpus": None,
-    "iter_max": 3,
-    "filter_mode": "none",
-    "score_threshold": None,
-    "max_wer": None,
-    "warm_start": True,
-    "pseudo_weight": 1.0,
-    "exclude_blank": False,
-}
 
-_SWEEP_DEFAULTS = {
-    **_TRAIN_DEFAULTS,
-    "corpus": None,
-    "initial": -0.05,
-    "step": 0.03,
-    "iters_per_update": 3,
-    "max_updates": 8,
-}
-
-_ESTIMATE_DEFAULTS = {
-    **_TRAIN_DEFAULTS,
-    "corpus": None,
-    "model": None,
-    "max_wer": 0.10,
-    "coverage": 0.9,
-    "min_probe": 20,
-    "probe": "dev",
-    "probe_size": None,
-    "exclude_blank": False,
-    "bins": 20,
-}
-
-_PSEUDOLABEL_DEFAULTS = {
-    "corpus": None,
-    "model": None,
-    "exclude_blank": False,
-    "annotate_oracle": False,
-}
-
-_FILTER_DEFAULTS = {
-    "pseudo_labels": None,
-    "corpus": None,
-    "score_threshold": None,
-    "max_wer": None,
-}
-
-_REPORT_DEFAULTS = {"run_dir": None, "bins": 20}
-
-
-def _resolve(command: str, defaults: dict, args: argparse.Namespace) -> dict:
-    cfg = dict(defaults)
+def _resolve(command: str, args: argparse.Namespace) -> dict:
+    cfg = {key: default for key, (_, default) in _FLAGS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -205,23 +214,14 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def _ipl_config(cfg: dict) -> IplConfig:
+def _ipl_config(cfg: dict, **ipl) -> IplConfig:
     return IplConfig(
-        iter_max=cfg["iter_max"],
-        filter_mode=cfg["filter_mode"],
-        train=_train_config(cfg),
-        seed=cfg["seed"],
-        hidden_dim=cfg["hidden_dim"],
-        score_threshold=cfg["score_threshold"],
-        max_wer=cfg["max_wer"],
-        warm_start=cfg["warm_start"],
-        pseudo_weight=cfg["pseudo_weight"],
-        exclude_blank_scores=cfg["exclude_blank"],
+        train=_train_config(cfg), seed=cfg["seed"], hidden_dim=cfg["hidden_dim"], **ipl
     )
 
 
 def cmd_gen_corpus(args) -> int:
-    cfg = _resolve("gen-corpus", _GEN_DEFAULTS, args)
+    cfg = _resolve("gen-corpus", args)
     out = Path(args.out_dir)
     splits = generate_corpus(_gen_config(cfg), seed=cfg["seed"])
     _write_snapshot(out, "gen-corpus", cfg)
@@ -230,7 +230,7 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = _resolve("train-teacher", _IPL_DEFAULTS, args)
+    cfg = _resolve("train-teacher", args)
     splits = _load_corpus(cfg, "train-teacher")
     out = Path(args.out_dir)
     _write_snapshot(out, "train-teacher", cfg)
@@ -246,7 +246,7 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_pseudolabel(args) -> int:
-    cfg = _resolve("pseudolabel", _PSEUDOLABEL_DEFAULTS, args)
+    cfg = _resolve("pseudolabel", args)
     splits = _load_corpus(cfg, "pseudolabel")
     model_path = Path(_require(cfg, "model", "pseudolabel"))
     if not model_path.is_file():
@@ -262,7 +262,7 @@ def cmd_pseudolabel(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = _resolve("filter", _FILTER_DEFAULTS, args)
+    cfg = _resolve("filter", args)
     if (cfg["score_threshold"] is None) == (cfg["max_wer"] is None):
         raise ConfigurationError("filter: exactly one of --score-threshold / --max-wer")
     pls_path = Path(_require(cfg, "pseudo_labels", "filter"))
@@ -282,44 +282,47 @@ def cmd_filter(args) -> int:
 
 
 def cmd_ipl(args) -> int:
-    cfg = _resolve("ipl", _IPL_DEFAULTS, args)
+    cfg = _resolve("ipl", args)
     splits = _load_corpus(cfg, "ipl")
     out = Path(args.out_dir)
     _write_snapshot(out, "ipl", cfg)
-    run_ipl(splits, _ipl_config(cfg), out_dir=out)
+    ipl_cfg = _ipl_config(
+        cfg,
+        iter_max=cfg["iter_max"],
+        filter_mode=cfg["filter_mode"],
+        score_threshold=cfg["score_threshold"],
+        max_wer=cfg["max_wer"],
+        warm_start=cfg["warm_start"],
+        pseudo_weight=cfg["pseudo_weight"],
+        exclude_blank_scores=cfg["exclude_blank"],
+    )
+    run_ipl(splits, ipl_cfg, out_dir=out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve("sweep", _SWEEP_DEFAULTS, args)
+    cfg = _resolve("sweep", args)
     splits = _load_corpus(cfg, "sweep")
     out = Path(args.out_dir)
     _write_snapshot(out, "sweep", cfg)
     schedule = ThresholdSchedule(
         initial=cfg["initial"], step=cfg["step"], iterations_per_update=cfg["iters_per_update"]
     )
-    ipl_cfg = IplConfig(
-        iter_max=1,  # unused by the sweep; iterations come from the schedule
-        filter_mode="score",
-        score_threshold=cfg["initial"],
-        train=_train_config(cfg),
-        seed=cfg["seed"],
-        hidden_dim=cfg["hidden_dim"],
+    sweep_threshold(
+        splits, _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out
     )
-    sweep_threshold(splits, ipl_cfg, schedule, max_updates=cfg["max_updates"], out_dir=out)
     return 0
 
 
 def cmd_estimate_threshold(args) -> int:
-    cfg = _resolve("estimate-threshold", _ESTIMATE_DEFAULTS, args)
+    cfg = _resolve("estimate-threshold", args)
     splits = _load_corpus(cfg, "estimate-threshold")
     out = Path(args.out_dir)
     _write_snapshot(out, "estimate-threshold", cfg)
     if cfg["model"] is not None:
         model = load_checkpoint(Path(cfg["model"]))
     else:
-        result = train_teacher(splits, _ipl_config({**_IPL_DEFAULTS, **{
-            k: cfg[k] for k in _TRAIN_DEFAULTS}}))
+        result = train_teacher(splits, _ipl_config(cfg))
         writer = RunWriter(out)
         writer.teacher(result.model, result.report)
         writer.finish([])
@@ -343,31 +346,27 @@ def cmd_estimate_threshold(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _resolve("report", _REPORT_DEFAULTS, args)
+    cfg = _resolve("report", args)
     run_dir = Path(_require(cfg, "run_dir", "report"))
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     out = Path(args.out_dir)
     _write_snapshot(out, "report", cfg)
 
-    text = ""
+    reports, sweep = [], None
     reports_path = run_dir / "reports.jsonl"
     if reports_path.is_file():
         records = load_reports(reports_path)
+        if not records:
+            raise ConfigurationError(f"{reports_path}: no iteration records")
         reports = [IterationReport(**rec) for rec in records]
-        best_iter = min(reports, key=lambda r: r.dev_wer).iteration
-        text += summary_table(reports, best_iteration=best_iter)
     sweep_path = run_dir / "sweep.json"
     if sweep_path.is_file():
-        sweep = json.loads(sweep_path.read_text(encoding="utf-8"))
-        text += "\n" + sweep_summary_table(
-            sweep["thresholds"],
-            sweep["best_dev_wer_per_threshold"],
-            sweep["best_threshold"],
-        )
+        sweep = load_record(sweep_path, SWEEP_SCHEMA, SWEEP_FIELDS)
+    text = run_summary(reports, sweep)
     estimate_path = run_dir / "estimate.json"
     if estimate_path.is_file():
-        est = json.loads(estimate_path.read_text(encoding="utf-8"))
+        est = load_record(estimate_path, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
         text += (
             f"estimated threshold {est['threshold']:.4f} "
             f"(score-kept {est['score_kept_count']}, wer-kept {est['wer_kept_count']}, "
@@ -398,20 +397,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config snapshot to start from")
-    p.add_argument("--out-dir", required=True, help="directory for run artifacts")
-    p.add_argument("--seed", type=int)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--base-lr", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--warmup-frac", type=float)
-    p.add_argument("--hold-frac", type=float)
+_COMMANDS = [
+    ("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus manifest"),
+    ("train-teacher", cmd_train_teacher, "train the teacher on the labeled split"),
+    ("pseudolabel", cmd_pseudolabel, "decode the unlabeled split with a model"),
+    ("filter", cmd_filter, "filter a pseudo-label file by score or oracle WER"),
+    ("ipl", cmd_ipl, "run the iterative pseudo-labeling loop"),
+    ("sweep", cmd_sweep, "decreasing-threshold sweep with the stopping rule"),
+    ("estimate-threshold", cmd_estimate_threshold, "probe-based threshold estimation"),
+    ("report", cmd_report, "emit summary table, histograms, and scatter data"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,87 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Confidence-filtered iterative pseudo-labeling on a synthetic CTC corpus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-corpus", help="generate a synthetic corpus manifest")
-    _add_common(p)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--label-len-min", type=int)
-    p.add_argument("--label-len-max", type=int)
-    p.add_argument("--frames-per-token-min", type=int)
-    p.add_argument("--frames-per-token-max", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--n-labeled", type=int)
-    p.add_argument("--n-unlabeled", type=int)
-    p.add_argument("--n-dev", type=int)
-    p.add_argument("--n-test", type=int)
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = sub.add_parser("train-teacher", help="train the teacher on the labeled split")
-    _add_common(p)
-    p.add_argument("--corpus")
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train_teacher)
-
-    p = sub.add_parser("pseudolabel", help="decode the unlabeled split with a model")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--model")
-    p.add_argument("--exclude-blank", action=argparse.BooleanOptionalAction)
-    p.add_argument("--annotate-oracle", action=argparse.BooleanOptionalAction)
-    p.set_defaults(func=cmd_pseudolabel)
-
-    p = sub.add_parser("filter", help="filter a pseudo-label file by score or oracle WER")
-    _add_common(p)
-    p.add_argument("--pseudo-labels")
-    p.add_argument("--corpus", help="needed for --max-wer (oracle refs)")
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--max-wer", type=float)
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("ipl", help="run the iterative pseudo-labeling loop")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--iter-max", type=int)
-    p.add_argument("--filter-mode", choices=["none", "score", "wer"])
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--max-wer", type=float)
-    p.add_argument("--warm-start", action=argparse.BooleanOptionalAction)
-    p.add_argument("--pseudo-weight", type=float)
-    p.add_argument("--exclude-blank", action=argparse.BooleanOptionalAction)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_ipl)
-
-    p = sub.add_parser("sweep", help="decreasing-threshold sweep with the stopping rule")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--initial", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--iters-per-update", type=int)
-    p.add_argument("--max-updates", type=int)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("estimate-threshold", help="probe-based threshold estimation")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--model", help="checkpoint to probe with (default: train a teacher)")
-    p.add_argument("--max-wer", type=float)
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--min-probe", type=int)
-    p.add_argument("--probe", choices=["dev", "labeled"])
-    p.add_argument("--probe-size", type=int)
-    p.add_argument("--exclude-blank", action=argparse.BooleanOptionalAction)
-    p.add_argument("--bins", type=int)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_estimate_threshold)
-
-    p = sub.add_parser("report", help="emit summary table, histograms, and scatter data")
-    _add_common(p)
-    p.add_argument("--run-dir")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_report)
-
+    for command, func, help_text in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="config snapshot to start from")
+        p.add_argument("--out-dir", required=True, help="directory for run artifacts")
+        for key, (kind, default) in {"seed": (int, None), **_FLAGS[command]}.items():
+            flag = "--" + key.replace("_", "-")
+            shown = None if default is None else f"default: {default}"
+            if kind is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=shown)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=shown)
+            else:
+                p.add_argument(flag, type=kind, help=shown)
+        p.set_defaults(func=func)
     return parser
 
 

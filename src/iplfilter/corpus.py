@@ -336,7 +336,11 @@ def _read_utterances(path: Path, vocab: Vocabulary, with_labels: bool):
             raise ManifestError(
                 f"{path.name}:{lineno}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
             )
-        fs = FeatureSequence(uid, np.asarray(flat, dtype=np.float64).reshape(T, D))
+        frames = np.asarray(flat, dtype=np.float64).reshape(T, D)
+        if not np.isfinite(frames).all():
+            # json reads NaN and Infinity; training on them fails far from the file
+            raise ManifestError(f"{path.name}:{lineno}: utterance {uid}: non-finite frame value")
+        fs = FeatureSequence(uid, frames)
         if with_labels:
             try:
                 tokens = rec["tokens"]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import FeatureSequence, LabelSequence
-from .ctc import ctc_log_prob, greedy_decode, is_feasible
+from .ctc import ctc_log_prob, is_feasible
 from .errors import ConfigurationError, ShapeError, TrainingError
 
 CHECKPOINT_SCHEMA = "acoustic-model"
@@ -281,18 +281,6 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
                     out.params[k] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
         curve.append(float(np.mean(epoch_losses)))
     return TrainResult(model=out, loss_curve=curve)
-
-
-def greedy_accuracy(model: AcousticModel, data) -> float:
-    """Fraction of utterances whose greedy decode equals the reference."""
-    pairs = list(data)
-    if not pairs:
-        return 1.0
-    hits = 0
-    for fs, lab in pairs:
-        hyp, _ = greedy_decode(forward(model, fs))
-        hits += hyp.tokens == lab.tokens
-    return hits / len(pairs)
 
 
 def save_checkpoint(model: AcousticModel, path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .pseudolabel import (
     ThresholdSchedule,
     annotate_oracle_wer,
     generate_pseudolabels,
-    next_threshold,
     save_pseudolabels,
     score_filter,
     wer_filter,
@@ -59,7 +58,6 @@ class IplConfig:
     seed: int = 0
     hidden_dim: int = 0
     score_threshold: float | None = None
-    schedule: ThresholdSchedule | None = None
     max_wer: float | None = None
     warm_start: bool = True
     pseudo_weight: float = 1.0
@@ -71,11 +69,9 @@ class IplConfig:
         if self.filter_mode not in FILTER_MODES:
             raise ConfigurationError(f"filter_mode must be one of {FILTER_MODES}")
         if self.filter_mode == "score":
-            if (self.score_threshold is None) == (self.schedule is None):
-                raise ConfigurationError(
-                    "score mode needs exactly one of score_threshold or schedule"
-                )
-        elif self.score_threshold is not None or self.schedule is not None:
+            if self.score_threshold is None:
+                raise ConfigurationError("score mode needs score_threshold")
+        elif self.score_threshold is not None:
             raise ConfigurationError(f"{self.filter_mode!r} mode takes no score threshold")
         if self.filter_mode == "wer":
             if self.max_wer is None:
@@ -191,6 +187,11 @@ def _run_one_iteration(
     iteration: int,
     threshold: float | None,
 ) -> tuple[AcousticModel, IterationReport, list[PseudoLabel]]:
+    """One iteration: decode, filter, fuse, train, evaluate.
+
+    A ``threshold`` selects the score filter at that boundary; without one,
+    ``cfg.filter_mode`` ("none" or "wer") picks the filter.
+    """
     t0 = time.perf_counter()
     pls = generate_pseudolabels(
         model, splits.unlabeled, exclude_blank=cfg.exclude_blank_scores
@@ -199,12 +200,12 @@ def _run_one_iteration(
     if has_truth:
         annotate_oracle_wer(pls, splits.unlabeled_refs)
 
-    if cfg.filter_mode == "none":
-        kept = list(pls)
-    elif cfg.filter_mode == "score":
+    if threshold is not None:
         kept = score_filter(pls, threshold)
-    else:
+    elif cfg.filter_mode == "wer":
         kept = wer_filter(pls, splits.unlabeled_refs, cfg.max_wer)
+    else:
+        kept = list(pls)
     kept_ids = {p.utterance_id for p in kept}
     rejected = [p for p in pls if p.utterance_id not in kept_ids]
 
@@ -233,14 +234,45 @@ def _run_one_iteration(
     return trained.model, report, pls
 
 
-def _threshold_for_iteration(cfg: IplConfig, iteration: int) -> float | None:
-    if cfg.filter_mode != "score":
-        return None
-    if cfg.score_threshold is not None:
-        return cfg.score_threshold
-    sched = cfg.schedule
-    update = (iteration - 1) // sched.iterations_per_update
-    return sched.initial - update * sched.step
+def _ipl_loop(
+    splits: CorpusSplits,
+    cfg: IplConfig,
+    teacher: AcousticModel | None,
+    out: RunWriter,
+    boundaries,
+    iterations_per_boundary: int = 1,
+    stop_on_decline: bool = False,
+) -> tuple[IplResult, list[float]]:
+    """The IPL loop behind :func:`run_ipl` and :func:`sweep_threshold`.
+
+    Trains a teacher unless one is given, then runs
+    ``iterations_per_boundary`` iterations at each boundary in turn (a None
+    boundary leaves the filter to ``cfg.filter_mode``). With
+    ``stop_on_decline`` the loop ends after the first boundary whose best dev
+    WER is worse than its predecessor's (:func:`select_threshold`). Returns
+    the result and the best dev WER of each boundary that ran.
+    """
+    teacher_report = None
+    if teacher is None:
+        tr = train_teacher(splits, cfg)
+        teacher, teacher_report = tr.model, tr.report
+        out.teacher(teacher, teacher_report)
+
+    model = teacher
+    reports: list[IterationReport] = []
+    best_per_boundary: list[float] = []
+    for boundary in boundaries:
+        for _ in range(iterations_per_boundary):
+            t = len(reports) + 1
+            base = model if cfg.warm_start else teacher
+            model, report, pls = _run_one_iteration(base, splits, cfg, t, boundary)
+            reports.append(report)
+            out.iteration(t, model, pls)
+        best_per_boundary.append(min(r.dev_wer for r in reports[-iterations_per_boundary:]))
+        if stop_on_decline and select_threshold(zip(boundaries, best_per_boundary))[1]:
+            break
+    result = IplResult(model=model, reports=reports, teacher_report=teacher_report)
+    return result, best_per_boundary
 
 
 def run_ipl(
@@ -257,23 +289,9 @@ def run_ipl(
     is flagged in its report rather than aborting the run.
     """
     out = RunWriter(out_dir)
-    teacher_report = None
-    if teacher is None:
-        tr = train_teacher(splits, cfg)
-        teacher, teacher_report = tr.model, tr.report
-        out.teacher(teacher, teacher_report)
-
-    model = teacher
-    reports: list[IterationReport] = []
-    for t in range(1, cfg.iter_max + 1):
-        base = teacher if (not cfg.warm_start) else model
-        model, report, pls = _run_one_iteration(
-            base, splits, cfg, t, _threshold_for_iteration(cfg, t)
-        )
-        reports.append(report)
-        out.iteration(t, model, pls)
-    out.finish(reports, best_rule="dev")
-    return IplResult(model=model, reports=reports, teacher_report=teacher_report)
+    result, _ = _ipl_loop(splits, cfg, teacher, out, [cfg.score_threshold] * cfg.iter_max)
+    out.finish(result.reports)
+    return result
 
 
 def select_threshold(history) -> tuple[float, bool]:
@@ -305,60 +323,34 @@ def sweep_threshold(
     Each threshold gets ``schedule.iterations_per_update`` IPL iterations
     (training continues across thresholds); its slot is scored by the best dev
     WER among them. The sweep stops at the first threshold scoring worse than
-    its predecessor and returns that predecessor.
+    its predecessor and returns that predecessor. Every iteration uses the
+    score filter, so ``cfg``'s filter mode, score threshold and max WER are
+    not read.
     """
     if max_updates < 1:
         raise ConfigurationError("max_updates must be >= 1")
     if not splits.dev:
         raise ConfigurationError("sweep needs a non-empty dev split")
-    base_cfg = replace(
-        cfg, filter_mode="score", score_threshold=0.0, schedule=None, max_wer=None
-    )
 
     out = RunWriter(out_dir)
-    teacher_report = None
-    if teacher is None:
-        tr = train_teacher(splits, base_cfg)
-        teacher, teacher_report = tr.model, tr.report
-        out.teacher(teacher, teacher_report)
-
-    model = teacher
-    reports: list[IterationReport] = []
-    thresholds: list[float] = []
-    best_per_threshold: list[float] = []
-    sched = schedule
-    iteration = 0
-    for _ in range(max_updates):
-        boundary, sched = next_threshold(sched)
-        thresholds.append(boundary)
-        run_cfg = replace(base_cfg, score_threshold=boundary)
-        slot_dev = []
-        for _ in range(schedule.iterations_per_update):
-            iteration += 1
-            base = teacher if (not cfg.warm_start) else model
-            model, report, pls = _run_one_iteration(
-                base, splits, run_cfg, iteration, boundary
-            )
-            reports.append(report)
-            slot_dev.append(report.dev_wer)
-            out.iteration(iteration, model, pls)
-        best_per_threshold.append(min(slot_dev))
-        _, declined = select_threshold(zip(thresholds, best_per_threshold))
-        if declined:
-            break
+    boundaries = [schedule.boundary(u) for u in range(max_updates)]
+    run, best_per_threshold = _ipl_loop(
+        splits, cfg, teacher, out, boundaries,
+        schedule.iterations_per_update, stop_on_decline=True,
+    )
+    thresholds = boundaries[: len(best_per_threshold)]
     best, declined = select_threshold(zip(thresholds, best_per_threshold))
-    out.sweep(best, declined, thresholds, best_per_threshold)
-    out.finish(reports, best_rule="threshold", thresholds=thresholds,
-               best_per_threshold=best_per_threshold, best_threshold=best)
-    return SweepResult(
+    result = SweepResult(
         best_threshold=best,
         declined=declined,
         thresholds=thresholds,
         best_dev_wer_per_threshold=best_per_threshold,
-        reports=reports,
-        model=model,
-        teacher_report=teacher_report,
+        reports=run.reports,
+        model=run.model,
+        teacher_report=run.teacher_report,
     )
+    out.finish(run.reports, sweep=sweep_record(result))
+    return result
 
 
 def estimate_threshold(
@@ -429,21 +421,23 @@ def estimate_threshold(
 # ---------------------------------------------------------------------------
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(IterationReport) if f.name != "wall_clock_sec")
+SWEEP_SCHEMA = "sweep-result"
+SWEEP_FIELDS = ("best_threshold", "declined", "thresholds", "best_dev_wer_per_threshold")
+ESTIMATE_SCHEMA = "threshold-estimate"
+ESTIMATE_FIELDS = ("threshold", "probe_size", "wer_kept_count", "score_kept_count",
+                   "overlap_jaccard", "overlap_min_ratio")
+
+
 def report_record(report: IterationReport) -> dict:
     """Deterministic serializable view of a report (wall clock excluded)."""
-    return {
-        "iteration": report.iteration,
-        "threshold": report.threshold,
-        "generated": report.generated,
-        "kept": report.kept,
-        "rejected": report.rejected,
-        "mean_score_kept": report.mean_score_kept,
-        "oracle_mean_wer_kept": report.oracle_mean_wer_kept,
-        "oracle_mean_wer_rejected": report.oracle_mean_wer_rejected,
-        "dev_wer": report.dev_wer,
-        "test_wer": report.test_wer,
-        "trained_on_labeled_only": report.trained_on_labeled_only,
-    }
+    return {name: getattr(report, name) for name in REPORT_FIELDS}
+
+
+def sweep_record(result: SweepResult) -> dict:
+    """The ``sweep.json`` record of a sweep."""
+    return {"schema": SWEEP_SCHEMA, "version": 1,
+            **{name: getattr(result, name) for name in SWEEP_FIELDS}}
 
 
 def write_reports(path, reports) -> None:
@@ -453,12 +447,45 @@ def write_reports(path, reports) -> None:
             fh.write(json.dumps(report_record(r), sort_keys=True) + "\n")
 
 
+def _parse_record(where: str, text: str) -> dict:
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigurationError(f"{where}: invalid JSON: {e.msg}") from e
+    if not isinstance(rec, dict):
+        raise ConfigurationError(f"{where}: record is not an object")
+    return rec
+
+
+def _check_fields(where: str, rec: dict, names) -> None:
+    missing = [k for k in names if k not in rec]
+    unknown = sorted(set(rec) - set(names))
+    if missing or unknown:
+        raise ConfigurationError(f"{where}: missing fields {missing}, unknown fields {unknown}")
+
+
 def load_reports(path) -> list[dict]:
+    """Records of :func:`write_reports`; a malformed file raises ConfigurationError."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or json.loads(lines[0]).get("schema") != REPORT_SCHEMA:
+    if not lines or _parse_record(f"{path}:1", lines[0]).get("schema") != REPORT_SCHEMA:
         raise ConfigurationError(f"{path}: not an iteration-report file")
-    return [json.loads(line) for line in lines[1:]]
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        rec = _parse_record(f"{path}:{lineno}", line)
+        _check_fields(f"{path}:{lineno}", rec, REPORT_FIELDS)
+        records.append(rec)
+    return records
+
+
+def load_record(path, schema: str, names) -> dict:
+    """A one-record JSON artifact with the given schema and fields."""
+    path = Path(path)
+    rec = _parse_record(str(path), path.read_text(encoding="utf-8"))
+    if rec.get("schema") != schema:
+        raise ConfigurationError(f"{path}: not a {schema} file")
+    _check_fields(str(path), rec, ("schema", "version", *names))
+    return rec
 
 
 def _fmt(x) -> str:
@@ -471,32 +498,37 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def summary_table(reports, best_iteration: int | None = None) -> str:
-    """Fixed-width per-iteration table; the best dev-WER row is starred."""
-    header = ("iter", "threshold", "generated", "kept", "mean_score",
-              "oracle_wer_kept", "dev_wer", "test_wer", "flag")
-    rows = [header]
-    for r in reports:
-        star = "*" if best_iteration is not None and r.iteration == best_iteration else ""
-        flag = "labeled-only" if r.trained_on_labeled_only else ""
-        rows.append((
-            f"{r.iteration}{star}", _fmt(r.threshold), _fmt(r.generated), _fmt(r.kept),
-            _fmt(r.mean_score_kept), _fmt(r.oracle_mean_wer_kept),
-            _fmt(r.dev_wer), _fmt(r.test_wer), flag,
-        ))
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
+def _table(rows) -> str:
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def sweep_summary_table(thresholds, best_per_threshold, best_threshold) -> str:
-    rows = [("threshold", "best_dev_wer", "")]
-    for thr, dev in zip(thresholds, best_per_threshold):
-        mark = "*" if thr == best_threshold else ""
-        rows.append((_fmt(thr), _fmt(dev), mark))
-    widths = [max(len(row[c]) for row in rows) for c in range(3)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
+def run_summary(reports, sweep: dict | None = None) -> str:
+    """Fixed-width ``summary.txt`` text of a run.
+
+    One row per iteration with the best dev-WER row starred, then, given a
+    ``sweep.json`` record, one row per threshold with the chosen one starred.
+    """
+    text = ""
+    if reports:
+        best = min(reports, key=lambda r: r.dev_wer).iteration
+        rows = [("iter", "threshold", "generated", "kept", "mean_score",
+                 "oracle_wer_kept", "dev_wer", "test_wer", "flag")]
+        for r in reports:
+            rows.append((
+                f"{r.iteration}{'*' if r.iteration == best else ''}", _fmt(r.threshold),
+                _fmt(r.generated), _fmt(r.kept), _fmt(r.mean_score_kept),
+                _fmt(r.oracle_mean_wer_kept), _fmt(r.dev_wer), _fmt(r.test_wer),
+                "labeled-only" if r.trained_on_labeled_only else "",
+            ))
+        text = _table(rows)
+    if sweep is not None:
+        rows = [("threshold", "best_dev_wer", "")]
+        for thr, dev in zip(sweep["thresholds"], sweep["best_dev_wer_per_threshold"]):
+            rows.append((_fmt(thr), _fmt(dev), "*" if thr == sweep["best_threshold"] else ""))
+        text += "\n" + _table(rows)
+    return text
 
 
 class RunWriter:
@@ -532,32 +564,17 @@ class RunWriter:
         save_checkpoint(model, self.dir / f"iter-{t:02d}.model.json")
         save_pseudolabels(pls, self.dir / f"iter-{t:02d}.pseudolabels.jsonl")
 
-    def sweep(self, best, declined, thresholds, best_per_threshold) -> None:
+    def finish(self, reports, sweep: dict | None = None) -> None:
+        """Write the reports, ``sweep.json`` given a sweep record, the summary and timings."""
         if self.dir is None:
             return
-        rec = {
-            "schema": "sweep-result",
-            "version": 1,
-            "best_threshold": best,
-            "declined": declined,
-            "thresholds": thresholds,
-            "best_dev_wer_per_threshold": best_per_threshold,
-        }
-        (self.dir / "sweep.json").write_text(
-            json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-    def finish(self, reports, best_rule="dev", thresholds=None,
-               best_per_threshold=None, best_threshold=None) -> None:
-        if self.dir is None:
-            return
+        if sweep is not None:
+            (self.dir / "sweep.json").write_text(
+                json.dumps(sweep, sort_keys=True) + "\n", encoding="utf-8"
+            )
         if reports:
             write_reports(self.dir / "reports.jsonl", reports)
-            best_iter = min(reports, key=lambda r: r.dev_wer).iteration
-            text = summary_table(reports, best_iteration=best_iter)
-            if best_rule == "threshold" and thresholds is not None:
-                text += "\n" + sweep_summary_table(thresholds, best_per_threshold, best_threshold)
-            (self.dir / "summary.txt").write_text(text, encoding="utf-8")
+            (self.dir / "summary.txt").write_text(run_summary(reports, sweep), encoding="utf-8")
             self.timings.extend((f"iter-{r.iteration:02d}", r.wall_clock_sec) for r in reports)
         if self.timings:
             with (self.dir / "timings.txt").open("w", encoding="utf-8") as fh:
@@ -589,16 +606,8 @@ def write_scatter(pairs, path) -> None:
 def write_estimate(result: EstimateResult, pls, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = {
-        "schema": "threshold-estimate",
-        "version": 1,
-        "threshold": result.threshold,
-        "probe_size": result.probe_size,
-        "wer_kept_count": result.wer_kept_count,
-        "score_kept_count": result.score_kept_count,
-        "overlap_jaccard": result.overlap_jaccard,
-        "overlap_min_ratio": result.overlap_min_ratio,
-    }
+    rec = {"schema": ESTIMATE_SCHEMA, "version": 1,
+           **{name: getattr(result, name) for name in ESTIMATE_FIELDS}}
     (out / "estimate.json").write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
     save_pseudolabels(pls, out / "probe_pseudolabels.jsonl")
     write_histogram(result.score_histogram, out / "score_hist.jsonl", "score-histogram")

@@ -10,7 +10,7 @@ counterpart and may only run where ground truth is legitimately available.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,25 +39,17 @@ class ThresholdSchedule:
 
     initial: float
     step: float
-    updates_so_far: int = 0
     iterations_per_update: int = 3
 
     def __post_init__(self):
         if self.step <= 0:
             raise ConfigurationError("schedule step must be > 0")
-        if self.updates_so_far < 0:
-            raise ConfigurationError("updates_so_far must be >= 0")
         if self.iterations_per_update < 1:
             raise ConfigurationError("iterations_per_update must be >= 1")
 
-    @property
-    def current(self) -> float:
-        return self.initial - self.updates_so_far * self.step
-
-
-def next_threshold(sched: ThresholdSchedule) -> tuple[float, ThresholdSchedule]:
-    """Emit the current boundary and advance the schedule one update."""
-    return sched.current, replace(sched, updates_so_far=sched.updates_so_far + 1)
+    def boundary(self, u: int) -> float:
+        """The decision boundary at update ``u``."""
+        return self.initial - u * self.step
 
 
 def score_utterance(logp, exclude_blank: bool = False) -> float:

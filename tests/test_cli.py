@@ -1,9 +1,11 @@
+import argparse
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from iplfilter.cli import main
+from iplfilter.cli import build_parser, main
 from iplfilter.corpus import load_manifest
 from iplfilter.pseudolabel import load_pseudolabels
 
@@ -22,6 +24,48 @@ def corpus_dir(tmp_path):
 
 def read_config(run_dir):
     return json.loads((Path(run_dir) / "config.json").read_text())
+
+
+def run_files(run_dir):
+    """Every artifact of a run directory except the timing record."""
+    return {p.name: p.read_bytes() for p in sorted(Path(run_dir).iterdir()) if p.name != "timings.txt"}
+
+
+def usage_error(capsys):
+    """The one-line JSON error record a usage failure prints to stderr."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+COMMON_FLAGS = {"--config", "--out-dir", "--seed"}
+TRAIN_FLAGS = {"--corpus", "--hidden-dim", "--epochs", "--batch-size", "--base-lr",
+               "--optimizer", "--warmup-frac", "--hold-frac"}
+FLAG_SETS = {
+    "gen-corpus": {"--vocab-size", "--feature-dim", "--label-len-min", "--label-len-max",
+                   "--frames-per-token-min", "--frames-per-token-max", "--noise-sigma",
+                   "--n-labeled", "--n-unlabeled", "--n-dev", "--n-test"},
+    "train-teacher": TRAIN_FLAGS,
+    "pseudolabel": {"--corpus", "--model", "--exclude-blank", "--no-exclude-blank",
+                    "--annotate-oracle", "--no-annotate-oracle"},
+    "filter": {"--pseudo-labels", "--corpus", "--score-threshold", "--max-wer"},
+    "ipl": TRAIN_FLAGS | {"--iter-max", "--filter-mode", "--score-threshold", "--max-wer",
+                          "--warm-start", "--no-warm-start", "--pseudo-weight",
+                          "--exclude-blank", "--no-exclude-blank"},
+    "sweep": TRAIN_FLAGS | {"--initial", "--step", "--iters-per-update", "--max-updates"},
+    "estimate-threshold": TRAIN_FLAGS | {"--model", "--max-wer", "--coverage", "--min-probe",
+                                         "--probe", "--probe-size", "--exclude-blank",
+                                         "--no-exclude-blank", "--bins"},
+    "report": {"--run-dir", "--bins"},
+}
+
+
+def test_each_command_has_exactly_its_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_SETS)
+    for command, parser in sub.choices.items():
+        flags = {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+        assert flags == COMMON_FLAGS | FLAG_SETS[command], command
 
 
 class TestGenCorpus:
@@ -52,6 +96,20 @@ class TestTrainTeacher:
         assert rc == 0
         for name in ("teacher_model.json", "teacher_report.jsonl", "summary.txt", "config.json"):
             assert (run / name).is_file(), name
+
+    def test_non_finite_frame_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        target = corpus_dir / "labeled.jsonl"
+        lines = target.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["frames"][0] = float("nan")
+        lines[0] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        rc = main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "r"),
+                   *FAST_TRAIN])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ManifestError"
+        assert err["message"].startswith("labeled.jsonl:1: utterance lab-0000: non-finite")
 
     def test_missing_corpus_is_usage_error(self, tmp_path, capsys):
         rc = main(["train-teacher", "--corpus", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r")])
@@ -171,6 +229,57 @@ class TestSweepAndReport:
         assert main(["report", "--run-dir", str(empty), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def _set_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_record(edit):
+    def apply(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+    return apply
+
+
+# (file to damage, how) -> each must make `report` a usage error naming the file
+MALFORMED_RUNS = {
+    "bad-json-line": ("reports.jsonl", lambda p: _set_line(p, 2, lambda line: line[:-3])),
+    "unknown-field": ("reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec.update(bogus=1)))),
+    "missing-field": ("reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec.pop("dev_wer")))),
+    "header-only": ("reports.jsonl", lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
+    "sweep-missing-keys": ("sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.pop("thresholds")))),
+}
+
+
+class TestReportOnMalformedRun:
+    @pytest.fixture(scope="class")
+    def sweep_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("malformed")
+        corpus = root / "corpus"
+        assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
+        run = root / "sweep"
+        assert main(["sweep", "--corpus", str(corpus), "--out-dir", str(run), "--epochs", "0",
+                     "--iters-per-update", "1", "--max-updates", "1"]) == 0
+        return run
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_malformed_run_dir_is_usage_error(self, sweep_run, tmp_path, capsys, case):
+        name, damage = MALFORMED_RUNS[case]
+        run = tmp_path / "run"
+        shutil.copytree(sweep_run, run)
+        damage(run / name)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run), "--out-dir", str(tmp_path / "rep")]) == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ConfigurationError"
+        assert str(run / name) in err["message"]
+
+
 class TestEstimateCommand:
     def test_writes_estimate_artifacts(self, corpus_dir, tmp_path):
         run = tmp_path / "est"
@@ -195,6 +304,19 @@ class TestSnapshotRelaunch:
         for name in ("meta.json", "labeled.jsonl", "unlabeled.jsonl", "dev.jsonl",
                      "test.jsonl", "unlabeled_refs.jsonl", "config.json"):
             assert (clone / name).read_bytes() == (corpus_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv", [
+        ["train-teacher", *FAST_TRAIN],
+        ["sweep", "--initial", "-0.2", "--step", "0.2", "--iters-per-update", "1",
+         "--max-updates", "2", *FAST_TRAIN],
+        ["estimate-threshold", "--min-probe", "5", "--probe-size", "6", "--exclude-blank",
+         *FAST_TRAIN],
+    ], ids=lambda argv: argv[0])
+    def test_relaunch_identical(self, corpus_dir, tmp_path, argv):
+        first, clone = tmp_path / "first", tmp_path / "clone"
+        assert main([*argv, "--corpus", str(corpus_dir), "--out-dir", str(first)]) == 0
+        assert main([argv[0], "--config", str(first / "config.json"), "--out-dir", str(clone)]) == 0
+        assert run_files(clone) == run_files(first)
 
     def test_snapshot_command_mismatch_rejected(self, corpus_dir, tmp_path):
         rc = main(["ipl", "--config", str(corpus_dir / "config.json"),

@@ -185,6 +185,20 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=r"test\.jsonl:1"):
             load_manifest(tmp_path / "m")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_frame_names_line(self, tmp_path, value):
+        # json writes and reads NaN and Infinity
+        splits = generate_corpus(SMALL, seed=2)
+        save_manifest(splits, tmp_path / "m")
+        target = tmp_path / "m" / "unlabeled.jsonl"
+        lines = target.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["frames"][1] = value
+        lines[1] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=r"unlabeled\.jsonl:2: utterance unl-0001: non-finite"):
+            load_manifest(tmp_path / "m")
+
     def test_frame_count_mismatch_rejected(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from iplfilter.corpus import CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
-from iplfilter.ctc import collapse, ctc_log_prob, is_feasible
+from iplfilter.ctc import collapse, ctc_log_prob, greedy_decode, is_feasible
 from iplfilter.errors import ConfigurationError, ShapeError, TrainingError
 from iplfilter.model import (
     TrainConfig,
     forward,
     forward_frames,
-    greedy_accuracy,
     init_model,
     load_checkpoint,
     lr_at,
@@ -19,6 +18,13 @@ from iplfilter.model import (
     train,
     utterance_loss_and_grads,
 )
+
+
+def greedy_accuracy(model, data) -> float:
+    """Fraction of utterances whose greedy decode equals the reference."""
+    pairs = list(data)
+    hits = sum(greedy_decode(forward(model, fs))[0].tokens == lab.tokens for fs, lab in pairs)
+    return hits / len(pairs)
 
 
 def em_min_ctc_loss(T, C, labels, iters=300):

@@ -30,16 +30,9 @@ def small_splits(seed=0, **overrides):
 
 
 class TestIplConfig:
-    def test_score_mode_needs_exactly_one_source(self):
+    def test_score_mode_needs_threshold(self):
         with pytest.raises(ConfigurationError):
             IplConfig(filter_mode="score", train=FAST)
-        with pytest.raises(ConfigurationError):
-            IplConfig(
-                filter_mode="score",
-                score_threshold=-0.1,
-                schedule=ThresholdSchedule(-0.1, 0.01),
-                train=FAST,
-            )
 
     def test_wer_mode_needs_max_wer(self):
         with pytest.raises(ConfigurationError):
@@ -171,14 +164,6 @@ class TestRunIpl:
             kept.append(run_ipl(splits, cfg, teacher=teacher).reports[0].kept)
         assert kept == sorted(kept)
 
-    def test_schedule_advances_every_n_iterations(self):
-        splits = small_splits()
-        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=2)
-        cfg = IplConfig(iter_max=5, filter_mode="score", schedule=sched, train=FAST)
-        result = run_ipl(splits, cfg)
-        thresholds = [round(r.threshold, 10) for r in result.reports]
-        assert thresholds == [-0.1, -0.1, -0.15, -0.15, -0.2]
-
     def test_run_dir_artifacts(self, tmp_path):
         splits = small_splits()
         cfg = IplConfig(iter_max=2, filter_mode="score", score_threshold=-0.2, train=FAST)
@@ -245,6 +230,19 @@ class TestSweep:
         decline_idx = result.thresholds.index(result.best_threshold)
         assert result.best_dev_wer_per_threshold[decline_idx + 1] > result.best_dev_wer_per_threshold[decline_idx]
         assert len(result.reports) == 3 * len(result.thresholds)
+
+    def test_boundary_advances_every_n_iterations(self):
+        # max_updates caps the sweep before a decline can stop it early
+        splits = small_splits()
+        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=2)
+        cfg = IplConfig(train=FAST)
+        result = sweep_threshold(splits, cfg, sched, max_updates=1)
+        assert [r.threshold for r in result.reports] == [-0.1, -0.1]
+        result = sweep_threshold(splits, cfg, sched, max_updates=3)
+        n = len(result.thresholds)
+        assert result.thresholds == [sched.boundary(u) for u in range(n)]
+        assert [r.threshold for r in result.reports] == [sched.boundary(u // 2) for u in range(2 * n)]
+        assert [r.iteration for r in result.reports] == list(range(1, 2 * n + 1))
 
     def test_exhausted_schedule_warns(self):
         splits = small_splits()

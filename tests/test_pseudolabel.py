@@ -12,7 +12,6 @@ from iplfilter.pseudolabel import (
     annotate_oracle_wer,
     generate_pseudolabels,
     load_pseudolabels,
-    next_threshold,
     save_pseudolabels,
     score_filter,
     score_utterance,
@@ -216,15 +215,10 @@ class TestWerFilter:
 class TestThresholdSchedule:
     def test_paper_default_sequence(self):
         sched = ThresholdSchedule(initial=-0.03, step=0.01)
-        seen = []
-        for _ in range(4):
-            value, sched = next_threshold(sched)
-            seen.append(round(value, 10))
-        assert seen == [-0.03, -0.04, -0.05, -0.06]
+        assert [round(sched.boundary(u), 10) for u in range(4)] == [-0.03, -0.04, -0.05, -0.06]
 
     def test_third_update_value(self):
-        sched = ThresholdSchedule(initial=-0.03, step=0.01, updates_so_far=2)
-        assert next_threshold(sched)[0] == pytest.approx(-0.05)
+        assert ThresholdSchedule(initial=-0.03, step=0.01).boundary(2) == pytest.approx(-0.05)
 
     def test_zero_step_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -233,8 +227,7 @@ class TestThresholdSchedule:
     def test_exact_arithmetic(self):
         sched = ThresholdSchedule(initial=-1.0, step=0.25)
         for k in range(8):
-            value, sched = next_threshold(sched)
-            assert value == -1.0 - k * 0.25
+            assert sched.boundary(k) == -1.0 - k * 0.25
 
 
 class TestPseudolabelFiles:
