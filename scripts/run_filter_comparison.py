@@ -10,11 +10,11 @@ writes the rows as json lines for plotting.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
+from iplfilter.artifacts import write_jsonl
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.model import TrainConfig
 from iplfilter.pipeline import IplConfig, run_ipl, train_teacher
@@ -76,10 +76,7 @@ def main() -> int:
         print(f"  {mode:8s} {np.mean(vals):.4f}  (+/- {np.std(vals):.4f})")
 
     if args.out:
-        with args.out.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"schema": "filter-comparison", "version": 1}) + "\n")
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        write_jsonl(args.out, rows, "filter-comparison")
         print(f"\nwrote {args.out}")
     return 0
 

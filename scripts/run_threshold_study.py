@@ -11,11 +11,11 @@ ratios behind the estimate.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
+from iplfilter.artifacts import write_jsonl
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.model import TrainConfig
 from iplfilter.pipeline import IplConfig, estimate_threshold, sweep_threshold, train_teacher
@@ -76,10 +76,7 @@ def main() -> int:
     print(f"mean jaccard overlap {np.mean([r['overlap_jaccard'] for r in rows]):.3f}")
 
     if args.out:
-        with args.out.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"schema": "threshold-study", "version": 1}) + "\n")
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        write_jsonl(args.out, rows, "threshold-study")
         print(f"wrote {args.out}")
     return 0
 

@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from .artifacts import VERSION, read_json, write_json, write_text
 from .corpus import CorpusGenConfig, generate_corpus, load_manifest, save_manifest
 from .errors import (
     ConfigurationError,
@@ -36,7 +37,6 @@ from .pipeline import (
     IterationReport,
     RunWriter,
     estimate_threshold,
-    load_record,
     load_reports,
     run_ipl,
     run_summary,
@@ -56,6 +56,7 @@ from .pseudolabel import (
 )
 
 CONFIG_SCHEMA = "run-config"
+_SNAPSHOT_FIELDS = {"command": str, "config": dict}
 
 _USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, FileNotFoundError)
 
@@ -144,19 +145,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (_, default) in _FLAGS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            snap = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"{path}: invalid config JSON: {e.msg}") from e
-        if snap.get("schema") != CONFIG_SCHEMA:
-            raise ConfigurationError(f"{path}: not a {CONFIG_SCHEMA} file")
-        if snap.get("command") != command:
+        snap = read_json(path, ConfigurationError, CONFIG_SCHEMA, _SNAPSHOT_FIELDS)
+        if snap["command"] != command:
             raise ConfigurationError(
-                f"{path}: snapshot is for command {snap.get('command')!r}, not {command!r}"
+                f"{path}: snapshot is for command {snap['command']!r}, not {command!r}"
             )
-        for key, value in snap.get("config", {}).items():
+        for key, value in snap["config"].items():
             if key not in cfg:
                 raise ConfigurationError(f"{path}: unknown config key {key!r}")
             cfg[key] = value
@@ -169,10 +163,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 def _write_snapshot(out_dir: Path, command: str, cfg: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    rec = {"schema": CONFIG_SCHEMA, "version": 1, "command": command, "config": cfg}
-    (out_dir / "config.json").write_text(
-        json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "config.json",
+               {"schema": CONFIG_SCHEMA, "version": VERSION, "command": command, "config": cfg})
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -238,9 +230,9 @@ def cmd_train_teacher(args) -> int:
     writer = RunWriter(out)
     writer.teacher(result.model, result.report)
     writer.finish([])
-    (out / "summary.txt").write_text(
+    write_text(
+        out / "summary.txt",
         f"teacher dev_wer {result.report.dev_wer:.4f} test_wer {result.report.test_wer:.4f}\n",
-        encoding="utf-8",
     )
     return 0
 
@@ -248,10 +240,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_pseudolabel(args) -> int:
     cfg = _resolve("pseudolabel", args)
     splits = _load_corpus(cfg, "pseudolabel")
-    model_path = Path(_require(cfg, "model", "pseudolabel"))
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model checkpoint not found: {model_path}")
-    model = load_checkpoint(model_path)
+    model = load_checkpoint(_require(cfg, "model", "pseudolabel"))
     out = Path(args.out_dir)
     _write_snapshot(out, "pseudolabel", cfg)
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg["exclude_blank"])
@@ -265,10 +254,7 @@ def cmd_filter(args) -> int:
     cfg = _resolve("filter", args)
     if (cfg["score_threshold"] is None) == (cfg["max_wer"] is None):
         raise ConfigurationError("filter: exactly one of --score-threshold / --max-wer")
-    pls_path = Path(_require(cfg, "pseudo_labels", "filter"))
-    if not pls_path.is_file():
-        raise FileNotFoundError(f"pseudo-label file not found: {pls_path}")
-    pls = load_pseudolabels(pls_path)
+    pls = load_pseudolabels(_require(cfg, "pseudo_labels", "filter"))
     out = Path(args.out_dir)
     _write_snapshot(out, "filter", cfg)
     if cfg["score_threshold"] is not None:
@@ -362,11 +348,11 @@ def cmd_report(args) -> int:
         reports = [IterationReport(**rec) for rec in records]
     sweep_path = run_dir / "sweep.json"
     if sweep_path.is_file():
-        sweep = load_record(sweep_path, SWEEP_SCHEMA, SWEEP_FIELDS)
+        sweep = read_json(sweep_path, ConfigurationError, SWEEP_SCHEMA, SWEEP_FIELDS)
     text = run_summary(reports, sweep)
     estimate_path = run_dir / "estimate.json"
     if estimate_path.is_file():
-        est = load_record(estimate_path, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
+        est = read_json(estimate_path, ConfigurationError, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
         text += (
             f"estimated threshold {est['threshold']:.4f} "
             f"(score-kept {est['score_kept_count']}, wer-kept {est['wer_kept_count']}, "
@@ -374,7 +360,7 @@ def cmd_report(args) -> int:
         )
     if not text:
         raise ConfigurationError(f"{run_dir}: no reports.jsonl, sweep.json, or estimate.json")
-    (out / "report_summary.txt").write_text(text, encoding="utf-8")
+    write_text(out / "report_summary.txt", text)
 
     pls_files = sorted(run_dir.glob("iter-*.pseudolabels.jsonl"))
     if not pls_files and (run_dir / "probe_pseudolabels.jsonl").is_file():
@@ -437,12 +423,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except Exception as e:  # noqa: BLE001 - single reporting point for every failure
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return 2
-    except Exception as e:  # noqa: BLE001 - single reporting point for runtime failures
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, _USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

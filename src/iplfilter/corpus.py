@@ -15,20 +15,23 @@ repeat-free labels only require at least one frame per token.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import VERSION, read_json, read_jsonl, write_json, write_jsonl
 from .errors import ConfigurationError, ManifestError
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
 BLANK = 0
 
 MANIFEST_SCHEMA = "corpus-manifest"
-MANIFEST_VERSION = 1
+_META_FIELDS = {"tokens": list, "feature_dim": int}
+_UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int, "feature_dim": int, "frames": list}
+_LABELED_FIELDS = {**_UTTERANCE_FIELDS, "tokens": list}
+_REFS_FIELDS = {"utterance_id": str, "tokens": list}
 
 _SPLIT_FILES = {
     "labeled": "labeled.jsonl",
@@ -273,13 +276,6 @@ def _utterance_record(fs: FeatureSequence, labels: LabelSequence | None) -> dict
     return rec
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
-
-
 def save_manifest(splits: CorpusSplits, out_dir) -> None:
     """Write one directory per corpus: meta + one jsonl file per split.
 
@@ -291,90 +287,60 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     meta = {
         "schema": MANIFEST_SCHEMA,
-        "version": MANIFEST_VERSION,
+        "version": VERSION,
         "tokens": list(splits.vocabulary.tokens),
         "feature_dim": splits.feature_dim,
     }
-    (out / _META_FILE).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-    _write_jsonl(out / _SPLIT_FILES["labeled"], (_utterance_record(fs, lab) for fs, lab in splits.labeled))
-    _write_jsonl(out / _SPLIT_FILES["unlabeled"], (_utterance_record(fs, None) for fs in splits.unlabeled))
-    _write_jsonl(out / _SPLIT_FILES["dev"], (_utterance_record(fs, lab) for fs, lab in splits.dev))
-    _write_jsonl(out / _SPLIT_FILES["test"], (_utterance_record(fs, lab) for fs, lab in splits.test))
+    write_json(out / _META_FILE, meta)
+    write_jsonl(out / _SPLIT_FILES["labeled"], (_utterance_record(fs, lab) for fs, lab in splits.labeled))
+    write_jsonl(out / _SPLIT_FILES["unlabeled"], (_utterance_record(fs, None) for fs in splits.unlabeled))
+    write_jsonl(out / _SPLIT_FILES["dev"], (_utterance_record(fs, lab) for fs, lab in splits.dev))
+    write_jsonl(out / _SPLIT_FILES["test"], (_utterance_record(fs, lab) for fs, lab in splits.test))
     refs = [
         {"utterance_id": uid, "tokens": list(lab.tokens)}
         for uid, lab in ((fs.utterance_id, splits.unlabeled_refs[fs.utterance_id]) for fs in splits.unlabeled)
     ] if splits.unlabeled_refs else []
-    _write_jsonl(out / _REFS_FILE, refs)
-
-
-def _parse_jsonl(path: Path):
-    if not path.is_file():
-        raise ManifestError(f"{path}: missing manifest file")
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ManifestError(f"{path.name}:{lineno}: blank line in manifest")
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ManifestError(f"{path.name}:{lineno}: invalid record: {e.msg}") from e
-            if not isinstance(rec, dict):
-                raise ManifestError(f"{path.name}:{lineno}: record is not an object")
-            yield lineno, rec
+    write_jsonl(out / _REFS_FILE, refs)
 
 
 def _read_utterances(path: Path, vocab: Vocabulary, with_labels: bool):
     out = []
-    for lineno, rec in _parse_jsonl(path):
-        try:
-            uid = rec["utterance_id"]
-            T, D = int(rec["num_frames"]), int(rec["feature_dim"])
-            flat = rec["frames"]
-        except KeyError as e:
-            raise ManifestError(f"{path.name}:{lineno}: missing field {e}") from e
+    fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
+    for where, rec in read_jsonl(path, ManifestError, fields):
+        uid, T, D, flat = rec["utterance_id"], rec["num_frames"], rec["feature_dim"], rec["frames"]
         if len(flat) != T * D:
             raise ManifestError(
-                f"{path.name}:{lineno}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
+                f"{where}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
             )
-        frames = np.asarray(flat, dtype=np.float64).reshape(T, D)
-        if not np.isfinite(frames).all():
+        try:
+            fs = FeatureSequence(uid, np.asarray(flat, dtype=np.float64).reshape(T, D))
+        except (TypeError, ValueError) as e:
+            raise ManifestError(f"{where}: utterance {uid}: {e}") from e
+        if not np.isfinite(fs.frames).all():
             # json reads NaN and Infinity; training on them fails far from the file
-            raise ManifestError(f"{path.name}:{lineno}: utterance {uid}: non-finite frame value")
-        fs = FeatureSequence(uid, frames)
+            raise ManifestError(f"{where}: utterance {uid}: non-finite frame value")
         if with_labels:
-            try:
-                tokens = rec["tokens"]
-            except KeyError as e:
-                raise ManifestError(f"{path.name}:{lineno}: missing field {e}") from e
-            lab = _checked_labels(tokens, vocab, path, lineno)
-            out.append((fs, lab))
+            out.append((fs, checked_labels(where, rec["tokens"], vocab.num_classes)))
         else:
             out.append(fs)
     return out
 
 
-def _checked_labels(tokens, vocab: Vocabulary, path: Path, lineno: int) -> LabelSequence:
+def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelSequence:
+    """Labels read from a file; bad tokens raise ManifestError naming ``where``."""
     try:
         lab = LabelSequence(tuple(tokens))
-    except ValueError as e:
-        raise ManifestError(f"{path.name}:{lineno}: {e}") from e
-    if any(t >= vocab.num_classes for t in lab):
-        raise ManifestError(f"{path.name}:{lineno}: token index out of vocabulary range")
+    except (TypeError, ValueError) as e:
+        raise ManifestError(f"{where}: {e}") from e
+    if num_classes is not None and any(t >= num_classes for t in lab):
+        raise ManifestError(f"{where}: token index out of vocabulary range")
     return lab
 
 
 def load_manifest(in_dir) -> CorpusSplits:
     """Inverse of :func:`save_manifest`; load(save(x)) == x."""
     root = Path(in_dir)
-    meta_path = root / _META_FILE
-    if not meta_path.is_file():
-        raise ManifestError(f"{meta_path}: missing manifest file")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{meta_path.name}:1: invalid record: {e.msg}") from e
-    if meta.get("schema") != MANIFEST_SCHEMA:
-        raise ManifestError(f"{meta_path.name}: unexpected schema {meta.get('schema')!r}")
+    meta = read_json(root / _META_FILE, ManifestError, MANIFEST_SCHEMA, _META_FIELDS)
     vocab = Vocabulary(tuple(meta["tokens"]))
 
     labeled = _read_utterances(root / _SPLIT_FILES["labeled"], vocab, with_labels=True)
@@ -385,16 +351,13 @@ def load_manifest(in_dir) -> CorpusSplits:
     refs: dict[str, LabelSequence] = {}
     refs_path = root / _REFS_FILE
     if refs_path.is_file():
-        for lineno, rec in _parse_jsonl(refs_path):
-            try:
-                uid, tokens = rec["utterance_id"], rec["tokens"]
-            except KeyError as e:
-                raise ManifestError(f"{refs_path.name}:{lineno}: missing field {e}") from e
+        for where, rec in read_jsonl(refs_path, ManifestError, _REFS_FIELDS):
+            uid = rec["utterance_id"]
             if uid in refs:
-                raise ManifestError(f"{refs_path.name}:{lineno}: duplicate utterance_id {uid!r}")
-            refs[uid] = _checked_labels(tokens, vocab, refs_path, lineno)
+                raise ManifestError(f"{where}: duplicate utterance_id {uid!r}")
+            refs[uid] = checked_labels(where, rec["tokens"], vocab.num_classes)
 
-    expected_dim = int(meta["feature_dim"])
+    expected_dim = meta["feature_dim"]
     for fs in [f for f, _ in labeled] + unlabeled + [f for f, _ in dev] + [f for f, _ in test]:
         if fs.feature_dim != expected_dim:
             raise ManifestError(

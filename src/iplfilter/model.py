@@ -8,19 +8,17 @@ hand, which keeps every parameter checkable against finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import VERSION, read_json, write_json
 from .corpus import FeatureSequence, LabelSequence
 from .ctc import ctc_log_prob, is_feasible
 from .errors import ConfigurationError, ShapeError, TrainingError
 
 CHECKPOINT_SCHEMA = "acoustic-model"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -286,14 +284,14 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
 def save_checkpoint(model: AcousticModel, path) -> None:
     rec = {
         "schema": CHECKPOINT_SCHEMA,
-        "version": CHECKPOINT_VERSION,
+        "version": VERSION,
         "feature_dim": model.feature_dim,
         "vocab_size": model.vocab_size,
         "hidden_dim": model.hidden_dim,
         "seed": model.seed,
         "params": {k: v.tolist() for k, v in sorted(model.params.items())},
     }
-    Path(path).write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, rec)
 
 
 def load_checkpoint(path) -> AcousticModel:
@@ -303,17 +301,7 @@ def load_checkpoint(path) -> AcousticModel:
     schema or version, a missing or non-integer dimension, or parameters
     whose names or shapes do not follow from the recorded dimensions.
     """
-    path = Path(path)
-    try:
-        rec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{path}: invalid checkpoint JSON: {e.msg}") from e
-    if not isinstance(rec, dict) or rec.get("schema") != CHECKPOINT_SCHEMA:
-        raise ConfigurationError(f"{path}: not a model checkpoint")
-    if rec.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path}: checkpoint version {rec.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
+    rec = read_json(path, ConfigurationError, CHECKPOINT_SCHEMA)
     dims = {k: rec.get(k) for k in ("feature_dim", "vocab_size", "hidden_dim", "seed")}
     if not all(type(v) is int for v in dims.values()) or not isinstance(rec.get("params"), dict):
         raise ConfigurationError(

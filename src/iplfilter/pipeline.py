@@ -15,13 +15,13 @@ the score/none modes to bit-identical weights.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import NUMBER, VERSION, read_jsonl, write_json, write_jsonl, write_text
 from .corpus import CorpusSplits
 from .errors import ConfigurationError, InsufficientProbeError
 from .metrics import Histogram, histogram, overlap_min_ratio, overlap_rate, wer
@@ -45,7 +45,6 @@ from .pseudolabel import (
 )
 
 REPORT_SCHEMA = "iteration-reports"
-REPORT_VERSION = 1
 
 FILTER_MODES = ("none", "score", "wer")
 
@@ -421,12 +420,20 @@ def estimate_threshold(
 # ---------------------------------------------------------------------------
 
 
-REPORT_FIELDS = tuple(f.name for f in fields(IterationReport) if f.name != "wall_clock_sec")
+# Field tables of the records (see artifacts): name -> allowed JSON types.
+_OPTIONAL = (*NUMBER, type(None))
+REPORT_FIELDS = {
+    "iteration": int, "threshold": _OPTIONAL, "generated": int, "kept": int, "rejected": int,
+    "mean_score_kept": _OPTIONAL, "oracle_mean_wer_kept": _OPTIONAL,
+    "oracle_mean_wer_rejected": _OPTIONAL, "dev_wer": NUMBER, "test_wer": NUMBER,
+    "trained_on_labeled_only": bool,
+}
 SWEEP_SCHEMA = "sweep-result"
-SWEEP_FIELDS = ("best_threshold", "declined", "thresholds", "best_dev_wer_per_threshold")
+SWEEP_FIELDS = {"best_threshold": NUMBER, "declined": bool, "thresholds": list,
+                "best_dev_wer_per_threshold": list}
 ESTIMATE_SCHEMA = "threshold-estimate"
-ESTIMATE_FIELDS = ("threshold", "probe_size", "wer_kept_count", "score_kept_count",
-                   "overlap_jaccard", "overlap_min_ratio")
+ESTIMATE_FIELDS = {"threshold": NUMBER, "probe_size": int, "wer_kept_count": int,
+                   "score_kept_count": int, "overlap_jaccard": NUMBER, "overlap_min_ratio": NUMBER}
 
 
 def report_record(report: IterationReport) -> dict:
@@ -436,56 +443,17 @@ def report_record(report: IterationReport) -> dict:
 
 def sweep_record(result: SweepResult) -> dict:
     """The ``sweep.json`` record of a sweep."""
-    return {"schema": SWEEP_SCHEMA, "version": 1,
+    return {"schema": SWEEP_SCHEMA, "version": VERSION,
             **{name: getattr(result, name) for name in SWEEP_FIELDS}}
 
 
 def write_reports(path, reports) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": REPORT_SCHEMA, "version": REPORT_VERSION}) + "\n")
-        for r in reports:
-            fh.write(json.dumps(report_record(r), sort_keys=True) + "\n")
-
-
-def _parse_record(where: str, text: str) -> dict:
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{where}: invalid JSON: {e.msg}") from e
-    if not isinstance(rec, dict):
-        raise ConfigurationError(f"{where}: record is not an object")
-    return rec
-
-
-def _check_fields(where: str, rec: dict, names) -> None:
-    missing = [k for k in names if k not in rec]
-    unknown = sorted(set(rec) - set(names))
-    if missing or unknown:
-        raise ConfigurationError(f"{where}: missing fields {missing}, unknown fields {unknown}")
+    write_jsonl(path, (report_record(r) for r in reports), REPORT_SCHEMA)
 
 
 def load_reports(path) -> list[dict]:
     """Records of :func:`write_reports`; a malformed file raises ConfigurationError."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or _parse_record(f"{path}:1", lines[0]).get("schema") != REPORT_SCHEMA:
-        raise ConfigurationError(f"{path}: not an iteration-report file")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        rec = _parse_record(f"{path}:{lineno}", line)
-        _check_fields(f"{path}:{lineno}", rec, REPORT_FIELDS)
-        records.append(rec)
-    return records
-
-
-def load_record(path, schema: str, names) -> dict:
-    """A one-record JSON artifact with the given schema and fields."""
-    path = Path(path)
-    rec = _parse_record(str(path), path.read_text(encoding="utf-8"))
-    if rec.get("schema") != schema:
-        raise ConfigurationError(f"{path}: not a {schema} file")
-    _check_fields(str(path), rec, ("schema", "version", *names))
-    return rec
+    return [rec for _, rec in read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
 
 
 def _fmt(x) -> str:
@@ -544,18 +512,12 @@ class RunWriter:
         if self.dir is None:
             return
         save_checkpoint(model, self.dir / "teacher_model.json")
-        rec = {
-            "schema": "teacher-report",
-            "version": 1,
-        }
         body = {
             "dev_wer": report.dev_wer,
             "test_wer": report.test_wer,
             "loss_curve": report.loss_curve,
         }
-        with (self.dir / "teacher_report.jsonl").open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec) + "\n")
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
+        write_jsonl(self.dir / "teacher_report.jsonl", [body], "teacher-report")
         self.timings.append(("teacher", report.wall_clock_sec))
 
     def iteration(self, t: int, model: AcousticModel, pls) -> None:
@@ -569,46 +531,35 @@ class RunWriter:
         if self.dir is None:
             return
         if sweep is not None:
-            (self.dir / "sweep.json").write_text(
-                json.dumps(sweep, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(self.dir / "sweep.json", sweep)
         if reports:
             write_reports(self.dir / "reports.jsonl", reports)
-            (self.dir / "summary.txt").write_text(run_summary(reports, sweep), encoding="utf-8")
+            write_text(self.dir / "summary.txt", run_summary(reports, sweep))
             self.timings.extend((f"iter-{r.iteration:02d}", r.wall_clock_sec) for r in reports)
         if self.timings:
-            with (self.dir / "timings.txt").open("w", encoding="utf-8") as fh:
-                for name, sec in self.timings:
-                    fh.write(f"{name}\t{sec:.3f}s\n")
+            write_text(self.dir / "timings.txt",
+                       "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
 
 
 def write_histogram(hist: Histogram, path, schema: str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": schema, "version": 1}) + "\n")
-        for i, count in enumerate(hist.counts):
-            rec = {
-                "bin_left": hist.bin_edges[i],
-                "bin_right": hist.bin_edges[i + 1],
-                "count": count,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"bin_left": hist.bin_edges[i], "bin_right": hist.bin_edges[i + 1], "count": count}
+        for i, count in enumerate(hist.counts)
+    ), schema)
 
 
 def write_scatter(pairs, path) -> None:
     """(utterance_id, score, oracle_wer) triples for external plotting."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": "score-wer-scatter", "version": 1}) + "\n")
-        for uid, score, ower in pairs:
-            rec = {"utterance_id": uid, "score": score, "oracle_wer": ower}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"utterance_id": uid, "score": score, "oracle_wer": ower} for uid, score, ower in pairs
+    ), "score-wer-scatter")
 
 
 def write_estimate(result: EstimateResult, pls, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = {"schema": ESTIMATE_SCHEMA, "version": 1,
-           **{name: getattr(result, name) for name in ESTIMATE_FIELDS}}
-    (out / "estimate.json").write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "estimate.json", {"schema": ESTIMATE_SCHEMA, "version": VERSION,
+                                       **{name: getattr(result, name) for name in ESTIMATE_FIELDS}})
     save_pseudolabels(pls, out / "probe_pseudolabels.jsonl")
     write_histogram(result.score_histogram, out / "score_hist.jsonl", "score-histogram")
     write_histogram(result.wer_histogram, out / "wer_hist.jsonl", "wer-histogram")

@@ -9,20 +9,19 @@ counterpart and may only run where ground truth is legitimately available.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import BLANK, LabelSequence
+from .artifacts import NUMBER, read_jsonl, write_jsonl
+from .corpus import BLANK, LabelSequence, checked_labels
 from .ctc import greedy_decode
 from .errors import ConfigurationError, ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
 from .model import AcousticModel, forward
 
 PSEUDOLABEL_SCHEMA = "pseudo-labels"
-PSEUDOLABEL_VERSION = 1
+_PSEUDOLABEL_FIELDS = {"utterance_id": str, "tokens": list, "score": NUMBER, "oracle_wer?": NUMBER}
 
 
 @dataclass
@@ -118,43 +117,29 @@ def wer_filter(pseudo_labels, references, max_wer: float) -> list[PseudoLabel]:
     return [p for p in pls if p.oracle_wer < max_wer]
 
 
+def _record(p: PseudoLabel) -> dict:
+    rec = {"utterance_id": p.utterance_id, "tokens": list(p.hypothesis.tokens), "score": p.score}
+    if p.oracle_wer is not None:
+        rec["oracle_wer"] = p.oracle_wer
+    return rec
+
+
 def save_pseudolabels(pseudo_labels, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": PSEUDOLABEL_SCHEMA, "version": PSEUDOLABEL_VERSION}) + "\n")
-        for p in pseudo_labels:
-            rec = {
-                "utterance_id": p.utterance_id,
-                "tokens": list(p.hypothesis.tokens),
-                "score": p.score,
-            }
-            if p.oracle_wer is not None:
-                rec["oracle_wer"] = p.oracle_wer
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (_record(p) for p in pseudo_labels), PSEUDOLABEL_SCHEMA)
 
 
 def load_pseudolabels(path) -> list[PseudoLabel]:
-    path = Path(path)
+    """Inverse of :func:`save_pseudolabels`; a malformed file raises ManifestError."""
     out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ManifestError(f"{path.name}:{lineno}: invalid record: {e.msg}") from e
-            if lineno == 1:
-                if rec.get("schema") != PSEUDOLABEL_SCHEMA:
-                    raise ManifestError(f"{path.name}:1: unexpected schema {rec.get('schema')!r}")
-                continue
-            try:
-                pl = PseudoLabel(
-                    utterance_id=rec["utterance_id"],
-                    hypothesis=LabelSequence(tuple(rec["tokens"])),
-                    score=float(rec["score"]),
-                    oracle_wer=float(rec["oracle_wer"]) if "oracle_wer" in rec else None,
-                )
-            except KeyError as e:
-                raise ManifestError(f"{path.name}:{lineno}: missing field {e}") from e
-            if not np.isfinite(pl.score):
-                raise ManifestError(f"{path.name}:{lineno}: non-finite score {pl.score}")
-            out.append(pl)
+    for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA):
+        score = float(rec["score"])
+        if not np.isfinite(score):
+            raise ManifestError(f"{where}: non-finite score {score}")
+        oracle_wer = rec.get("oracle_wer")
+        out.append(PseudoLabel(
+            utterance_id=rec["utterance_id"],
+            hypothesis=checked_labels(where, rec["tokens"]),
+            score=score,
+            oracle_wer=None if oracle_wer is None else float(oracle_wer),
+        ))
     return out

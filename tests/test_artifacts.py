@@ -1,0 +1,93 @@
+import re
+
+import pytest
+
+from iplfilter.artifacts import NUMBER, read_json, read_jsonl, write_json, write_jsonl
+
+
+class Bad(ValueError):
+    pass
+
+
+def records_then_failure(n):
+    for i in range(n):
+        yield {"i": i}
+    raise RuntimeError("interrupted")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [{"i": 0}], "demo")
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_jsonl(path, records_then_failure(3), "demo")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_jsonl(tmp_path / "r.jsonl", records_then_failure(3))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_format(self, tmp_path):
+        write_jsonl(tmp_path / "r.jsonl", [{"b": 1, "a": [0.5]}], "demo")
+        assert (tmp_path / "r.jsonl").read_text() == (
+            '{"schema": "demo", "version": 1}\n{"a": [0.5], "b": 1}\n'
+        )
+        write_json(tmp_path / "r.json", {"version": 1, "schema": "demo"})
+        assert (tmp_path / "r.json").read_text() == '{"schema": "demo", "version": 1}\n'
+
+
+class TestReaders:
+    FIELDS = {"n": int, "x": NUMBER, "note?": str}
+
+    def write_lines(self, path, *lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_streams_checked_records(self, tmp_path):
+        path = self.write_lines(tmp_path / "r.jsonl", '{"schema": "demo", "version": 1}',
+                                '{"n": 1, "x": 2}', '{"n": 2, "x": 0.5, "note": "y"}')
+        assert list(read_jsonl(path, Bad, self.FIELDS, "demo")) == [
+            (f"{path}:2", {"n": 1, "x": 2}),
+            (f"{path}:3", {"n": 2, "x": 0.5, "note": "y"}),
+        ]
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"schema": "other", "version": 1}'], r":1: expected 'demo' version 1, found 'other'"),
+        (['{"schema": "demo", "version": 2}'], r":1: expected 'demo' version 1, .* version 2"),
+        ([], r":1: invalid JSON"),
+        (['{"schema": "demo", "version": 1}', "[1]"], r":2: record is not an object"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1}', '{"n": 1'], r":3: invalid JSON"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1}'], r":2: missing fields \['x'\]"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "z": 0}'],
+         r":2: missing fields \[\], unknown fields \['z'\]"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": "1"}'],
+         r":2: field 'x' is str, expected int or float"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "note": null}'],
+         r":2: field 'note' is NoneType, expected str"),
+    ])
+    def test_rejects_and_names_line(self, tmp_path, lines, message):
+        path = self.write_lines(tmp_path / "r.jsonl", *lines)
+        with pytest.raises(Bad, match=message) as info:
+            list(read_jsonl(path, Bad, self.FIELDS, "demo"))
+        assert str(info.value).startswith(f"{path}:")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(Bad, match="missing file"):
+            list(read_jsonl(tmp_path / "nope.jsonl", Bad, {}))
+        with pytest.raises(Bad, match="missing file"):
+            read_json(tmp_path / "nope.json", Bad, "demo")
+
+    def test_json_object(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"schema": "demo", "version": 1,\n "n": 1, "x": 2.5}\n')
+        assert read_json(path, Bad, "demo", self.FIELDS) == {
+            "schema": "demo", "version": 1, "n": 1, "x": 2.5}
+        path.write_text('{"schema": "demo",\n "version": 1,\n "n": }\n')
+        with pytest.raises(Bad, match=f"^{re.escape(str(path))}:3: invalid JSON"):
+            read_json(path, Bad, "demo")
+        path.write_text('{"schema": "demo", "version": 1, "n": 1}\n')
+        with pytest.raises(Bad, match=r":1: missing fields \['x'\]"):
+            read_json(path, Bad, "demo", self.FIELDS)

@@ -109,7 +109,7 @@ class TestTrainTeacher:
         assert rc == 2
         err = usage_error(capsys)
         assert err["error"] == "ManifestError"
-        assert err["message"].startswith("labeled.jsonl:1: utterance lab-0000: non-finite")
+        assert err["message"].startswith(f"{target}:1: utterance lab-0000: non-finite")
 
     def test_missing_corpus_is_usage_error(self, tmp_path, capsys):
         rc = main(["train-teacher", "--corpus", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r")])
@@ -243,41 +243,116 @@ def _edit_record(edit):
     return apply
 
 
-# (file to damage, how) -> each must make `report` a usage error naming the file
+# (file to damage, how) -> each must make `report` on the file's run a usage error naming the file
 MALFORMED_RUNS = {
-    "bad-json-line": ("reports.jsonl", lambda p: _set_line(p, 2, lambda line: line[:-3])),
-    "unknown-field": ("reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+    "bad-json-line": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, lambda line: line[:-3])),
+    "array-line": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, lambda line: "[1, 2]")),
+    "unknown-field": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
         lambda rec: rec.update(bogus=1)))),
-    "missing-field": ("reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+    "missing-field": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
         lambda rec: rec.pop("dev_wer")))),
-    "header-only": ("reports.jsonl", lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
-    "sweep-missing-keys": ("sweep.json", lambda p: _set_line(p, 1, _edit_record(
+    "wrong-type": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec.update(dev_wer="x")))),
+    "header-only": ("sweep/reports.jsonl",
+                    lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
+    "sweep-bad-json": ("sweep/sweep.json", lambda p: _set_line(p, 1, lambda line: line[:-3])),
+    "sweep-array": ("sweep/sweep.json", lambda p: p.write_text("[1, 2]\n")),
+    "sweep-missing-keys": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
         lambda rec: rec.pop("thresholds")))),
+    "sweep-wrong-type": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(thresholds=1)))),
+    "estimate-bad-json": ("est/estimate.json", lambda p: _set_line(p, 1, lambda line: line[:-3])),
+    "estimate-array": ("est/estimate.json", lambda p: p.write_text("[1, 2]\n")),
+    "estimate-wrong-type": ("est/estimate.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(threshold="x")))),
 }
 
 
 class TestReportOnMalformedRun:
     @pytest.fixture(scope="class")
-    def sweep_run(self, tmp_path_factory):
+    def runs(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("malformed")
         corpus = root / "corpus"
         assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
-        run = root / "sweep"
-        assert main(["sweep", "--corpus", str(corpus), "--out-dir", str(run), "--epochs", "0",
-                     "--iters-per-update", "1", "--max-updates", "1"]) == 0
-        return run
+        assert main(["sweep", "--corpus", str(corpus), "--out-dir", str(root / "sweep"),
+                     "--epochs", "0", "--iters-per-update", "1", "--max-updates", "1"]) == 0
+        assert main(["estimate-threshold", "--corpus", str(corpus), "--out-dir", str(root / "est"),
+                     "--epochs", "0", "--min-probe", "5"]) == 0
+        return root
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
-    def test_malformed_run_dir_is_usage_error(self, sweep_run, tmp_path, capsys, case):
+    def test_malformed_run_dir_is_usage_error(self, runs, tmp_path, capsys, case):
         name, damage = MALFORMED_RUNS[case]
-        run = tmp_path / "run"
-        shutil.copytree(sweep_run, run)
-        damage(run / name)
+        root = tmp_path / "runs"
+        shutil.copytree(runs, root)
+        damage(root / name)
         capsys.readouterr()
+        run = root / name.split("/")[0]
         assert main(["report", "--run-dir", str(run), "--out-dir", str(tmp_path / "rep")]) == 2
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
-        assert str(run / name) in err["message"]
+        assert str(root / name) in err["message"]
+
+
+# Every other artifact a command reads: (file, line to damage, error, argv in the copied root)
+DAMAGED_INPUTS = {
+    "meta": ("corpus/meta.json", 1, "ManifestError",
+             lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+    "split-line": ("corpus/labeled.jsonl", 2, "ManifestError",
+                   lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+    "refs-line": ("corpus/unlabeled_refs.jsonl", 1, "ManifestError",
+                  lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+    "pseudo-label-header": ("pl/pseudolabels.jsonl", 1, "ManifestError",
+                            lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                       "--score-threshold", "-0.1"]),
+    "pseudo-label-line": ("pl/pseudolabels.jsonl", 2, "ManifestError",
+                          lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                     "--score-threshold", "-0.1"]),
+    "checkpoint": ("teacher/teacher_model.json", 1, "ConfigurationError",
+                   lambda d: ["pseudolabel", "--corpus", d / "corpus",
+                              "--model", d / "teacher" / "teacher_model.json"]),
+    "config": ("teacher/config.json", 1, "ConfigurationError",
+               lambda d: ["train-teacher", "--config", d / "teacher" / "config.json"]),
+}
+DAMAGES = {"invalid-json": lambda line: line[: len(line) // 2], "array": lambda line: "[1, 2]"}
+
+
+class TestDamagedInput:
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        corpus, teacher = root / "corpus", root / "teacher"
+        assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
+        assert main(["train-teacher", "--corpus", str(corpus), "--out-dir", str(teacher),
+                     "--epochs", "0"]) == 0
+        assert main(["pseudolabel", "--corpus", str(corpus), "--out-dir", str(root / "pl"),
+                     "--model", str(teacher / "teacher_model.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    @pytest.mark.parametrize("case", sorted(DAMAGED_INPUTS))
+    def test_damaged_input_is_usage_error(self, world, tmp_path, capsys, case, damage):
+        name, lineno, error, argv = DAMAGED_INPUTS[case]
+        root = tmp_path / "world"
+        shutil.copytree(world, root)
+        _set_line(root / name, lineno, DAMAGES[damage])
+        capsys.readouterr()
+        rc = main([str(a) for a in argv(root)] + ["--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == error
+        assert str(root / name) in err["message"]
+
+    def test_snapshot_config_member_not_object(self, world, tmp_path, capsys):
+        snapshot = tmp_path / "config.json"
+        shutil.copy(world / "teacher" / "config.json", snapshot)
+        _set_line(snapshot, 1, _edit_record(lambda rec: rec.update(config=[1])))
+        capsys.readouterr()
+        rc = main(["train-teacher", "--config", str(snapshot), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ConfigurationError"
+        assert err["message"].startswith(f"{snapshot}:1: field 'config' is list")
 
 
 class TestEstimateCommand:

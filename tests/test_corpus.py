@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,26 @@ class TestManifestRoundTrip:
         lines[1] = json.dumps(rec)
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match=r"unlabeled\.jsonl:2"):
+            load_manifest(tmp_path / "m")
+
+    @pytest.mark.parametrize("field", ["tokens", "feature_dim"])
+    def test_meta_missing_field_names_file(self, tmp_path, field):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "meta.json"
+        meta = json.loads(target.read_text())
+        meta.pop(field)
+        target.write_text(json.dumps(meta))
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:1: missing fields \['{field}'\]"):
+            load_manifest(tmp_path / "m")
+
+    @pytest.mark.parametrize("tokens", [[0], [1, None], 3])
+    def test_bad_tokens_name_line(self, tmp_path, tokens):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "unlabeled_refs.jsonl"
+        lines = target.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "tokens": tokens})
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:2: "):
             load_manifest(tmp_path / "m")
 
     def test_missing_split_file(self, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,3 +264,21 @@ class TestPseudolabelFiles:
         save_pseudolabels(make_pls([-0.1, float("nan")]), tmp_path / "p.jsonl")
         with pytest.raises(ManifestError, match="p.jsonl:3: non-finite score nan"):
             load_pseudolabels(tmp_path / "p.jsonl")
+
+    @pytest.mark.parametrize("edit", [
+        {"tokens": [0]}, {"tokens": 2}, {"tokens": ["a"]}, {"score": "-0.1"}, {"oracle_wer": None},
+    ])
+    def test_bad_value_names_line(self, tmp_path, edit):
+        path = tmp_path / "p.jsonl"
+        save_pseudolabels(make_pls([-0.1, -0.2]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **edit})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:3: "):
+            load_pseudolabels(path)
+
+    @pytest.mark.parametrize("text", ["", "[1]\n", '{"schema": "pseudo-labels", "version": 2}\n'])
+    def test_rejects_missing_or_wrong_header(self, tmp_path, text):
+        (tmp_path / "x.jsonl").write_text(text)
+        with pytest.raises(ManifestError, match=":1: "):
+            load_pseudolabels(tmp_path / "x.jsonl")
