@@ -4,8 +4,9 @@ A ``.json`` file holds one JSON object; a ``.jsonl`` file holds one object
 per line, after a ``{"schema": ..., "version": 1}`` header line when it has a
 schema; summaries and timings are plain text. Objects are written with sorted
 keys and a newline, so equal content gives equal bytes. Each file is written
-to ``<name>.tmp`` beside its target and moved into place with ``os.replace``,
-so a failed write leaves the earlier file, or none, never part of one.
+to ``<name>.tmp`` beside its target, creating the directory if needed, and
+moved into place with ``os.replace``, so a failed write leaves the earlier
+file, or none, never part of one.
 
 Readers stream ``.jsonl`` files line by line, require every record to be an
 object, and check the schema and, given a field table, each record's fields
@@ -30,6 +31,7 @@ def _dump(record: dict) -> str:
 def _replace(path, write) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with tmp.open("w", encoding="utf-8") as fh:
             write(fh)

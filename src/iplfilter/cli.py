@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Every subcommand wraps exactly one library operation, takes ``--out-dir``,
-and drops a ``config.json`` snapshot of the resolved configuration (out-dir
-excluded) into it, so any run can be re-launched byte-identically with
-``--config <run>/config.json``. Resolution order: built-in defaults, then the
-config file, then explicit flags.
+Every subcommand wraps exactly one library operation and takes
+``--out-dir``. :func:`main` resolves the configuration (built-in defaults, then
+the ``--config`` file, then explicit flags), writes it as ``config.json`` into
+the out-dir before the command reads any input, and only then runs the
+command's handler. So every run directory, finished or not, records its
+configuration, and ``--config <run>/config.json`` re-launches the run
+byte-identically. A ``--config`` value must have its flag's type.
 
 Exit codes: 0 success, 2 usage/validation problems (unknown flags, missing
 paths, bad config), 1 runtime failure. Failures print one machine-parseable
@@ -16,15 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .artifacts import VERSION, read_json, write_json, write_text
 from .corpus import CorpusGenConfig, generate_corpus, load_manifest, save_manifest
-from .errors import (
-    ConfigurationError,
-    InsufficientProbeError,
-    ManifestError,
-)
+from .errors import ConfigurationError, InsufficientProbeError, ManifestError
 from .metrics import histogram
 from .model import TrainConfig, load_checkpoint
 from .pipeline import (
@@ -60,10 +59,7 @@ _SNAPSHOT_FIELDS = {"command": str, "config": dict}
 
 _USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, FileNotFoundError)
 
-# One table per command: config key -> (flag type, default). The key names
-# the --flag and the config.json entry; the type is int, float, str, bool
-# (a --flag/--no-flag pair) or a tuple of choices. Every command also takes
-# --seed; the ones whose table has no "seed" accept it and ignore it.
+# Defaults come from the library's own dataclasses.
 _GEN = CorpusGenConfig()
 _TRAIN = TrainConfig()
 _IPL = IplConfig()
@@ -81,78 +77,50 @@ _TRAIN_FLAGS = {
     "hold_frac": (float, _TRAIN.hold_frac),
 }
 
-_FLAGS = {
-    "gen-corpus": {
-        "seed": (int, 0),
-        "vocab_size": (int, _GEN.vocab_size),
-        "feature_dim": (int, _GEN.feature_dim),
-        "label_len_min": (int, _GEN.label_len[0]),
-        "label_len_max": (int, _GEN.label_len[1]),
-        "frames_per_token_min": (int, _GEN.frames_per_token[0]),
-        "frames_per_token_max": (int, _GEN.frames_per_token[1]),
-        "noise_sigma": (float, _GEN.noise_sigma),
-        "n_labeled": (int, _GEN.n_labeled),
-        "n_unlabeled": (int, _GEN.n_unlabeled),
-        "n_dev": (int, _GEN.n_dev),
-        "n_test": (int, _GEN.n_test),
-    },
-    "train-teacher": _TRAIN_FLAGS,
-    "pseudolabel": {
-        "corpus": (str, None),
-        "model": (str, None),
-        "exclude_blank": (bool, _IPL.exclude_blank_scores),
-        "annotate_oracle": (bool, False),
-    },
-    "filter": {
-        "pseudo_labels": (str, None),
-        "corpus": (str, None),
-        "score_threshold": (float, None),
-        "max_wer": (float, None),
-    },
-    "ipl": {
-        **_TRAIN_FLAGS,
-        "iter_max": (int, _IPL.iter_max),
-        "filter_mode": (FILTER_MODES, _IPL.filter_mode),
-        "score_threshold": (float, _IPL.score_threshold),
-        "max_wer": (float, _IPL.max_wer),
-        "warm_start": (bool, _IPL.warm_start),
-        "pseudo_weight": (float, _IPL.pseudo_weight),
-        "exclude_blank": (bool, _IPL.exclude_blank_scores),
-    },
-    "sweep": {
-        **_TRAIN_FLAGS,
-        "initial": (float, _SCHEDULE.initial),
-        "step": (float, _SCHEDULE.step),
-        "iters_per_update": (int, _SCHEDULE.iterations_per_update),
-        "max_updates": (int, 8),
-    },
-    "estimate-threshold": {
-        **_TRAIN_FLAGS,
-        "model": (str, None),
-        "max_wer": (float, 0.10),
-        "coverage": (float, 0.9),
-        "min_probe": (int, 20),
-        "probe": (("dev", "labeled"), "dev"),
-        "probe_size": (int, None),
-        "exclude_blank": (bool, _IPL.exclude_blank_scores),
-        "bins": (int, 20),
-    },
-    "report": {"run_dir": (str, None), "bins": (int, 20)},
+_IPL_FLAGS = {
+    "iter_max": (int, _IPL.iter_max),
+    "filter_mode": (FILTER_MODES, _IPL.filter_mode),
+    "score_threshold": (float, _IPL.score_threshold),
+    "max_wer": (float, _IPL.max_wer),
+    "warm_start": (bool, _IPL.warm_start),
+    "pseudo_weight": (float, _IPL.pseudo_weight),
+    "exclude_blank": (bool, _IPL.exclude_blank_scores),
 }
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (_, default) in _FLAGS[command].items()}
-    if getattr(args, "config", None):
+def _expected(kind, default) -> str:
+    name = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+    return name + (" or null" if default is None else "")
+
+
+def _valid(kind, default, value) -> bool:
+    """Whether a config value fits its flag (json reads 1 as int, 1.0 as float)."""
+    if value is None:
+        return default is None
+    if isinstance(kind, tuple):
+        return value in kind
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    flags = COMMANDS[args.command][2]
+    cfg = {key: default for key, (_, default) in flags.items()}
+    if args.config:
         path = Path(args.config)
         snap = read_json(path, ConfigurationError, CONFIG_SCHEMA, _SNAPSHOT_FIELDS)
-        if snap["command"] != command:
+        if snap["command"] != args.command:
             raise ConfigurationError(
-                f"{path}: snapshot is for command {snap['command']!r}, not {command!r}"
+                f"{path}: snapshot is for command {snap['command']!r}, not {args.command!r}"
             )
         for key, value in snap["config"].items():
             if key not in cfg:
                 raise ConfigurationError(f"{path}: unknown config key {key!r}")
+            kind, default = flags[key]
+            if not _valid(kind, default, value):
+                raise ConfigurationError(
+                    f"{path}:1: config key {key!r} is {json.dumps(value)}, "
+                    f"expected {_expected(kind, default)}"
+                )
             cfg[key] = value
     for key in cfg:
         value = getattr(args, key, None)
@@ -161,160 +129,93 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_snapshot(out_dir: Path, command: str, cfg: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "config.json",
-               {"schema": CONFIG_SCHEMA, "version": VERSION, "command": command, "config": cfg})
-
-
-def _require(cfg: dict, key: str, command: str):
+def _require(cfg: dict, key: str):
     if cfg[key] is None:
-        raise ConfigurationError(f"{command}: --{key.replace('_', '-')} is required")
+        raise ConfigurationError(f"--{key.replace('_', '-')} is required")
     return cfg[key]
 
 
-def _load_corpus(cfg: dict, command: str):
-    path = Path(_require(cfg, "corpus", command))
+def _load_corpus(cfg: dict):
+    path = Path(_require(cfg, "corpus"))
     if not path.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {path}")
     return load_manifest(path)
 
 
-def _gen_config(cfg: dict) -> CorpusGenConfig:
-    return CorpusGenConfig(
-        vocab_size=cfg["vocab_size"],
-        feature_dim=cfg["feature_dim"],
-        label_len=(cfg["label_len_min"], cfg["label_len_max"]),
-        frames_per_token=(cfg["frames_per_token_min"], cfg["frames_per_token_max"]),
-        noise_sigma=cfg["noise_sigma"],
-        n_labeled=cfg["n_labeled"],
-        n_unlabeled=cfg["n_unlabeled"],
-        n_dev=cfg["n_dev"],
-        n_test=cfg["n_test"],
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        base_lr=cfg["base_lr"],
-        warmup_frac=cfg["warmup_frac"],
-        hold_frac=cfg["hold_frac"],
-        seed=cfg["seed"],
-        optimizer=cfg["optimizer"],
-    )
-
-
 def _ipl_config(cfg: dict, **ipl) -> IplConfig:
-    return IplConfig(
-        train=_train_config(cfg), seed=cfg["seed"], hidden_dim=cfg["hidden_dim"], **ipl
-    )
+    train = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+    return IplConfig(train=train, seed=cfg["seed"], hidden_dim=cfg["hidden_dim"], **ipl)
 
 
-def cmd_gen_corpus(args) -> int:
-    cfg = _resolve("gen-corpus", args)
-    out = Path(args.out_dir)
-    splits = generate_corpus(_gen_config(cfg), seed=cfg["seed"])
-    _write_snapshot(out, "gen-corpus", cfg)
-    save_manifest(splits, out)
-    return 0
-
-
-def cmd_train_teacher(args) -> int:
-    cfg = _resolve("train-teacher", args)
-    splits = _load_corpus(cfg, "train-teacher")
-    out = Path(args.out_dir)
-    _write_snapshot(out, "train-teacher", cfg)
+def _teacher(splits, cfg: dict, out: Path):
+    """Train the teacher on the labeled split and write its artifacts to ``out``."""
     result = train_teacher(splits, _ipl_config(cfg))
     writer = RunWriter(out)
     writer.teacher(result.model, result.report)
     writer.finish([])
+    return result
+
+
+def cmd_gen_corpus(cfg: dict, out: Path) -> None:
+    gen = CorpusGenConfig(
+        label_len=(cfg["label_len_min"], cfg["label_len_max"]),
+        frames_per_token=(cfg["frames_per_token_min"], cfg["frames_per_token_max"]),
+        **{f.name: cfg[f.name] for f in fields(CorpusGenConfig) if f.name in cfg},
+    )
+    save_manifest(generate_corpus(gen, seed=cfg["seed"]), out)
+
+
+def cmd_train_teacher(cfg: dict, out: Path) -> None:
+    report = _teacher(_load_corpus(cfg), cfg, out).report
     write_text(
         out / "summary.txt",
-        f"teacher dev_wer {result.report.dev_wer:.4f} test_wer {result.report.test_wer:.4f}\n",
+        f"teacher dev_wer {report.dev_wer:.4f} test_wer {report.test_wer:.4f}\n",
     )
-    return 0
 
 
-def cmd_pseudolabel(args) -> int:
-    cfg = _resolve("pseudolabel", args)
-    splits = _load_corpus(cfg, "pseudolabel")
-    model = load_checkpoint(_require(cfg, "model", "pseudolabel"))
-    out = Path(args.out_dir)
-    _write_snapshot(out, "pseudolabel", cfg)
+def cmd_pseudolabel(cfg: dict, out: Path) -> None:
+    splits = _load_corpus(cfg)
+    model = load_checkpoint(_require(cfg, "model"))
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg["exclude_blank"])
     if cfg["annotate_oracle"]:
         annotate_oracle_wer(pls, splits.unlabeled_refs)
     save_pseudolabels(pls, out / "pseudolabels.jsonl")
-    return 0
 
 
-def cmd_filter(args) -> int:
-    cfg = _resolve("filter", args)
+def cmd_filter(cfg: dict, out: Path) -> None:
     if (cfg["score_threshold"] is None) == (cfg["max_wer"] is None):
         raise ConfigurationError("filter: exactly one of --score-threshold / --max-wer")
-    pls = load_pseudolabels(_require(cfg, "pseudo_labels", "filter"))
-    out = Path(args.out_dir)
-    _write_snapshot(out, "filter", cfg)
+    pls = load_pseudolabels(_require(cfg, "pseudo_labels"))
     if cfg["score_threshold"] is not None:
         kept = score_filter(pls, cfg["score_threshold"])
     else:
-        splits = _load_corpus(cfg, "filter")
+        splits = _load_corpus(cfg)
         kept = wer_filter(pls, splits.unlabeled_refs, cfg["max_wer"])
         save_pseudolabels(pls, out / "annotated.jsonl")  # oracle_wer now filled on all
     save_pseudolabels(kept, out / "filtered.jsonl")
-    return 0
 
 
-def cmd_ipl(args) -> int:
-    cfg = _resolve("ipl", args)
-    splits = _load_corpus(cfg, "ipl")
-    out = Path(args.out_dir)
-    _write_snapshot(out, "ipl", cfg)
-    ipl_cfg = _ipl_config(
-        cfg,
-        iter_max=cfg["iter_max"],
-        filter_mode=cfg["filter_mode"],
-        score_threshold=cfg["score_threshold"],
-        max_wer=cfg["max_wer"],
-        warm_start=cfg["warm_start"],
-        pseudo_weight=cfg["pseudo_weight"],
-        exclude_blank_scores=cfg["exclude_blank"],
-    )
-    run_ipl(splits, ipl_cfg, out_dir=out)
-    return 0
+def cmd_ipl(cfg: dict, out: Path) -> None:
+    ipl = {key: cfg[key] for key in _IPL_FLAGS if key != "exclude_blank"}
+    ipl_cfg = _ipl_config(cfg, exclude_blank_scores=cfg["exclude_blank"], **ipl)
+    run_ipl(_load_corpus(cfg), ipl_cfg, out_dir=out)
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve("sweep", args)
-    splits = _load_corpus(cfg, "sweep")
-    out = Path(args.out_dir)
-    _write_snapshot(out, "sweep", cfg)
+def cmd_sweep(cfg: dict, out: Path) -> None:
     schedule = ThresholdSchedule(
         initial=cfg["initial"], step=cfg["step"], iterations_per_update=cfg["iters_per_update"]
     )
     sweep_threshold(
-        splits, _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out
+        _load_corpus(cfg), _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out
     )
-    return 0
 
 
-def cmd_estimate_threshold(args) -> int:
-    cfg = _resolve("estimate-threshold", args)
-    splits = _load_corpus(cfg, "estimate-threshold")
-    out = Path(args.out_dir)
-    _write_snapshot(out, "estimate-threshold", cfg)
+def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
+    splits = _load_corpus(cfg)
     if cfg["model"] is not None:
         model = load_checkpoint(Path(cfg["model"]))
     else:
-        result = train_teacher(splits, _ipl_config(cfg))
-        writer = RunWriter(out)
-        writer.teacher(result.model, result.report)
-        writer.finish([])
-        model = result.model
-    if cfg["probe"] not in ("dev", "labeled"):
-        raise ConfigurationError("estimate-threshold: --probe must be 'dev' or 'labeled'")
+        model = _teacher(splits, cfg, out).model
     probe = splits.dev if cfg["probe"] == "dev" else splits.labeled
     if cfg["probe_size"] is not None:
         probe = probe[: cfg["probe_size"]]
@@ -328,16 +229,12 @@ def cmd_estimate_threshold(args) -> int:
         n_bins=cfg["bins"],
         out_dir=out,
     )
-    return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _resolve("report", args)
-    run_dir = Path(_require(cfg, "run_dir", "report"))
+def cmd_report(cfg: dict, out: Path) -> None:
+    run_dir = Path(_require(cfg, "run_dir"))
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
-    out = Path(args.out_dir)
-    _write_snapshot(out, "report", cfg)
 
     reports, sweep = [], None
     reports_path = run_dir / "reports.jsonl"
@@ -380,19 +277,63 @@ def cmd_report(args) -> int:
                 [(p.utterance_id, p.score, p.oracle_wer) for p in pls],
                 out / "scatter.jsonl",
             )
-    return 0
 
 
-_COMMANDS = [
-    ("gen-corpus", cmd_gen_corpus, "generate a synthetic corpus manifest"),
-    ("train-teacher", cmd_train_teacher, "train the teacher on the labeled split"),
-    ("pseudolabel", cmd_pseudolabel, "decode the unlabeled split with a model"),
-    ("filter", cmd_filter, "filter a pseudo-label file by score or oracle WER"),
-    ("ipl", cmd_ipl, "run the iterative pseudo-labeling loop"),
-    ("sweep", cmd_sweep, "decreasing-threshold sweep with the stopping rule"),
-    ("estimate-threshold", cmd_estimate_threshold, "probe-based threshold estimation"),
-    ("report", cmd_report, "emit summary table, histograms, and scatter data"),
-]
+# One entry per command: (handler, help, flags). The flag table maps a config
+# key to (flag type, default); the key names the --flag and the config.json
+# entry, and the type is int, float, str, bool (a --flag/--no-flag pair) or a
+# tuple of choices. Every command also takes --seed; the ones whose table has
+# no "seed" accept it and ignore it.
+COMMANDS = {
+    "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus manifest", {
+        "seed": (int, 0),
+        "vocab_size": (int, _GEN.vocab_size),
+        "feature_dim": (int, _GEN.feature_dim),
+        "label_len_min": (int, _GEN.label_len[0]),
+        "label_len_max": (int, _GEN.label_len[1]),
+        "frames_per_token_min": (int, _GEN.frames_per_token[0]),
+        "frames_per_token_max": (int, _GEN.frames_per_token[1]),
+        "noise_sigma": (float, _GEN.noise_sigma),
+        "n_labeled": (int, _GEN.n_labeled),
+        "n_unlabeled": (int, _GEN.n_unlabeled),
+        "n_dev": (int, _GEN.n_dev),
+        "n_test": (int, _GEN.n_test),
+    }),
+    "train-teacher": (cmd_train_teacher, "train the teacher on the labeled split", _TRAIN_FLAGS),
+    "pseudolabel": (cmd_pseudolabel, "decode the unlabeled split with a model", {
+        "corpus": (str, None),
+        "model": (str, None),
+        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "annotate_oracle": (bool, False),
+    }),
+    "filter": (cmd_filter, "filter a pseudo-label file by score or oracle WER", {
+        "pseudo_labels": (str, None),
+        "corpus": (str, None),
+        "score_threshold": (float, None),
+        "max_wer": (float, None),
+    }),
+    "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", {**_TRAIN_FLAGS, **_IPL_FLAGS}),
+    "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule", {
+        **_TRAIN_FLAGS,
+        "initial": (float, _SCHEDULE.initial),
+        "step": (float, _SCHEDULE.step),
+        "iters_per_update": (int, _SCHEDULE.iterations_per_update),
+        "max_updates": (int, 8),
+    }),
+    "estimate-threshold": (cmd_estimate_threshold, "probe-based threshold estimation", {
+        **_TRAIN_FLAGS,
+        "model": (str, None),
+        "max_wer": (float, 0.10),
+        "coverage": (float, 0.9),
+        "min_probe": (int, 20),
+        "probe": (("dev", "labeled"), "dev"),
+        "probe_size": (int, None),
+        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "bins": (int, 20),
+    }),
+    "report": (cmd_report, "emit summary table, histograms, and scatter data",
+               {"run_dir": (str, None), "bins": (int, 20)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Confidence-filtered iterative pseudo-labeling on a synthetic CTC corpus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func, help_text in _COMMANDS:
+    for command, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="config snapshot to start from")
         p.add_argument("--out-dir", required=True, help="directory for run artifacts")
-        for key, (kind, default) in {"seed": (int, None), **_FLAGS[command]}.items():
+        for key, (kind, default) in {"seed": (int, None), **flags}.items():
             flag = "--" + key.replace("_", "-")
             shown = None if default is None else f"default: {default}"
             if kind is bool:
@@ -414,18 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, choices=kind, help=shown)
             else:
                 p.add_argument(flag, type=kind, help=shown)
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the configuration, snapshot it, then run the command's handler."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        out = Path(args.out_dir)
+        write_json(out / "config.json", {"schema": CONFIG_SCHEMA, "version": VERSION,
+                                         "command": args.command, "config": cfg})
+        COMMANDS[args.command][0](cfg, out)
     except Exception as e:  # noqa: BLE001 - single reporting point for every failure
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 2 if isinstance(e, _USAGE_ERRORS) else 1
+    return 0
 
 
 if __name__ == "__main__":

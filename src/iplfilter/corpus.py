@@ -48,26 +48,20 @@ class Vocabulary:
     """Non-blank token inventory; class 0 is always the blank."""
 
     tokens: tuple[str, ...]
-    blank_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(str(t) for t in self.tokens))
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if not all(isinstance(t, str) for t in self.tokens):
+            raise ConfigurationError("vocabulary token names must be strings")
         if len(self.tokens) < 2:
             raise ConfigurationError("vocabulary needs at least 2 non-blank tokens")
         if len(set(self.tokens)) != len(self.tokens):
             raise ConfigurationError("vocabulary token names must be unique")
-        if self.blank_index != 0:
-            raise ConfigurationError("blank is reserved at class index 0")
 
     @property
     def num_classes(self) -> int:
         """Output dimension including the blank."""
         return len(self.tokens) + 1
-
-    def name_of(self, index: int) -> str:
-        if index == BLANK:
-            return "<blank>"
-        return self.tokens[index - 1]
 
 
 def default_vocabulary(size: int = 8) -> Vocabulary:
@@ -163,17 +157,6 @@ class CorpusSplits:
         for fs in self.unlabeled:
             return fs.feature_dim
         raise ValueError("corpus has no utterances")
-
-    def without_truth(self) -> "CorpusSplits":
-        """Copy with the hidden unlabeled transcripts removed."""
-        return CorpusSplits(
-            vocabulary=self.vocabulary,
-            labeled=list(self.labeled),
-            unlabeled=list(self.unlabeled),
-            unlabeled_refs={},
-            dev=list(self.dev),
-            test=list(self.test),
-        )
 
 
 @dataclass(frozen=True)
@@ -284,7 +267,6 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     goes to a separate refs file read only by oracle paths.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "schema": MANIFEST_SCHEMA,
         "version": VERSION,
@@ -303,11 +285,13 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     write_jsonl(out / _REFS_FILE, refs)
 
 
-def _read_utterances(path: Path, vocab: Vocabulary, with_labels: bool):
+def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_labels: bool):
     out = []
     fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
     for where, rec in read_jsonl(path, ManifestError, fields):
         uid, T, D, flat = rec["utterance_id"], rec["num_frames"], rec["feature_dim"], rec["frames"]
+        if D != feature_dim:
+            raise ManifestError(f"{where}: utterance {uid}: feature_dim {D} != manifest {feature_dim}")
         if len(flat) != T * D:
             raise ManifestError(
                 f"{where}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
@@ -340,13 +324,18 @@ def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelS
 def load_manifest(in_dir) -> CorpusSplits:
     """Inverse of :func:`save_manifest`; load(save(x)) == x."""
     root = Path(in_dir)
-    meta = read_json(root / _META_FILE, ManifestError, MANIFEST_SCHEMA, _META_FIELDS)
-    vocab = Vocabulary(tuple(meta["tokens"]))
+    meta_path = root / _META_FILE
+    meta = read_json(meta_path, ManifestError, MANIFEST_SCHEMA, _META_FIELDS)
+    try:
+        vocab = Vocabulary(meta["tokens"])
+    except ConfigurationError as e:
+        raise ManifestError(f"{meta_path}:1: {e}") from e
 
-    labeled = _read_utterances(root / _SPLIT_FILES["labeled"], vocab, with_labels=True)
-    unlabeled = _read_utterances(root / _SPLIT_FILES["unlabeled"], vocab, with_labels=False)
-    dev = _read_utterances(root / _SPLIT_FILES["dev"], vocab, with_labels=True)
-    test = _read_utterances(root / _SPLIT_FILES["test"], vocab, with_labels=True)
+    dim = meta["feature_dim"]
+    labeled = _read_utterances(root / _SPLIT_FILES["labeled"], vocab, dim, with_labels=True)
+    unlabeled = _read_utterances(root / _SPLIT_FILES["unlabeled"], vocab, dim, with_labels=False)
+    dev = _read_utterances(root / _SPLIT_FILES["dev"], vocab, dim, with_labels=True)
+    test = _read_utterances(root / _SPLIT_FILES["test"], vocab, dim, with_labels=True)
 
     refs: dict[str, LabelSequence] = {}
     refs_path = root / _REFS_FILE
@@ -356,13 +345,6 @@ def load_manifest(in_dir) -> CorpusSplits:
             if uid in refs:
                 raise ManifestError(f"{where}: duplicate utterance_id {uid!r}")
             refs[uid] = checked_labels(where, rec["tokens"], vocab.num_classes)
-
-    expected_dim = meta["feature_dim"]
-    for fs in [f for f, _ in labeled] + unlabeled + [f for f, _ in dev] + [f for f, _ in test]:
-        if fs.feature_dim != expected_dim:
-            raise ManifestError(
-                f"utterance {fs.utterance_id}: feature_dim {fs.feature_dim} != manifest {expected_dim}"
-            )
     return CorpusSplits(
         vocabulary=vocab,
         labeled=labeled,

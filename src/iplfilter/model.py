@@ -19,6 +19,7 @@ from .ctc import ctc_log_prob, is_feasible
 from .errors import ConfigurationError, ShapeError, TrainingError
 
 CHECKPOINT_SCHEMA = "acoustic-model"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -60,9 +61,6 @@ class TrainConfig:
     hold_frac: float = 0.40
     seed: int = 0
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -272,11 +270,11 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
                     out.params[k] -= lr * batch_grads[k]
             else:
                 for k in out.params:
-                    adam_m[k] = cfg.adam_beta1 * adam_m[k] + (1 - cfg.adam_beta1) * batch_grads[k]
-                    adam_v[k] = cfg.adam_beta2 * adam_v[k] + (1 - cfg.adam_beta2) * batch_grads[k] ** 2
-                    m_hat = adam_m[k] / (1 - cfg.adam_beta1**step)
-                    v_hat = adam_v[k] / (1 - cfg.adam_beta2**step)
-                    out.params[k] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                    adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * batch_grads[k]
+                    adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * batch_grads[k] ** 2
+                    m_hat = adam_m[k] / (1 - ADAM_BETA1**step)
+                    v_hat = adam_v[k] / (1 - ADAM_BETA2**step)
+                    out.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         curve.append(float(np.mean(epoch_losses)))
     return TrainResult(model=out, loss_curve=curve)
 

@@ -504,8 +504,6 @@ class RunWriter:
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir is not None else None
-        if self.dir is not None:
-            self.dir.mkdir(parents=True, exist_ok=True)
         self.timings: list[tuple[str, float]] = []
 
     def teacher(self, model: AcousticModel, report: TeacherReport) -> None:
@@ -557,7 +555,6 @@ def write_scatter(pairs, path) -> None:
 
 def write_estimate(result: EstimateResult, pls, out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "estimate.json", {"schema": ESTIMATE_SCHEMA, "version": VERSION,
                                        **{name: getattr(result, name) for name in ESTIMATE_FIELDS}})
     save_pseudolabels(pls, out / "probe_pseudolabels.jsonl")

@@ -116,6 +116,17 @@ class TestTrainTeacher:
         assert rc == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "FileNotFoundError"
 
+    def test_failed_run_keeps_its_snapshot(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["train-teacher", "--corpus", str(tmp_path / "nope"), "--out-dir", str(out),
+                   "--epochs", "3"])
+        assert rc == 2
+        assert usage_error(capsys)["error"] == "FileNotFoundError"
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+        snap = read_config(out)
+        assert snap["command"] == "train-teacher"
+        assert snap["config"]["corpus"] == str(tmp_path / "nope") and snap["config"]["epochs"] == 3
+
 
 class TestPseudolabelAndFilter:
     @pytest.fixture()
@@ -369,6 +380,40 @@ class TestEstimateCommand:
         rc = main(["estimate-threshold", "--corpus", str(corpus_dir),
                    "--out-dir", str(tmp_path / "e2"), "--min-probe", "50", *FAST_TRAIN])
         assert rc == 2
+
+
+def write_snapshot(path, command, config):
+    path.write_text(json.dumps({"schema": "run-config", "version": 1,
+                                "command": command, "config": config}))
+    return path
+
+
+class TestTypedConfig:
+    @pytest.mark.parametrize("key, value, expected", [
+        ("epochs", "x", 'is "x", expected int'),
+        ("epochs", True, "is true, expected int"),
+        ("epochs", None, "is null, expected int"),
+        ("probe", "test", "is \"test\", expected one of ['dev', 'labeled']"),
+    ], ids=["string-int", "bool-int", "null-int", "bad-choice"])
+    def test_mistyped_value_is_usage_error(self, corpus_dir, tmp_path, capsys, key, value, expected):
+        snap = write_snapshot(tmp_path / "config.json", "estimate-threshold", {key: value})
+        out = tmp_path / "out"
+        rc = main(["estimate-threshold", "--config", str(snap), "--corpus", str(corpus_dir),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ConfigurationError"
+        assert err["message"] == f"{snap}:1: config key {key!r} {expected}"
+        assert not out.exists()
+
+    def test_int_for_float_and_null_for_none_default_accepted(self, corpus_dir, tmp_path):
+        config = {"epochs": 0, "max_wer": 1, "probe_size": None, "min_probe": 5}
+        snap = write_snapshot(tmp_path / "config.json", "estimate-threshold", config)
+        out = tmp_path / "out"
+        rc = main(["estimate-threshold", "--config", str(snap), "--corpus", str(corpus_dir),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        assert read_config(out)["config"]["max_wer"] == 1
 
 
 class TestSnapshotRelaunch:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -39,8 +40,7 @@ class TestTypes:
     def test_vocabulary_classes_and_names(self):
         v = default_vocabulary(3)
         assert v.num_classes == 4
-        assert v.name_of(0) == "<blank>"
-        assert v.name_of(1) == "a"
+        assert v.tokens == ("a", "b", "c")
 
     def test_label_sequence_rejects_blank(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestGeneration:
     def test_hidden_truth_covers_unlabeled(self):
         splits = generate_corpus(SMALL, seed=1)
         assert set(splits.unlabeled_refs) == {fs.utterance_id for fs in splits.unlabeled}
-        stripped = splits.without_truth()
+        stripped = dataclasses.replace(splits, unlabeled_refs={})
         assert stripped.unlabeled_refs == {}
         assert stripped.unlabeled == splits.unlabeled
 
@@ -131,7 +131,7 @@ class TestManifestRoundTrip:
         assert load_manifest(tmp_path / "m") == splits
 
     def test_round_trip_without_truth(self, tmp_path):
-        splits = generate_corpus(SMALL, seed=2).without_truth()
+        splits = dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs={})
         save_manifest(splits, tmp_path / "m")
         assert load_manifest(tmp_path / "m") == splits
 
@@ -220,6 +220,30 @@ class TestManifestRoundTrip:
         meta.pop(field)
         target.write_text(json.dumps(meta))
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:1: missing fields \['{field}'\]"):
+            load_manifest(tmp_path / "m")
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["a", "a", "b"], "vocabulary token names must be unique"),
+        ([1, 2], "vocabulary token names must be strings"),
+    ], ids=["duplicate", "not-strings"])
+    def test_bad_vocabulary_names_meta_file(self, tmp_path, tokens, message):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "meta.json"
+        target.write_text(json.dumps({**json.loads(target.read_text()), "tokens": tokens}))
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:1: {message}$"):
+            load_manifest(tmp_path / "m")
+
+    def test_record_feature_dim_must_match_meta(self, tmp_path):
+        # frames still fill num_frames x feature_dim, so only the meta check can catch it
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "dev.jsonl"
+        lines = target.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["num_frames"], rec["feature_dim"] = rec["num_frames"] * 2, SMALL.feature_dim // 2
+        lines[1] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:2: utterance dev-0001: feature_dim 4 != manifest 8"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
     @pytest.mark.parametrize("tokens", [[0], [1, None], 3])

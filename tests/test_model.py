@@ -141,6 +141,49 @@ class TestParameterGradients:
                 assert rel <= 1e-4, f"param {key}: rel err {rel}"
 
 
+class TestAppliedGradient:
+    """The step ``train`` takes is the weighted mean gradient, by central differences.
+
+    With two epochs of one full-batch SGD step each and no warmup or hold,
+    step 0 runs at ``base_lr`` and step 1 at lr 0, so (p0 - p1) / base_lr is
+    exactly the gradient ``train`` applied.
+    """
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_matches_central_differences(self, hidden):
+        rng = np.random.default_rng(23)
+        D, V = 3, 3
+        batch = [
+            (FeatureSequence(f"u{i}", rng.standard_normal((T, D))), LabelSequence(labels))
+            for i, (T, labels) in enumerate([(2, (1,)), (5, (2, 3)), (3, ()), (6, (1, 3, 1))])
+        ]
+        weights = np.array([0.5, 2.0, 1.25, 0.75])
+        model = init_model(D, V, hidden, seed=5)
+        base_lr = 0.5
+        cfg = TrainConfig(epochs=2, batch_size=len(batch), base_lr=base_lr, warmup_frac=0.0,
+                          hold_frac=0.0, seed=3, optimizer="sgd")
+        trained = train(model, batch, cfg, weights=weights).model
+
+        def objective():
+            losses = [-ctc_log_prob(forward(model, fs).logp, lab).log_prob for fs, lab in batch]
+            return float(np.dot(weights, losses)) / len(batch)
+
+        h = 1e-6
+        for key, p0 in model.params.items():
+            applied = (p0 - trained.params[key]) / base_lr
+            numeric = np.zeros_like(p0)
+            for idx in np.ndindex(p0.shape):
+                orig = p0[idx]
+                p0[idx] = orig + h
+                up = objective()
+                p0[idx] = orig - h
+                down = objective()
+                p0[idx] = orig
+                numeric[idx] = (up - down) / (2 * h)
+            rel = np.abs(applied - numeric).max() / np.abs(numeric).max()
+            assert rel <= 1e-6, f"param {key}: rel err {rel}"
+
+
 class TestLrSchedule:
     CFG = TrainConfig(base_lr=0.5)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ SMALL = CorpusGenConfig(n_labeled=6, n_unlabeled=16, n_dev=8, n_test=8)
 
 
 def small_splits(seed=0, **overrides):
-    from dataclasses import replace
-
     return generate_corpus(replace(SMALL, **overrides), seed=seed)
 
 
@@ -117,7 +116,7 @@ class TestRunIpl:
         splits = small_splits()
         cfg = IplConfig(iter_max=2, filter_mode="score", score_threshold=-0.6, train=FAST, seed=1)
         with_truth = run_ipl(splits, cfg)
-        stripped = run_ipl(splits.without_truth(), cfg)
+        stripped = run_ipl(replace(splits, unlabeled_refs={}), cfg)
         assert all(
             np.array_equal(with_truth.model.params[k], stripped.model.params[k])
             for k in with_truth.model.params
@@ -140,7 +139,7 @@ class TestRunIpl:
     def test_wer_mode_requires_truth(self):
         from iplfilter.errors import OracleError
 
-        splits = small_splits().without_truth()
+        splits = replace(small_splits(), unlabeled_refs={})
         cfg = IplConfig(iter_max=1, filter_mode="wer", max_wer=0.1, train=FAST)
         with pytest.raises(OracleError):
             run_ipl(splits, cfg)
