@@ -23,26 +23,19 @@ from pathlib import Path
 
 from .artifacts import VERSION, read_json, write_json, write_text
 from .corpus import CorpusGenConfig, generate_corpus, load_manifest, save_manifest
-from .errors import ConfigurationError, InsufficientProbeError, ManifestError
-from .metrics import histogram
+from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
 from .model import TrainConfig, load_checkpoint
 from .pipeline import (
-    ESTIMATE_FIELDS,
-    ESTIMATE_SCHEMA,
     FILTER_MODES,
-    SWEEP_FIELDS,
-    SWEEP_SCHEMA,
     IplConfig,
-    IterationReport,
     RunWriter,
     estimate_threshold,
-    load_reports,
+    load_run,
     run_ipl,
     run_summary,
     sweep_threshold,
     train_teacher,
-    write_histogram,
-    write_scatter,
+    write_plots,
 )
 from .pseudolabel import (
     ThresholdSchedule,
@@ -57,7 +50,8 @@ from .pseudolabel import (
 CONFIG_SCHEMA = "run-config"
 _SNAPSHOT_FIELDS = {"command": str, "config": dict}
 
-_USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, FileNotFoundError)
+_USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, OracleError,
+                 FileNotFoundError)
 
 # Defaults come from the library's own dataclasses.
 _GEN = CorpusGenConfig()
@@ -132,6 +126,12 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _require(cfg: dict, key: str):
     if cfg[key] is None:
         raise ConfigurationError(f"--{key.replace('_', '-')} is required")
+    return cfg[key]
+
+
+def _at_least_one(cfg: dict, key: str):
+    if cfg[key] is not None and cfg[key] < 1:
+        raise ConfigurationError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
     return cfg[key]
 
 
@@ -211,14 +211,13 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
+    probe_size, n_bins = _at_least_one(cfg, "probe_size"), _at_least_one(cfg, "bins")
     splits = _load_corpus(cfg)
     if cfg["model"] is not None:
         model = load_checkpoint(Path(cfg["model"]))
     else:
         model = _teacher(splits, cfg, out).model
-    probe = splits.dev if cfg["probe"] == "dev" else splits.labeled
-    if cfg["probe_size"] is not None:
-        probe = probe[: cfg["probe_size"]]
+    probe = (splits.dev if cfg["probe"] == "dev" else splits.labeled)[:probe_size]
     estimate_threshold(
         model,
         probe,
@@ -226,57 +225,17 @@ def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
         coverage_frac=cfg["coverage"],
         min_probe=cfg["min_probe"],
         exclude_blank=cfg["exclude_blank"],
-        n_bins=cfg["bins"],
+        n_bins=n_bins,
         out_dir=out,
     )
 
 
 def cmd_report(cfg: dict, out: Path) -> None:
-    run_dir = Path(_require(cfg, "run_dir"))
-    if not run_dir.is_dir():
-        raise FileNotFoundError(f"run directory not found: {run_dir}")
-
-    reports, sweep = [], None
-    reports_path = run_dir / "reports.jsonl"
-    if reports_path.is_file():
-        records = load_reports(reports_path)
-        if not records:
-            raise ConfigurationError(f"{reports_path}: no iteration records")
-        reports = [IterationReport(**rec) for rec in records]
-    sweep_path = run_dir / "sweep.json"
-    if sweep_path.is_file():
-        sweep = read_json(sweep_path, ConfigurationError, SWEEP_SCHEMA, SWEEP_FIELDS)
-    text = run_summary(reports, sweep)
-    estimate_path = run_dir / "estimate.json"
-    if estimate_path.is_file():
-        est = read_json(estimate_path, ConfigurationError, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
-        text += (
-            f"estimated threshold {est['threshold']:.4f} "
-            f"(score-kept {est['score_kept_count']}, wer-kept {est['wer_kept_count']}, "
-            f"jaccard {est['overlap_jaccard']:.4f}, min-ratio {est['overlap_min_ratio']:.4f})\n"
-        )
-    if not text:
-        raise ConfigurationError(f"{run_dir}: no reports.jsonl, sweep.json, or estimate.json")
-    write_text(out / "report_summary.txt", text)
-
-    pls_files = sorted(run_dir.glob("iter-*.pseudolabels.jsonl"))
-    if not pls_files and (run_dir / "probe_pseudolabels.jsonl").is_file():
-        pls_files = [run_dir / "probe_pseudolabels.jsonl"]
-    if pls_files:
-        pls = load_pseudolabels(pls_files[-1])
-        write_histogram(
-            histogram([p.score for p in pls], cfg["bins"]), out / "score_hist.jsonl",
-            "score-histogram",
-        )
-        if all(p.oracle_wer is not None for p in pls):
-            write_histogram(
-                histogram([p.oracle_wer for p in pls], cfg["bins"]), out / "wer_hist.jsonl",
-                "wer-histogram",
-            )
-            write_scatter(
-                [(p.utterance_id, p.score, p.oracle_wer) for p in pls],
-                out / "scatter.jsonl",
-            )
+    n_bins = _at_least_one(cfg, "bins")
+    run = load_run(_require(cfg, "run_dir"))
+    write_text(out / "report_summary.txt", run_summary(run.reports, run.sweep, run.estimate))
+    if run.pseudolabels is not None:
+        write_plots(load_pseudolabels(run.pseudolabels), n_bins, out)
 
 
 # One entry per command: (handler, help, flags). The flag table maps a config

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigurationError("warmup_frac + hold_frac must be <= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ConfigurationError(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import NUMBER, VERSION, read_jsonl, write_json, write_jsonl, write_text
+from .artifacts import NUMBER, VERSION, read_json, read_jsonl, write_json, write_jsonl, write_text
 from .corpus import CorpusSplits
 from .errors import ConfigurationError, InsufficientProbeError
-from .metrics import Histogram, histogram, overlap_min_ratio, overlap_rate, wer
+from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
 from .model import (
     AcousticModel,
     TrainConfig,
@@ -137,18 +137,12 @@ class EstimateResult:
     score_kept_count: int
     overlap_jaccard: float
     overlap_min_ratio: float
-    score_histogram: Histogram
-    wer_histogram: Histogram
-    pairs: list[tuple[str, float, float]]  # (utterance_id, score, oracle_wer)
+    pseudolabels: list[PseudoLabel]  # the probe's labels, with oracle WER
 
 
 def evaluate_wer(model: AcousticModel, pairs) -> float:
     """Pooled greedy-decode WER of a model over (features, reference) pairs."""
-    scored = []
-    for fs, ref in pairs:
-        hyp, _ = greedy_decode(forward(model, fs))
-        scored.append((ref, hyp))
-    return wer(scored)
+    return wer([(ref, greedy_decode(forward(model, fs))[0]) for fs, ref in pairs])
 
 
 def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:
@@ -369,10 +363,13 @@ def estimate_threshold(
     score-kept set {score >= candidate}. A candidate qualifies when the
     score-kept set is no larger than the WER-kept set and at least
     ``coverage_frac`` of it lies inside the WER-kept set; the deepest
-    qualifying candidate is returned, i.e. the point where the two filters
-    keep nearly the same (and nearly equally many) utterances. When no
-    candidate qualifies the boundary 0.0 comes back, which keeps nothing
-    (scores are strictly negative for any finite model).
+    qualifying candidate wins, i.e. the point where the two filters keep
+    nearly the same (and nearly equally many) utterances. The boundary
+    returned is the float just below it, so that :func:`score_filter` (which
+    keeps scores strictly above its boundary) keeps exactly the
+    ``score_kept_count`` labels. When no candidate qualifies the boundary 0.0
+    comes back, which keeps nothing (scores are strictly negative for any
+    finite model).
     """
     pairs = list(probe)
     if len(pairs) < min_probe:
@@ -384,34 +381,26 @@ def estimate_threshold(
     wer_kept = wer_filter(pls, refs, max_wer)
     wer_ids = {p.utterance_id for p in wer_kept}
 
+    estimate, inside = 0.0, 0  # the empty prefix trivially qualifies
     by_score = sorted(pls, key=lambda p: -p.score)
-    unique_scores = sorted({p.score for p in pls}, reverse=True)
-    estimate = 0.0  # the empty prefix trivially qualifies
-    n_kept = 0
-    inside = 0
-    i = 0
-    for candidate in unique_scores:
-        while i < len(by_score) and by_score[i].score >= candidate:
-            inside += by_score[i].utterance_id in wer_ids
-            n_kept += 1
-            i += 1
-        if n_kept <= len(wer_kept) and inside >= coverage_frac * n_kept:
-            estimate = candidate
+    for n_kept, p in enumerate(by_score, start=1):  # candidate p.score, once per tied run
+        inside += p.utterance_id in wer_ids
+        tied = n_kept < len(by_score) and by_score[n_kept].score == p.score
+        if not tied and n_kept <= len(wer_kept) and inside >= coverage_frac * n_kept:
+            estimate = float(np.nextafter(p.score, -np.inf))
 
-    score_kept_ids = {p.utterance_id for p in pls if p.score >= estimate}
+    score_kept_ids = {p.utterance_id for p in score_filter(pls, estimate)}
     result = EstimateResult(
-        threshold=float(estimate),
+        threshold=estimate,
         probe_size=len(pairs),
         wer_kept_count=len(wer_kept),
         score_kept_count=len(score_kept_ids),
         overlap_jaccard=overlap_rate(score_kept_ids, wer_ids),
         overlap_min_ratio=overlap_min_ratio(score_kept_ids, wer_ids),
-        score_histogram=histogram([p.score for p in pls], n_bins),
-        wer_histogram=histogram([p.oracle_wer for p in pls], n_bins),
-        pairs=[(p.utterance_id, p.score, p.oracle_wer) for p in pls],
+        pseudolabels=pls,
     )
     if out_dir is not None:
-        write_estimate(result, pls, out_dir)
+        write_estimate(result, n_bins, out_dir)
     return result
 
 
@@ -447,13 +436,52 @@ def sweep_record(result: SweepResult) -> dict:
             **{name: getattr(result, name) for name in SWEEP_FIELDS}}
 
 
-def write_reports(path, reports) -> None:
-    write_jsonl(path, (report_record(r) for r in reports), REPORT_SCHEMA)
+@dataclass
+class RunRecord:
+    """A run directory read back by :func:`load_run`."""
+
+    reports: list[IterationReport]
+    sweep: dict | None
+    estimate: dict | None
+    pseudolabels: Path | None  # the last iteration's pseudo-label file, else the probe's
 
 
-def load_reports(path) -> list[dict]:
-    """Records of :func:`write_reports`; a malformed file raises ConfigurationError."""
-    return [rec for _, rec in read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
+def load_run(run_dir) -> RunRecord:
+    """Read back what :class:`RunWriter` and :func:`write_estimate` wrote.
+
+    A missing directory raises FileNotFoundError. A malformed
+    ``reports.jsonl``, ``sweep.json`` or ``estimate.json``, or a directory
+    holding none of them, raises ConfigurationError naming the file.
+    """
+    run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"run directory not found: {run_dir}")
+    reports, sweep, estimate = [], None, None
+    path = run_dir / "reports.jsonl"
+    if path.is_file():
+        reports = [IterationReport(**rec) for _, rec in
+                   read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
+        if not reports:
+            raise ConfigurationError(f"{path}: no iteration records")
+    path = run_dir / "sweep.json"
+    if path.is_file():
+        sweep = read_json(path, ConfigurationError, SWEEP_SCHEMA, SWEEP_FIELDS)
+        thresholds, devs = sweep["thresholds"], sweep["best_dev_wer_per_threshold"]
+        if not (all(type(x) in NUMBER for x in thresholds + devs) and len(thresholds) == len(devs)
+                and sweep["best_threshold"] in thresholds):
+            raise ConfigurationError(f"{path}:1: thresholds and best_dev_wer_per_threshold must "
+                                     "be equally long lists of numbers, with best_threshold "
+                                     "among the thresholds")
+    path = run_dir / "estimate.json"
+    if path.is_file():
+        estimate = read_json(path, ConfigurationError, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
+    if not reports and sweep is None and estimate is None:
+        raise ConfigurationError(f"{run_dir}: no reports.jsonl, sweep.json, or estimate.json")
+    # iter-NN is zero-padded to two digits, so iter-100 sorts after iter-99 by length
+    iters = sorted(run_dir.glob("iter-*.pseudolabels.jsonl"), key=lambda p: (len(p.name), p.name))
+    probe = run_dir / "probe_pseudolabels.jsonl"
+    pls = iters[-1] if iters else probe if probe.is_file() else None
+    return RunRecord(reports, sweep, estimate, pls)
 
 
 def _fmt(x) -> str:
@@ -472,11 +500,12 @@ def _table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_summary(reports, sweep: dict | None = None) -> str:
+def run_summary(reports, sweep: dict | None = None, estimate: dict | None = None) -> str:
     """Fixed-width ``summary.txt`` text of a run.
 
-    One row per iteration with the best dev-WER row starred, then, given a
-    ``sweep.json`` record, one row per threshold with the chosen one starred.
+    One row per iteration with the best dev-WER row starred; then, given a
+    ``sweep.json`` record, one row per threshold with the chosen one starred;
+    then, given an ``estimate.json`` record, one line on the estimate.
     """
     text = ""
     if reports:
@@ -496,6 +525,10 @@ def run_summary(reports, sweep: dict | None = None) -> str:
         for thr, dev in zip(sweep["thresholds"], sweep["best_dev_wer_per_threshold"]):
             rows.append((_fmt(thr), _fmt(dev), "*" if thr == sweep["best_threshold"] else ""))
         text += "\n" + _table(rows)
+    if estimate is not None:
+        text += ("estimated threshold {threshold:.4f} (score-kept {score_kept_count}, "
+                 "wer-kept {wer_kept_count}, jaccard {overlap_jaccard:.4f}, "
+                 "min-ratio {overlap_min_ratio:.4f})\n").format(**estimate)
     return text
 
 
@@ -531,7 +564,7 @@ class RunWriter:
         if sweep is not None:
             write_json(self.dir / "sweep.json", sweep)
         if reports:
-            write_reports(self.dir / "reports.jsonl", reports)
+            write_jsonl(self.dir / "reports.jsonl", map(report_record, reports), REPORT_SCHEMA)
             write_text(self.dir / "summary.txt", run_summary(reports, sweep))
             self.timings.extend((f"iter-{r.iteration:02d}", r.wall_clock_sec) for r in reports)
         if self.timings:
@@ -539,25 +572,30 @@ class RunWriter:
                        "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
 
 
-def write_histogram(hist: Histogram, path, schema: str) -> None:
-    write_jsonl(path, (
-        {"bin_left": hist.bin_edges[i], "bin_right": hist.bin_edges[i + 1], "count": count}
-        for i, count in enumerate(hist.counts)
-    ), schema)
-
-
-def write_scatter(pairs, path) -> None:
-    """(utterance_id, score, oracle_wer) triples for external plotting."""
-    write_jsonl(path, (
-        {"utterance_id": uid, "score": score, "oracle_wer": ower} for uid, score, ower in pairs
-    ), "score-wer-scatter")
-
-
-def write_estimate(result: EstimateResult, pls, out_dir) -> None:
+def write_plots(pls, n_bins: int, out_dir) -> None:
+    """Plot data of pseudo-labels: ``score_hist.jsonl`` and, when every label
+    has an oracle WER, ``wer_hist.jsonl`` and the (utterance_id, score,
+    oracle_wer) points of ``scatter.jsonl``."""
     out = Path(out_dir)
+    columns = {"score": [p.score for p in pls]}
+    if all(p.oracle_wer is not None for p in pls):
+        columns["wer"] = [p.oracle_wer for p in pls]
+    for name, values in columns.items():
+        hist = histogram(values, n_bins)
+        write_jsonl(out / f"{name}_hist.jsonl", (
+            {"bin_left": left, "bin_right": right, "count": count}
+            for left, right, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
+        ), f"{name}-histogram")
+    if "wer" in columns:
+        write_jsonl(out / "scatter.jsonl", (
+            {"utterance_id": p.utterance_id, "score": p.score, "oracle_wer": p.oracle_wer}
+            for p in pls
+        ), "score-wer-scatter")
+
+
+def write_estimate(result: EstimateResult, n_bins: int, out_dir) -> None:
+    out = Path(out_dir)
+    save_pseudolabels(result.pseudolabels, out / "probe_pseudolabels.jsonl")
+    write_plots(result.pseudolabels, n_bins, out)
     write_json(out / "estimate.json", {"schema": ESTIMATE_SCHEMA, "version": VERSION,
                                        **{name: getattr(result, name) for name in ESTIMATE_FIELDS}})
-    save_pseudolabels(pls, out / "probe_pseudolabels.jsonl")
-    write_histogram(result.score_histogram, out / "score_hist.jsonl", "score-histogram")
-    write_histogram(result.wer_histogram, out / "wer_hist.jsonl", "wer-histogram")
-    write_scatter(result.pairs, out / "scatter.jsonl")

@@ -294,8 +294,8 @@ class TestCriterion8:
         observed, baseline = [], []
         for seed, _, est in sweep_estimate_runs:
             observed.append(est.overlap_jaccard)
-            ids = [uid for uid, _, _ in est.pairs]
-            wer_ids = {uid for uid, _, w in est.pairs if w < MAX_WER}
+            ids = [p.utterance_id for p in est.pseudolabels]
+            wer_ids = {p.utterance_id for p in est.pseudolabels if p.oracle_wer < MAX_WER}
             sims = []
             for _ in range(400):
                 subset = set(rng.choice(ids, size=est.score_kept_count, replace=False))

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from iplfilter.cli import build_parser, main
-from iplfilter.corpus import load_manifest
-from iplfilter.pseudolabel import load_pseudolabels
+from iplfilter.corpus import LabelSequence, load_manifest
+from iplfilter.pseudolabel import PseudoLabel, load_pseudolabels, save_pseudolabels
 
 TINY_CORPUS = [
     "--n-labeled", "4", "--n-unlabeled", "8", "--n-dev", "6", "--n-test", "6",
@@ -272,6 +272,14 @@ MALFORMED_RUNS = {
         lambda rec: rec.pop("thresholds")))),
     "sweep-wrong-type": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
         lambda rec: rec.update(thresholds=1)))),
+    "sweep-null-entry": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(best_dev_wer_per_threshold=[None])))),
+    "sweep-bool-entry": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(best_dev_wer_per_threshold=[True])))),
+    "sweep-length-mismatch": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec["best_dev_wer_per_threshold"].append(0.5)))),
+    "sweep-best-not-listed": ("sweep/sweep.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(best_threshold=rec["thresholds"][0] - 1)))),
     "estimate-bad-json": ("est/estimate.json", lambda p: _set_line(p, 1, lambda line: line[:-3])),
     "estimate-array": ("est/estimate.json", lambda p: p.write_text("[1, 2]\n")),
     "estimate-wrong-type": ("est/estimate.json", lambda p: _set_line(p, 1, _edit_record(
@@ -364,6 +372,46 @@ class TestDamagedInput:
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
         assert err["message"].startswith(f"{snapshot}:1: field 'config' is list")
+
+
+# Out-of-range flag values and unknown utterance ids: (argv in the world, text the error names)
+OUT_OF_RANGE = {
+    "negative-base-lr": (lambda d: ["ipl", "--corpus", d / "corpus", "--epochs", "1",
+                                    "--base-lr", "-1"], "ConfigurationError", "base_lr"),
+    "negative-probe-size": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                       "--epochs", "0", "--min-probe", "1", "--probe-size", "-5"],
+                            "ConfigurationError", "--probe-size"),
+    "estimate-zero-bins": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                      "--epochs", "0", "--min-probe", "5", "--bins", "0"],
+                           "ConfigurationError", "--bins"),
+    "report-zero-bins": (lambda d: ["report", "--run-dir", d / "est", "--bins", "0"],
+                         "ConfigurationError", "--bins"),
+    "filter-unknown-ids": (lambda d: ["filter", "--pseudo-labels", d / "stray.jsonl",
+                                      "--corpus", d / "corpus", "--max-wer", "0.5"],
+                           "OracleError", "stray-0"),
+}
+
+
+class TestOutOfRangeInput:
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ranges")
+        assert main(["gen-corpus", "--out-dir", str(root / "corpus"), *TINY_CORPUS]) == 0
+        assert main(["estimate-threshold", "--corpus", str(root / "corpus"),
+                     "--out-dir", str(root / "est"), "--epochs", "0", "--min-probe", "5"]) == 0
+        save_pseudolabels([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)], root / "stray.jsonl")
+        return root
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_is_usage_error_before_any_output(self, world, tmp_path, capsys, case):
+        argv, error, named = OUT_OF_RANGE[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([str(a) for a in argv(world)] + ["--out-dir", str(out)]) == 2
+        err = usage_error(capsys)
+        assert err["error"] == error
+        assert named in err["message"]
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
 
 class TestEstimateCommand:

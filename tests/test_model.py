@@ -217,6 +217,11 @@ class TestLrSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(warmup_frac=0.7, hold_frac=0.5)
 
+    @pytest.mark.parametrize("base_lr", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_bad_base_lr_rejected(self, base_lr):
+        with pytest.raises(ConfigurationError, match="base_lr"):
+            TrainConfig(base_lr=base_lr)
+
 
 class TestTrain:
     def test_noiseless_corpus_learns_exactly(self):

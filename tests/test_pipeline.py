@@ -10,15 +10,18 @@ from iplfilter.errors import ConfigurationError, InsufficientProbeError
 from iplfilter.model import TrainConfig, init_model
 from iplfilter.pipeline import (
     IplConfig,
+    RunWriter,
     estimate_threshold,
-    load_reports,
+    load_run,
+    report_record,
     run_ipl,
+    run_summary,
     select_threshold,
     sweep_threshold,
     train_teacher,
-    write_reports,
+    write_plots,
 )
-from iplfilter.pseudolabel import ThresholdSchedule
+from iplfilter.pseudolabel import ThresholdSchedule, load_pseudolabels, score_filter
 
 FAST = TrainConfig(epochs=8, base_lr=0.15, seed=0)
 SMALL = CorpusGenConfig(n_labeled=6, n_unlabeled=16, n_dev=8, n_test=8)
@@ -178,9 +181,8 @@ class TestRunIpl:
             "timings.txt",
         ):
             assert (tmp_path / name).is_file(), name
-        records = load_reports(tmp_path / "reports.jsonl")
-        assert len(records) == 2
-        assert "wall_clock" not in json.dumps(records)
+        assert len(load_run(tmp_path).reports) == 2
+        assert "wall_clock" not in (tmp_path / "reports.jsonl").read_text()
 
 
 class TestSelectThreshold:
@@ -265,8 +267,8 @@ class TestEstimate:
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=25, seed=0)))
         assert teacher.report.dev_wer == 0.0  # precondition: probe decodes exactly
         result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
-        scores = [s for _, s, _ in result.pairs]
-        assert result.threshold == min(scores)
+        scores = [p.score for p in result.pseudolabels]
+        assert result.threshold == np.nextafter(min(scores), -np.inf)
         assert result.score_kept_count == len(splits.dev)
         assert result.wer_kept_count == len(splits.dev)
         assert result.overlap_jaccard == 1.0
@@ -289,21 +291,25 @@ class TestEstimate:
         result = estimate_threshold(
             teacher.model, splits.dev, max_wer=0.10, min_probe=10, out_dir=tmp_path
         )
-        assert len(result.pairs) == 30
-        assert sum(result.score_histogram.counts) == 30
-        assert sum(result.wer_histogram.counts) == 30
+        assert len(result.pseudolabels) == 30
+        assert all(p.oracle_wer is not None for p in result.pseudolabels)
         assert 0.0 <= result.overlap_jaccard <= 1.0
         assert 0.0 <= result.overlap_min_ratio <= 1.0
         for name in ("estimate.json", "probe_pseudolabels.jsonl", "score_hist.jsonl",
                      "wer_hist.jsonl", "scatter.jsonl"):
             assert (tmp_path / name).is_file(), name
+        for name in ("score_hist.jsonl", "wer_hist.jsonl"):
+            bins = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()[1:]]
+            assert sum(b["count"] for b in bins) == 30, name
 
     def test_kept_set_respects_wer_cap_and_coverage(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=8, n_unlabeled=10, n_dev=40, n_test=8), seed=2)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=20, seed=0)))
         result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
-        kept = [(uid, w) for uid, s, w in result.pairs if s >= result.threshold]
+        kept = [(p.utterance_id, p.oracle_wer) for p in result.pseudolabels
+                if p.score > result.threshold]
         assert len(kept) == result.score_kept_count
+        assert len(score_filter(result.pseudolabels, result.threshold)) == result.score_kept_count
         assert len(kept) <= result.wer_kept_count
         inside = sum(1 for _, w in kept if w < 0.10)
         assert inside >= 0.9 * len(kept)
@@ -321,7 +327,71 @@ class TestReportSerialization:
     def test_reports_write_and_load(self, tmp_path):
         splits = small_splits()
         result = run_ipl(splits, IplConfig(iter_max=1, filter_mode="none", train=FAST))
-        write_reports(tmp_path / "r.jsonl", result.reports)
-        records = load_reports(tmp_path / "r.jsonl")
-        assert records[0]["generated"] == result.reports[0].generated
-        assert records[0]["dev_wer"] == result.reports[0].dev_wer
+        RunWriter(tmp_path).finish(result.reports)
+        loaded = load_run(tmp_path).reports
+        assert loaded[0].generated == result.reports[0].generated
+        assert loaded[0].dev_wer == result.reports[0].dev_wer
+
+
+class TestLoadRun:
+    def test_ipl_run_reads_back(self, tmp_path):
+        result = run_ipl(small_splits(), IplConfig(iter_max=2, train=FAST), out_dir=tmp_path)
+        run = load_run(tmp_path)
+        assert [report_record(r) for r in run.reports] == [report_record(r) for r in result.reports]
+        assert run.sweep is None and run.estimate is None
+        assert run.pseudolabels == tmp_path / "iter-02.pseudolabels.jsonl"
+        assert run_summary(run.reports) == (tmp_path / "summary.txt").read_text()
+
+    def test_estimate_run_reads_back(self, tmp_path):
+        splits = small_splits(n_dev=12)
+        result = estimate_threshold(init_model(splits.feature_dim, 8, 0, seed=0), splits.dev,
+                                    max_wer=0.5, min_probe=10, out_dir=tmp_path)
+        run = load_run(tmp_path)
+        assert run.reports == [] and run.sweep is None
+        assert run.estimate["threshold"] == result.threshold
+        assert run.estimate["score_kept_count"] == result.score_kept_count
+        assert run.pseudolabels == tmp_path / "probe_pseudolabels.jsonl"
+        assert "estimated threshold" in run_summary(run.reports, run.sweep, run.estimate)
+
+    def test_last_pseudolabel_file_is_numerically_last(self, tmp_path):
+        result = run_ipl(small_splits(), IplConfig(iter_max=1, train=FAST))
+        RunWriter(tmp_path).finish(result.reports)
+        for t in (9, 10, 99, 100):
+            (tmp_path / f"iter-{t:02d}.pseudolabels.jsonl").touch()
+        assert load_run(tmp_path).pseudolabels == tmp_path / "iter-100.pseudolabels.jsonl"
+
+    def test_missing_dir_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_run(tmp_path / "nope")
+
+    def test_dir_without_records_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="no reports.jsonl"):
+            load_run(tmp_path)
+
+
+class TestWritePlots:
+    @pytest.fixture()
+    def pls(self, tmp_path):
+        run_ipl(small_splits(), IplConfig(iter_max=1, train=FAST), out_dir=tmp_path / "run")
+        return load_pseudolabels(tmp_path / "run" / "iter-01.pseudolabels.jsonl")
+
+    def test_with_oracle_wer_writes_all_three(self, pls, tmp_path):
+        assert all(p.oracle_wer is not None for p in pls)
+        write_plots(pls, 4, tmp_path / "plots")
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
+            "scatter.jsonl", "score_hist.jsonl", "wer_hist.jsonl"]
+        lines = (tmp_path / "plots" / "scatter.jsonl").read_text().splitlines()
+        assert json.loads(lines[0]) == {"schema": "score-wer-scatter", "version": 1}
+        assert [json.loads(line) for line in lines[1:]] == [
+            {"utterance_id": p.utterance_id, "score": p.score, "oracle_wer": p.oracle_wer}
+            for p in pls]
+
+    def test_without_oracle_wer_writes_score_histogram_only(self, pls, tmp_path):
+        pls[0].oracle_wer = None
+        write_plots(pls, 4, tmp_path / "plots")
+        assert [p.name for p in (tmp_path / "plots").iterdir()] == ["score_hist.jsonl"]
+        bins = [json.loads(line)
+                for line in (tmp_path / "plots" / "score_hist.jsonl").read_text().splitlines()[1:]]
+        assert len(bins) == 4 and sum(b["count"] for b in bins) == len(pls)
+        assert bins[0]["bin_left"] == min(p.score for p in pls)
+        assert bins[-1]["bin_right"] == max(p.score for p in pls)
