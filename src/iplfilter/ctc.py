@@ -8,6 +8,8 @@ propagates it without special casing. The same fact pads batches: a state or
 frame whose emission is -inf stays -inf, and ``logaddexp(x, -inf)`` is
 exactly ``x``, so one padded recursion over a whole minibatch gives every
 utterance bit for bit what a recursion over that utterance alone gives.
+For the gradient the batch is appended flipped in time and in state, so the
+one forward loop also runs the backward recursion, operand for operand.
 
 Infeasible (frames, label) pairs raise :class:`FeasibilityError` from the
 training-facing entry points, while the brute-force oracle stays total and
@@ -60,14 +62,10 @@ def collapse(alignment) -> LabelSequence:
     return LabelSequence(tuple(out))
 
 
-def _num_repeat_pairs(labels) -> int:
-    toks = list(labels)
-    return sum(1 for a, b in zip(toks, toks[1:]) if a == b)
-
-
 def is_feasible(num_frames: int, labels) -> bool:
     """A label fits in T frames iff T >= L + (# adjacent equal pairs)."""
-    return num_frames >= len(list(labels)) + _num_repeat_pairs(labels)
+    toks = list(labels)
+    return num_frames >= len(toks) + sum(a == b for a, b in zip(toks, toks[1:]))
 
 
 def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResult:
@@ -106,39 +104,35 @@ def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResu
 def _forward_backward(arr: np.ndarray, labels: list[list[int]], lengths: np.ndarray, with_grad: bool):
     """(B,) log-probs and the stacked gradient (or None) of a stacked batch.
 
-    Layout (T, S + 2, B): time-major, then state, then utterance, padded to
-    the longest utterance and label. Frames past an utterance's end and
-    states past its label have -inf emissions, and transitions only move
-    along the state axis, so utterances never mix. Every logaddexp/exp is
-    the same elementwise operation a single utterance's recursion performs.
+    Layout (T, S + 2, W): time-major, then state, then column, padded to the
+    longest utterance and label. Frames past an utterance's end and states
+    past its label have -inf emissions, and transitions only move along the
+    state axis, so columns never mix. Every logaddexp/exp is the same
+    elementwise operation a single utterance's recursion performs.
+
+    Columns 0..B-1 hold the batch. With ``with_grad``, columns B..2B-1 hold
+    it flipped in time and in state, where the forward recursion is the
+    backward one: flipped utterance b enters at frame T - lengths[b] in
+    states S - n_states[b] and the next, and beta is a reversed view.
     """
     N, C = arr.shape
     B = lengths.size
     ar = np.arange(B)
-    for b, toks in enumerate(labels):
-        if any(t == BLANK or t >= C for t in toks):
-            raise ValueError(f"utterance {b}: label token outside the non-blank class range")
-        if not is_feasible(int(lengths[b]), toks):
-            raise FeasibilityError(
-                f"utterance {b}: label of length {len(toks)} with {_num_repeat_pairs(toks)} "
-                f"repeat pair(s) does not fit in {lengths[b]} frame(s)"
-            )
-
-    T = int(lengths.max())
     n_states = np.array([2 * len(toks) + 1 for toks in labels])
-    S = int(n_states.max())
+    T, S = int(lengths.max()), int(n_states.max())
     ext = np.full((S, B), BLANK, dtype=np.int64)
     for b, toks in enumerate(labels):
         ext[1 : 2 * len(toks) : 2, b] = toks
     live = np.arange(S)[:, None] < n_states  # (S, B)
-    # A label state s (odd) may also come from s - 2, unless both carry the
-    # same token; blanks (even) never skip. Forbidden skips add -inf, and
-    # logaddexp(x, -inf) is exactly x.
-    skip = np.full(ext.shape, NEG_INF)
-    skip[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
-    into = skip[1::2]  # s - 2 -> s, for s = 1, 3, ..., S - 2
-    back = np.full_like(into, NEG_INF)  # s + 2 -> s, for the same s
-    back[:-1] = skip[3::2]
+    bad_token = (live[1::2] & ((ext[1::2] <= BLANK) | (ext[1::2] >= C))).any(axis=0)
+    repeats = ((ext[1:-2:2] == ext[3::2]) & (ext[1:-2:2] != BLANK)).sum(axis=0)
+    for b in np.flatnonzero(bad_token | (lengths < n_states // 2 + repeats))[:1]:  # the first bad one
+        if bad_token[b]:
+            raise ValueError(f"utterance {b}: label token outside the non-blank class range")
+        raise FeasibilityError(
+            f"utterance {b}: label of length {n_states[b] // 2} with {repeats[b]} "
+            f"repeat pair(s) does not fit in {lengths[b]} frame(s)"
+        )
 
     starts = np.cumsum(lengths) - lengths
     row_b = np.repeat(ar, lengths)
@@ -147,49 +141,56 @@ def _forward_backward(arr: np.ndarray, labels: list[list[int]], lengths: np.ndar
     padded[row_t, row_b] = arr
     e = padded[:, ar, ext]  # (T, S, B) emission log-probs
     e[:, ~live] = NEG_INF
+    seed_times = set()
+    if with_grad:
+        ext, e = np.hstack([ext, ext[::-1]]), np.concatenate([e, e[::-1, ::-1]], axis=2)
+        # the recursion leaves a flipped column -inf up to its first frame,
+        # where its seed is set (one state if the label is empty)
+        two = n_states > 1
+        seed_t = T - np.concatenate([lengths, lengths[two]])
+        seed_s = S - np.concatenate([n_states, n_states[two] - 1])
+        seed_c = B + np.concatenate([ar, ar[two]])
+        seed_times = set(seed_t.tolist())
+
+    # A label state s (odd) may also come from s - 2, unless both carry the
+    # same token; blanks (even) never skip. Forbidden skips add -inf, and
+    # logaddexp(x, -inf) is exactly x. A flipped label's first state may
+    # also "skip" from the padding before it, whose cells are always -inf.
+    skip = np.full(ext.shape, NEG_INF)
+    skip[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
+    into = skip[1::2]  # s - 2 -> s, for s = 1, 3, ..., S - 2
 
     # state s sits in row s + 2; the two -inf rows in front make the s-1 and
     # s-2 transitions plain slices
-    alpha = np.full((T, S + 2, B), NEG_INF)
+    alpha = np.full((T, S + 2, e.shape[2]), NEG_INF)
     alpha[0, 2:4] = e[0, :2]
     tmp = np.empty_like(into)
-    for t in range(1, T):
-        prev, cur = alpha[t - 1], alpha[t]
-        np.logaddexp(prev[2:], prev[1:-1], out=cur[2:])
-        np.add(prev[1:-2:2], into, out=tmp)
-        np.logaddexp(cur[3::2], tmp, out=cur[3::2])
-        cur[2:] += e[t]
+    for t in range(T):
+        cur = alpha[t]
+        if t:
+            prev = alpha[t - 1]
+            np.logaddexp(prev[2:], prev[1:-1], out=cur[2:])
+            np.add(prev[1:-2:2], into, out=tmp)
+            np.logaddexp(cur[3::2], tmp, out=cur[3::2])
+            cur[2:] += e[t]
+        if t in seed_times:
+            at = seed_t == t
+            cur[seed_s[at] + 2, seed_c[at]] = e[t, seed_s[at], seed_c[at]]
 
     last = lengths - 1
     log_prob = np.logaddexp(alpha[last, n_states + 1, ar], alpha[last, n_states, ar])
     if not with_grad:
         return log_prob, None
 
-    # state s sits in row s; two -inf rows behind make s+1 and s+2 plain
-    # slices. Past its last frame an utterance's column stays -inf (its
-    # emissions there are -inf); at that frame it is reset to its seed.
-    beta = np.full((T, S + 2, B), NEG_INF)
-    seed_t = np.concatenate([last, last[n_states > 1]])
-    seed_s = np.concatenate([n_states - 1, n_states[n_states > 1] - 2])
-    seed_b = np.concatenate([ar, ar[n_states > 1]])
-    beta[seed_t, seed_s, seed_b] = e[seed_t, seed_s, seed_b]
-    seed_times = set(last.tolist())
-    for t in range(T - 2, -1, -1):
-        nxt, cur = beta[t + 1], beta[t]
-        np.logaddexp(nxt[:S], nxt[1:-1], out=cur[:S])
-        np.add(nxt[3::2], back, out=tmp)
-        np.logaddexp(cur[1:S:2], tmp, out=cur[1:S:2])
-        cur[:S] += e[t]
-        if t in seed_times:
-            at = seed_t == t
-            cur[seed_s[at], seed_b[at]] = e[t, seed_s[at], seed_b[at]]
-
+    # beta[t, s] of utterance b is cell (T-1-t, S-1-s) of its flipped column.
     # Padded cells have alpha = beta = e = -inf, and -inf - -inf is NaN, so
     # they subtract 0 instead and come out exp(-inf) = 0. alpha + beta counts
     # the emission at t twice. bincount adds in input order, (t, s, b), so
     # each class sums its states in increasing s, like the single recursion.
+    beta = alpha[::-1, S + 1 : 1 : -1, B:]
+    e, ext = e[:, :, :B], ext[:, :B]
     valid = (np.arange(T)[:, None] < lengths)[:, None, :] & live
-    occupancy = np.exp(alpha[:, 2:] + beta[:, :S] - np.where(valid, e, 0.0) - log_prob)
+    occupancy = np.exp(alpha[:, 2:, :B] + beta - np.where(valid, e, 0.0) - log_prob)
     cell = (np.arange(T)[:, None, None] * B + ar) * C + ext  # (T, S, B) -> (t, b, class)
     gamma = np.bincount(cell.ravel(), weights=occupancy.ravel(), minlength=T * B * C)
     return log_prob, np.exp(arr) - gamma.reshape(T, B, C)[row_t, row_b]

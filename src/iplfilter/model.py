@@ -197,14 +197,16 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     The shuffle order, and therefore the final weights, are a pure function
     of (model, data order, cfg). Batch gradients are the mean of per-utterance
     gradients, optionally weighted (used to down/up-weight pseudo-labels).
-    Each minibatch's CTC forward-backward is one batched kernel call; the
-    per-utterance gradients are still summed in batch order, so the weights
-    equal those of a per-utterance loop bit for bit.
+    Each minibatch is one step over its stacked frames: one forward pass,
+    one batched CTC call (exact per utterance) and one backprop, with each
+    frame's logit gradient scaled by its utterance's weight. The weights
+    therefore match a per-utterance loop to rounding, not bit for bit.
     The loss curve records the per-epoch mean of unweighted utterance losses.
 
     A non-finite loss or batch gradient raises :class:`TrainingError` naming
-    the utterance, the epoch and the step (both counted from 0) before the
-    weights are touched.
+    the utterance; a non-finite Adam second moment or update raises it naming
+    the parameter. Both name the epoch and the step (counted from 0), and
+    both are raised before any weight of that step is written.
     """
     pairs = list(data)
     for fs, lab in pairs:
@@ -243,40 +245,35 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             frames = [pairs[i][0].frames for i in idx]
-            caches = [_forward_cache(out, f) for f in frames]
             lengths = [f.shape[0] for f in frames]
-            res = ctc_log_prob(
-                np.concatenate([logp for logp, _ in caches]),
-                [pairs[i][1] for i in idx],
-                with_grad=True,
-                lengths=lengths,
-            )
+            x = np.concatenate(frames)
+            logp, hidden = _forward_cache(out, x)
+            res = ctc_log_prob(logp, [pairs[i][1] for i in idx], with_grad=True, lengths=lengths)
             losses = -res.log_prob
-            dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
-            batch_grads = {k: np.zeros_like(v) for k, v in out.params.items()}
-            for i, f, (_, hidden), g in zip(idx, frames, caches, dlogits):
-                for k, gk in _backprop(out, f, hidden, g).items():
-                    batch_grads[k] += w[i] * gk
+            batch_grads = _backprop(out, x, hidden, res.grad * np.repeat(w[idx], lengths)[:, None])
             if not (np.isfinite(losses).all() and all(np.isfinite(g).all() for g in batch_grads.values())):
+                dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
                 uid = _first_nonfinite([pairs[i][0].utterance_id for i in idx], losses, dlogits)
                 raise TrainingError(
                     f"utterance {uid}: non-finite loss or gradient in epoch {epoch}, step {step}"
                 )
             epoch_losses.extend(losses.tolist())
-            for k in batch_grads:
-                batch_grads[k] /= idx.size
             lr = lr_at(step, total_steps, cfg)
+            for k, g in batch_grads.items():  # g becomes the update, applied once all are finite
+                g /= idx.size
+                if cfg.optimizer == "sgd":
+                    g *= lr
+                    continue
+                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * g
+                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * g**2
+                m_hat = adam_m[k] / (1 - ADAM_BETA1 ** (step + 1))
+                v_hat = adam_v[k] / (1 - ADAM_BETA2 ** (step + 1))
+                g[...] = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                if not (np.isfinite(adam_v[k]).all() and np.isfinite(g).all()):
+                    raise TrainingError(f"parameter {k}: non-finite Adam state in epoch {epoch}, step {step}")
+            for k, g in batch_grads.items():
+                out.params[k] -= g
             step += 1
-            if cfg.optimizer == "sgd":
-                for k in out.params:
-                    out.params[k] -= lr * batch_grads[k]
-            else:
-                for k in out.params:
-                    adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * batch_grads[k]
-                    adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * batch_grads[k] ** 2
-                    m_hat = adam_m[k] / (1 - ADAM_BETA1**step)
-                    v_hat = adam_v[k] / (1 - ADAM_BETA2**step)
-                    out.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         curve.append(float(np.mean(epoch_losses)))
     return TrainResult(model=out, loss_curve=curve)
 

@@ -233,6 +233,21 @@ class TestBatchLoss:
         with pytest.raises(FeasibilityError, match="utterance 1"):
             ctc_log_prob(logp, labels, lengths=lengths)
 
+    @pytest.mark.parametrize("bad", [BLANK, 3, -1])
+    def test_token_outside_class_range_names_index(self, bad):
+        rng = np.random.default_rng(9)
+        batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 4, 3), [2, bad])]
+        logp, labels, lengths = stacked(batch)
+        with pytest.raises(ValueError, match="^utterance 1: label token outside the non-blank class range$"):
+            ctc_log_prob(logp, labels, lengths=lengths)
+
+    def test_first_failing_utterance_is_named(self):
+        rng = np.random.default_rng(10)
+        batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 1, 3), [1, 1]), (random_logp(rng, 4, 3), [7])]
+        logp, labels, lengths = stacked(batch)
+        with pytest.raises(FeasibilityError, match="^utterance 1: label of length 2 with 1 repeat pair"):
+            ctc_log_prob(logp, labels, lengths=lengths)
+
     def test_length_mismatch_raises(self):
         rng = np.random.default_rng(7)
         logp = np.concatenate([random_logp(rng, 4, 3), random_logp(rng, 5, 3)])

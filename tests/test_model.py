@@ -9,6 +9,8 @@ from iplfilter.ctc import collapse, ctc_log_prob, greedy_decode, is_feasible
 from iplfilter.errors import ConfigurationError, ShapeError, TrainingError
 from iplfilter.model import (
     TrainConfig,
+    _backprop,
+    _forward_cache,
     forward,
     forward_frames,
     init_model,
@@ -141,28 +143,55 @@ class TestParameterGradients:
                 assert rel <= 1e-4, f"param {key}: rel err {rel}"
 
 
+def per_utterance_gradient(model, batch, weights):
+    """The weighted mean gradient as a per-utterance loop computes it: one
+    forward pass, CTC call and backprop per utterance, summed in batch order.
+    The reference for ``train``'s stacked minibatch step."""
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    for w, (fs, lab) in zip(weights, batch):
+        logp, hidden = _forward_cache(model, fs.frames)
+        dlogits = ctc_log_prob(logp, lab, with_grad=True).grad
+        for k, g in _backprop(model, fs.frames, hidden, dlogits).items():
+            grads[k] += w * g
+    return {k: g / len(batch) for k, g in grads.items()}
+
+
 class TestAppliedGradient:
-    """The step ``train`` takes is the weighted mean gradient, by central differences.
+    """The step ``train`` takes is the weighted mean gradient.
 
     With two epochs of one full-batch SGD step each and no warmup or hold,
     step 0 runs at ``base_lr`` and step 1 at lr 0, so (p0 - p1) / base_lr is
     exactly the gradient ``train`` applied.
     """
 
-    @pytest.mark.parametrize("hidden", [0, 3])
-    def test_matches_central_differences(self, hidden):
+    BASE_LR = 0.5
+
+    def applied_gradient(self, hidden, weights):
         rng = np.random.default_rng(23)
         D, V = 3, 3
         batch = [
             (FeatureSequence(f"u{i}", rng.standard_normal((T, D))), LabelSequence(labels))
             for i, (T, labels) in enumerate([(2, (1,)), (5, (2, 3)), (3, ()), (6, (1, 3, 1))])
         ]
-        weights = np.array([0.5, 2.0, 1.25, 0.75])
         model = init_model(D, V, hidden, seed=5)
-        base_lr = 0.5
-        cfg = TrainConfig(epochs=2, batch_size=len(batch), base_lr=base_lr, warmup_frac=0.0,
+        cfg = TrainConfig(epochs=2, batch_size=len(batch), base_lr=self.BASE_LR, warmup_frac=0.0,
                           hold_frac=0.0, seed=3, optimizer="sgd")
         trained = train(model, batch, cfg, weights=weights).model
+        applied = {k: (p0 - trained.params[k]) / self.BASE_LR for k, p0 in model.params.items()}
+        return model, batch, applied
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_stacked_step_matches_per_utterance_loop(self, hidden):
+        weights = np.array([0.5, 2.0, 0.0, 0.75])
+        model, batch, applied = self.applied_gradient(hidden, weights)
+        reference = per_utterance_gradient(model, batch, weights)
+        for key, g in reference.items():
+            np.testing.assert_allclose(applied[key], g, rtol=1e-12, err_msg=f"param {key}")
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_matches_central_differences(self, hidden):
+        weights = np.array([0.5, 2.0, 1.25, 0.75])
+        model, batch, applied = self.applied_gradient(hidden, weights)
 
         def objective():
             losses = [-ctc_log_prob(forward(model, fs).logp, lab).log_prob for fs, lab in batch]
@@ -170,7 +199,6 @@ class TestAppliedGradient:
 
         h = 1e-6
         for key, p0 in model.params.items():
-            applied = (p0 - trained.params[key]) / base_lr
             numeric = np.zeros_like(p0)
             for idx in np.ndindex(p0.shape):
                 orig = p0[idx]
@@ -180,7 +208,7 @@ class TestAppliedGradient:
                 down = objective()
                 p0[idx] = orig
                 numeric[idx] = (up - down) / (2 * h)
-            rel = np.abs(applied - numeric).max() / np.abs(numeric).max()
+            rel = np.abs(applied[key] - numeric).max() / np.abs(numeric).max()
             assert rel <= 1e-6, f"param {key}: rel err {rel}"
 
 
@@ -282,6 +310,17 @@ class TestTrain:
         step = int(np.flatnonzero(np.random.default_rng(cfg.seed).permutation(4) == 3)[0]) // 2
         with pytest.raises(TrainingError, match=rf"^utterance nan-utt: .* epoch 0, step {step}$"):
             train(init_model(2, 3, 0, seed=0), data, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adam_second_moment_overflow_names_parameter_epoch_and_step(self):
+        # squared gradients overflow to inf in W's second moment, which would
+        # make every later W update 0 while b keeps moving
+        splits = generate_corpus(CorpusGenConfig(n_labeled=6), seed=2)
+        data = [(FeatureSequence(fs.utterance_id, fs.frames * 10**177.5), lab) for fs, lab in splits.labeled]
+        model = init_model(splits.feature_dim, 8, hidden_dim=0, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=6, warmup_frac=0.0, seed=1)
+        with pytest.raises(TrainingError, match=r"^parameter W: .* epoch 0, step 0$"):
+            train(model, data, cfg)
 
     def test_zero_epochs_returns_model_unchanged(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=2, n_dev=2, n_test=2), seed=0)
