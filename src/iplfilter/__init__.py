@@ -26,7 +26,6 @@ from .pseudolabel import (
     ThresholdSchedule,
     generate_pseudolabels,
     score_filter,
-    score_utterance,
     wer_filter,
 )
 

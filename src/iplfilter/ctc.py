@@ -196,15 +196,31 @@ def _forward_backward(arr: np.ndarray, labels: list[list[int]], lengths: np.ndar
     return log_prob, np.exp(arr) - gamma.reshape(T, B, C)[row_t, row_b]
 
 
-def greedy_decode(logp) -> tuple[LabelSequence, np.ndarray]:
+def greedy_decode(logp, lengths=None):
     """Collapse of the per-frame argmax path, plus each frame's max log-prob.
 
     Ties break toward the lowest class index, so decodes are reproducible.
+    With ``lengths`` (stacked as in :func:`ctc_log_prob`) it returns B
+    hypotheses and the stacked row maxima; an utterance's first frame always
+    starts a new token, so tokens never merge across utterances.
     """
-    arr = _as_logp(logp)
+    if lengths is None:
+        arr = _as_logp(logp)
+        return collapse(arr.argmax(axis=1)), arr.max(axis=1)
+    arr = np.asarray(logp, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if arr.ndim != 2 or lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != arr.shape[0]:
+        raise ValueError("a batch needs a stacked (N, C) logp and 1-D lengths >= 1 summing to N")
     alignment = arr.argmax(axis=1)
-    framewise_max = arr.max(axis=1)
-    return collapse(alignment), framewise_max
+    starts = np.cumsum(lengths) - lengths
+    emit = np.ones(alignment.size, dtype=bool)
+    emit[1:] = alignment[1:] != alignment[:-1]
+    emit[starts] = True
+    emit &= alignment != BLANK
+    tokens = alignment[emit].tolist()
+    ends = np.cumsum(np.add.reduceat(emit, starts, dtype=np.int64)).tolist()
+    hyps = [LabelSequence(tuple(tokens[a:b])) for a, b in zip([0, *ends], ends)]
+    return hyps, arr.max(axis=1)
 
 
 def brute_force_ctc(logp, labels) -> float:

@@ -40,27 +40,25 @@ def edit_counts(ref, hyp) -> EditCounts:
     count decomposition is deterministic even when several alignments share
     the minimal distance.
     """
-    r = list(ref)
-    h = list(hyp)
+    r, h = list(ref), list(hyp)
     n, m = len(r), len(h)
-    dp = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dp[:, 0] = np.arange(n + 1)
-    dp[0, :] = np.arange(m + 1)
+    dp = [list(range(m + 1))]  # rows of Python ints: no numpy scalar per cell
     for i in range(1, n + 1):
+        prev, row = dp[-1], [i]
         for j in range(1, m + 1):
-            sub = dp[i - 1, j - 1] + (r[i - 1] != h[j - 1])
-            dp[i, j] = min(sub, dp[i - 1, j] + 1, dp[i, j - 1] + 1)
+            row.append(min(prev[j - 1] + (r[i - 1] != h[j - 1]), prev[j] + 1, row[j - 1] + 1))
+        dp.append(row)
 
     S = D = I = H = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and r[i - 1] == h[j - 1] and dp[i, j] == dp[i - 1, j - 1]:
+        if i > 0 and j > 0 and r[i - 1] == h[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
             H += 1
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + 1:
+        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
             S += 1
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
             D += 1
             i = i - 1
         else:

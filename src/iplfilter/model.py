@@ -127,12 +127,17 @@ def forward_frames(model: AcousticModel, frames: np.ndarray) -> np.ndarray:
     return logp
 
 
-def forward(model: AcousticModel, features: FeatureSequence) -> FrameLogProbs:
+def check_feature_dim(model: AcousticModel, features: FeatureSequence) -> None:
+    """Raise :class:`ShapeError` naming the utterance if its frames do not fit the model."""
     if features.feature_dim != model.feature_dim:
         raise ShapeError(
             f"utterance {features.utterance_id}: feature_dim {features.feature_dim} "
             f"!= model feature_dim {model.feature_dim}"
         )
+
+
+def forward(model: AcousticModel, features: FeatureSequence) -> FrameLogProbs:
+    check_feature_dim(model, features)
     return FrameLogProbs(features.utterance_id, forward_frames(model, features.frames))
 
 
@@ -210,11 +215,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     """
     pairs = list(data)
     for fs, lab in pairs:
-        if fs.feature_dim != model.feature_dim:
-            raise ShapeError(
-                f"utterance {fs.utterance_id}: feature_dim {fs.feature_dim} "
-                f"!= model feature_dim {model.feature_dim}"
-            )
+        check_feature_dim(model, fs)
         if not is_feasible(fs.num_frames, lab):
             raise TrainingError(
                 f"utterance {fs.utterance_id}: label of length {len(lab)} "

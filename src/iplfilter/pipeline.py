@@ -25,19 +25,14 @@ from .artifacts import NUMBER, VERSION, read_json, read_jsonl, write_json, write
 from .corpus import CorpusSplits
 from .errors import ConfigurationError, InsufficientProbeError
 from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
-from .model import (
-    AcousticModel,
-    TrainConfig,
-    forward,
-    init_model,
-    save_checkpoint,
-    train,
-)
-from .ctc import greedy_decode
+# forward and greedy_decode are unused here; they stay because perfbench's traced run wraps them
+from .model import AcousticModel, TrainConfig, forward, init_model, save_checkpoint, train  # noqa: F401
+from .ctc import greedy_decode  # noqa: F401
 from .pseudolabel import (
     PseudoLabel,
     ThresholdSchedule,
     annotate_oracle_wer,
+    decode_split,
     generate_pseudolabels,
     save_pseudolabels,
     score_filter,
@@ -142,7 +137,9 @@ class EstimateResult:
 
 def evaluate_wer(model: AcousticModel, pairs) -> float:
     """Pooled greedy-decode WER of a model over (features, reference) pairs."""
-    return wer([(ref, greedy_decode(forward(model, fs))[0]) for fs, ref in pairs])
+    pairs = list(pairs)
+    decoded = decode_split(model, [fs for fs, _ in pairs])
+    return wer([(ref, hyp) for (_, ref), (hyp, _) in zip(pairs, decoded)])
 
 
 def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:

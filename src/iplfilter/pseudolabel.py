@@ -9,6 +9,7 @@ counterpart and may only run where ground truth is legitimately available.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ from .corpus import BLANK, LabelSequence, checked_labels
 from .ctc import greedy_decode
 from .errors import ConfigurationError, ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
-from .model import AcousticModel, forward
+# forward is unused here; it stays because perfbench's traced run wraps this module's name
+from .model import AcousticModel, check_feature_dim, forward, forward_frames  # noqa: F401
 
 PSEUDOLABEL_SCHEMA = "pseudo-labels"
 _PSEUDOLABEL_FIELDS = {"utterance_id": str, "tokens": list, "score": NUMBER, "oracle_wer?": NUMBER}
@@ -51,46 +53,52 @@ class ThresholdSchedule:
         return self.initial - u * self.step
 
 
-def score_utterance(logp, exclude_blank: bool = False) -> float:
-    """Mean over frames of the per-frame max log-probability.
+# Utterances per stacked decode block. Stacking a whole split would grow the
+# forward pass's arrays with it; blocks this size are also the faster choice.
+DECODE_BLOCK = 128
 
-    ``exclude_blank`` restricts the mean to frames whose argmax is a real
-    token (falling back to all frames when the decode is pure blank); off by
-    default so every frame counts. A score that is not finite raises
-    :class:`MetricError`, naming the utterance when ``logp`` carries one:
-    no decision boundary can rank it.
+
+def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) -> Iterator[tuple]:
+    """Yield the greedy hypothesis and scored frame maxima of every utterance, in order.
+
+    Every ``feature_dim`` is checked first. Then each block of at most
+    ``DECODE_BLOCK`` utterances is one forward pass over its stacked frames
+    and one batch :func:`greedy_decode`; yielding block by block keeps one
+    block's arrays alive at a time. The scored maxima are every frame's, or
+    with ``exclude_blank`` those of frames whose argmax is a real token
+    (every frame's again when the decode is pure blank).
     """
-    arr = np.asarray(getattr(logp, "logp", logp), dtype=np.float64)
-    fmax = arr.max(axis=1)
-    if exclude_blank:
-        mask = arr.argmax(axis=1) != BLANK
-        if mask.any():
-            fmax = fmax[mask]
-    score = float(fmax.mean())
-    if not np.isfinite(score):
-        uid = getattr(logp, "utterance_id", None)
-        where = "" if uid is None else f"utterance {uid}: "
-        raise MetricError(f"{where}non-finite confidence score {score}")
-    return score
+    utts = list(utterances)
+    for fs in utts:
+        check_feature_dim(model, fs)
+    for lo in range(0, len(utts), DECODE_BLOCK):
+        block = utts[lo : lo + DECODE_BLOCK]
+        lengths = [fs.num_frames for fs in block]
+        logp = forward_frames(model, np.concatenate([fs.frames for fs in block]))
+        hyps, fmax = greedy_decode(logp, lengths)
+        cuts = np.cumsum(lengths[:-1])
+        maxima = np.split(fmax, cuts)
+        if exclude_blank:
+            token = np.split(logp.argmax(axis=1) != BLANK, cuts)
+            maxima = [m[t] if t.any() else m for m, t in zip(maxima, token)]
+        yield from zip(hyps, maxima)
 
 
 def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool = False) -> list[PseudoLabel]:
-    """Greedy-decode every unlabeled utterance; order preserved, no oracle info.
+    """Greedy-decode and score every unlabeled utterance; order preserved, no oracle info.
 
-    An utterance whose score is not finite raises :class:`MetricError`
-    naming it, instead of a NaN label that every filter would drop.
+    The score is the mean of the frame maxima :func:`decode_split` pairs
+    with the hypothesis. An utterance whose score is not finite raises
+    :class:`MetricError` naming it, instead of a NaN label that every filter
+    would drop.
     """
+    utts = list(unlabeled)
     out = []
-    for fs in unlabeled:
-        flp = forward(model, fs)
-        hyp, _ = greedy_decode(flp)
-        out.append(
-            PseudoLabel(
-                utterance_id=fs.utterance_id,
-                hypothesis=hyp,
-                score=score_utterance(flp, exclude_blank=exclude_blank),
-            )
-        )
+    for fs, (hyp, maxima) in zip(utts, decode_split(model, utts, exclude_blank)):
+        score = float(maxima.mean())
+        if not np.isfinite(score):
+            raise MetricError(f"utterance {fs.utterance_id}: non-finite confidence score {score}")
+        out.append(PseudoLabel(utterance_id=fs.utterance_id, hypothesis=hyp, score=score))
     return out
 
 

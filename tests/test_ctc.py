@@ -304,6 +304,39 @@ class TestGreedyDecode:
         hyp, _ = greedy_decode(logp)
         assert hyp.tokens == ()  # blank (index 0) wins every tie
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_single_form_on_each_slice(self, data):
+        C = data.draw(st.integers(2, 5))
+        lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+        # few distinct values, so argmax ties are common
+        cell = st.sampled_from([-3.0, -1.0, -0.5, 0.0])
+        logp = np.array(data.draw(st.lists(st.lists(cell, min_size=C, max_size=C),
+                                           min_size=sum(lengths), max_size=sum(lengths))))
+        starts = np.cumsum(lengths) - lengths
+        for b, lo in enumerate(starts):
+            kind = data.draw(st.sampled_from(["free", "all-blank", "same-token-across"]))
+            if kind == "all-blank":
+                logp[lo : lo + lengths[b], BLANK] = 1.0
+            elif kind == "same-token-across" and b:  # b - 1 ends on the token b starts with
+                logp[lo - 1 : lo + 1, data.draw(st.integers(1, C - 1))] = 2.0
+        hyps, fmax = greedy_decode(logp, lengths)
+        assert len(hyps) == len(lengths) and fmax.shape == (sum(lengths),)
+        for b, lo in enumerate(starts):
+            hyp, single_max = greedy_decode(logp[lo : lo + lengths[b]])
+            assert hyps[b] == hyp
+            assert np.array_equal(fmax[lo : lo + lengths[b]], single_max)
+
+    def test_batch_across_a_boundary_keeps_both_tokens(self):
+        logp = np.log(np.array([[0.1, 0.8, 0.1], [0.1, 0.8, 0.1], [0.1, 0.8, 0.1]]))
+        hyps, _ = greedy_decode(logp, [2, 1])
+        assert [h.tokens for h in hyps] == [(1,), (1,)]
+
+    @pytest.mark.parametrize("lengths", [[2], [0, 3], [4, -1], [[3]]])
+    def test_batch_rejects_lengths_that_do_not_cover_the_frames(self, lengths):
+        with pytest.raises(ValueError, match="summing to N"):
+            greedy_decode(np.zeros((3, 2)), lengths)
+
 
 class TestBruteForce:
     def test_infeasible_is_neg_inf(self):

@@ -1,10 +1,12 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iplfilter.errors import MetricError
 from iplfilter.metrics import (
+    EditCounts,
     edit_counts,
     histogram,
     overlap_min_ratio,
@@ -32,6 +34,41 @@ def recursive_levenshtein(a, b):
         )
 
     return dist(len(a), len(b))
+
+
+def reference_edit_counts(ref, hyp) -> EditCounts:
+    """The numpy-table edit distance that :func:`edit_counts` replaced.
+
+    Same recurrence and the same backtrace order, hit > substitution >
+    deletion > insertion, with one ``np.int64`` table cell at a time.
+    """
+    r = list(ref)
+    h = list(hyp)
+    n, m = len(r), len(h)
+    dp = np.zeros((n + 1, m + 1), dtype=np.int64)
+    dp[:, 0] = np.arange(n + 1)
+    dp[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dp[i - 1, j - 1] + (r[i - 1] != h[j - 1])
+            dp[i, j] = min(sub, dp[i - 1, j] + 1, dp[i, j - 1] + 1)
+
+    S = D = I = H = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and r[i - 1] == h[j - 1] and dp[i, j] == dp[i - 1, j - 1]:
+            H += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + 1:
+            S += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+            D += 1
+            i = i - 1
+        else:
+            I += 1
+            j = j - 1
+    return EditCounts(substitutions=S, deletions=D, insertions=I, hits=H)
 
 
 token_lists = st.lists(st.integers(min_value=1, max_value=5), max_size=8)
@@ -62,6 +99,16 @@ class TestEditCounts:
         assert c.substitutions + c.deletions + c.hits == len(ref)
         assert c.substitutions + c.insertions + c.hits == len(hyp)
         assert c.errors == recursive_levenshtein(ref, hyp)
+
+
+    @given(st.lists(st.integers(1, 3), max_size=10), st.lists(st.integers(1, 3), max_size=10))
+    @example([], [])
+    @example([1, 2], [])
+    @example([], [3, 3])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_numpy_table_reference(self, ref, hyp):
+        # a 3-token alphabet makes tied alignments, where the backtrace order decides
+        assert edit_counts(ref, hyp) == reference_edit_counts(ref, hyp)
 
 
 class TestWer:

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iplfilter.corpus import CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
+from iplfilter.corpus import BLANK, CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
 from iplfilter.ctc import greedy_decode
-from iplfilter.errors import ConfigurationError, ManifestError, MetricError, OracleError
+from iplfilter.errors import ConfigurationError, ManifestError, MetricError, OracleError, ShapeError
+from iplfilter.metrics import wer
 from iplfilter.model import init_model, forward
+from iplfilter.pipeline import evaluate_wer
 from iplfilter.pseudolabel import (
+    DECODE_BLOCK,
     PseudoLabel,
     ThresholdSchedule,
     annotate_oracle_wer,
@@ -17,9 +20,30 @@ from iplfilter.pseudolabel import (
     load_pseudolabels,
     save_pseudolabels,
     score_filter,
-    score_utterance,
     wer_filter,
 )
+
+
+def score_utterance(logp, exclude_blank: bool = False) -> float:
+    """Per-utterance scoring reference: mean over frames of the per-frame max log-probability.
+
+    ``exclude_blank`` restricts the mean to frames whose argmax is a real
+    token (falling back to all frames when the decode is pure blank). A
+    score that is not finite raises :class:`MetricError`, naming the
+    utterance when ``logp`` carries one.
+    """
+    arr = np.asarray(getattr(logp, "logp", logp), dtype=np.float64)
+    fmax = arr.max(axis=1)
+    if exclude_blank:
+        mask = arr.argmax(axis=1) != BLANK
+        if mask.any():
+            fmax = fmax[mask]
+    score = float(fmax.mean())
+    if not np.isfinite(score):
+        uid = getattr(logp, "utterance_id", None)
+        where = "" if uid is None else f"utterance {uid}: "
+        raise MetricError(f"{where}non-finite confidence score {score}")
+    return score
 
 
 def random_logp(rng, T, C):
@@ -122,17 +146,58 @@ class TestGenerate:
         assert mean_kept <= mean_all
 
     def test_matches_decode_and_score_per_utterance(self):
-        splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=6, n_dev=2, n_test=2), seed=2)
-        model = init_model(splits.feature_dim, 8, 0, seed=1)
-        pls = generate_pseudolabels(model, splits.unlabeled)
-        assert [p.utterance_id for p in pls] == [fs.utterance_id for fs in splits.unlabeled]
-        for fs, p in zip(splits.unlabeled, pls):
-            logp = forward(model, fs)
-            hyp, fmax = greedy_decode(logp)
-            assert p.hypothesis.tokens == hyp.tokens
-            assert p.score == float(np.mean(fmax))
-            assert p.score <= 0.0
-            assert p.oracle_wer is None
+        # 300 utterances are three stacked blocks, the last one partial
+        splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=300, n_dev=2, n_test=2), seed=2)
+        assert 2 * DECODE_BLOCK < len(splits.unlabeled) < 3 * DECODE_BLOCK
+        pairs = [(fs, splits.unlabeled_refs[fs.utterance_id]) for fs in splits.unlabeled]
+        for hidden_dim in (0, 16):
+            model = init_model(splits.feature_dim, 8, hidden_dim, seed=1)
+            logps = [forward(model, fs) for fs in splits.unlabeled]
+            hyps = [greedy_decode(logp)[0] for logp in logps]
+            # a stacked hidden layer may change the last bits of a score
+            rel = 0.0 if hidden_dim == 0 else 1e-12
+            changed = 0
+            for exclude_blank in (False, True):
+                pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=exclude_blank)
+                assert [p.utterance_id for p in pls] == [fs.utterance_id for fs in splits.unlabeled]
+                for logp, hyp, p in zip(logps, hyps, pls):
+                    score = score_utterance(logp, exclude_blank=exclude_blank)
+                    assert p.hypothesis.tokens == hyp.tokens
+                    if rel == 0.0:
+                        assert p.score == score
+                    else:
+                        assert p.score == pytest.approx(score, rel=rel, abs=0)
+                    assert p.score <= 0.0
+                    assert p.oracle_wer is None
+                    changed += exclude_blank and score != score_utterance(logp)
+            assert changed > 0  # exclude_blank drops frames from some scores
+            assert evaluate_wer(model, pairs) == wer([(ref, hyp) for (_, ref), hyp in zip(pairs, hyps)])
+
+    def test_exclude_blank_scores_every_frame_of_an_all_blank_decode(self):
+        model = init_model(2, 3, 0, seed=0)
+        model.params["b"][BLANK] = 5.0  # blank is every frame's argmax
+        unlabeled = [FeatureSequence(f"u{i}", np.full((i + 1, 2), 0.5)) for i in range(3)]
+        pls = generate_pseudolabels(model, unlabeled, exclude_blank=True)
+        assert all(p.hypothesis.tokens == () for p in pls)
+        assert [p.score for p in pls] == [p.score for p in generate_pseudolabels(model, unlabeled)]
+
+    def test_wrong_feature_dim_in_second_block_raises_naming_utterance(self):
+        unlabeled = [FeatureSequence(f"u{i}", np.ones((3, 2))) for i in range(DECODE_BLOCK + 5)]
+        unlabeled[DECODE_BLOCK + 2] = FeatureSequence("u-wide", np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="^utterance u-wide: feature_dim 4 != model feature_dim 2$"):
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+
+    def test_nan_frame_in_second_block_raises_naming_utterance(self):
+        frames = np.ones((3, 2))
+        frames[1, 0] = np.nan
+        unlabeled = [FeatureSequence(f"u{i}", np.ones((3, 2))) for i in range(DECODE_BLOCK + 5)]
+        unlabeled[DECODE_BLOCK + 2] = FeatureSequence("u-nan", frames)
+        with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+
+    def test_evaluate_wer_on_an_empty_split_raises(self):
+        with pytest.raises(MetricError, match="at least one"):
+            evaluate_wer(init_model(2, 3, 0, seed=0), [])
 
 
 class TestScoreFilter:
