@@ -78,7 +78,7 @@ _IPL_FLAGS = {
     "max_wer": (float, _IPL.max_wer),
     "warm_start": (bool, _IPL.warm_start),
     "pseudo_weight": (float, _IPL.pseudo_weight),
-    "exclude_blank": (bool, _IPL.exclude_blank_scores),
+    "exclude_blank": (bool, _IPL.exclude_blank),
 }
 
 
@@ -196,9 +196,7 @@ def cmd_filter(cfg: dict, out: Path) -> None:
 
 
 def cmd_ipl(cfg: dict, out: Path) -> None:
-    ipl = {key: cfg[key] for key in _IPL_FLAGS if key != "exclude_blank"}
-    ipl_cfg = _ipl_config(cfg, exclude_blank_scores=cfg["exclude_blank"], **ipl)
-    run_ipl(_load_corpus(cfg), ipl_cfg, out_dir=out)
+    run_ipl(_load_corpus(cfg), _ipl_config(cfg, **{key: cfg[key] for key in _IPL_FLAGS}), out_dir=out)
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
@@ -262,7 +260,7 @@ COMMANDS = {
     "pseudolabel": (cmd_pseudolabel, "decode the unlabeled split with a model", {
         "corpus": (str, None),
         "model": (str, None),
-        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "exclude_blank": (bool, _IPL.exclude_blank),
         "annotate_oracle": (bool, False),
     }),
     "filter": (cmd_filter, "filter a pseudo-label file by score or oracle WER", {
@@ -287,7 +285,7 @@ COMMANDS = {
         "min_probe": (int, 20),
         "probe": (("dev", "labeled"), "dev"),
         "probe_size": (int, None),
-        "exclude_blank": (bool, _IPL.exclude_blank_scores),
+        "exclude_blank": (bool, _IPL.exclude_blank),
         "bins": (int, 20),
     }),
     "report": (cmd_report, "emit summary table, histograms, and scatter data",

@@ -204,9 +204,10 @@ def greedy_decode(logp, lengths=None):
     hypotheses and the stacked row maxima; an utterance's first frame always
     starts a new token, so tokens never merge across utterances.
     """
-    if lengths is None:
+    if lengths is None:  # a batch of one
         arr = _as_logp(logp)
-        return collapse(arr.argmax(axis=1)), arr.max(axis=1)
+        (hyp,), fmax = greedy_decode(arr, [len(arr)])
+        return hyp, fmax
     arr = np.asarray(logp, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if arr.ndim != 2 or lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != arr.shape[0]:

@@ -296,8 +296,8 @@ def load_checkpoint(path) -> AcousticModel:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Anything else raises :class:`ConfigurationError`: invalid JSON, another
-    schema or version, a missing or non-integer dimension, or parameters
-    whose names or shapes do not follow from the recorded dimensions.
+    schema or version, a missing or non-integer dimension, or parameters that
+    are not finite or whose names or shapes do not follow from the dimensions.
     """
     rec = read_json(path, ConfigurationError, CHECKPOINT_SCHEMA)
     dims = {k: rec.get(k) for k in ("feature_dim", "vocab_size", "hidden_dim", "seed")}
@@ -325,4 +325,6 @@ def load_checkpoint(path) -> AcousticModel:
                 f"feature_dim {dims['feature_dim']}, vocab_size {dims['vocab_size']}, "
                 f"hidden_dim {dims['hidden_dim']}"
             )
+        if not np.isfinite(params[k]).all():
+            raise ConfigurationError(f"{path}: parameter {k} has non-finite entries")
     return AcousticModel(params=params, **dims)

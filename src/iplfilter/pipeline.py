@@ -55,7 +55,7 @@ class IplConfig:
     max_wer: float | None = None
     warm_start: bool = True
     pseudo_weight: float = 1.0
-    exclude_blank_scores: bool = False
+    exclude_blank: bool = False
 
     def __post_init__(self):
         if self.iter_max < 1:
@@ -175,23 +175,16 @@ def _run_one_iteration(
     splits: CorpusSplits,
     cfg: IplConfig,
     iteration: int,
-    threshold: float | None,
 ) -> tuple[AcousticModel, IterationReport, list[PseudoLabel]]:
-    """One iteration: decode, filter, fuse, train, evaluate.
-
-    A ``threshold`` selects the score filter at that boundary; without one,
-    ``cfg.filter_mode`` ("none" or "wer") picks the filter.
-    """
+    """One iteration under ``cfg``: decode, filter by ``cfg.filter_mode``, fuse, train, evaluate."""
     t0 = time.perf_counter()
-    pls = generate_pseudolabels(
-        model, splits.unlabeled, exclude_blank=cfg.exclude_blank_scores
-    )
+    pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg.exclude_blank)
     has_truth = bool(splits.unlabeled_refs)
     if has_truth:
         annotate_oracle_wer(pls, splits.unlabeled_refs)
 
-    if threshold is not None:
-        kept = score_filter(pls, threshold)
+    if cfg.filter_mode == "score":
+        kept = score_filter(pls, cfg.score_threshold)
     elif cfg.filter_mode == "wer":
         kept = wer_filter(pls, splits.unlabeled_refs, cfg.max_wer)
     else:
@@ -209,7 +202,7 @@ def _run_one_iteration(
 
     report = IterationReport(
         iteration=iteration,
-        threshold=threshold,
+        threshold=cfg.score_threshold,
         generated=len(pls),
         kept=len(kept),
         rejected=len(rejected),
@@ -226,43 +219,38 @@ def _run_one_iteration(
 
 def _ipl_loop(
     splits: CorpusSplits,
-    cfg: IplConfig,
+    schedule: list[IplConfig],
+    iterations: int,
     teacher: AcousticModel | None,
     out: RunWriter,
-    boundaries,
-    iterations_per_boundary: int = 1,
-    stop_on_decline: bool = False,
 ) -> tuple[IplResult, list[float]]:
     """The IPL loop behind :func:`run_ipl` and :func:`sweep_threshold`.
 
-    Trains a teacher unless one is given, then runs
-    ``iterations_per_boundary`` iterations at each boundary in turn (a None
-    boundary leaves the filter to ``cfg.filter_mode``). With
-    ``stop_on_decline`` the loop ends after the first boundary whose best dev
-    WER is worse than its predecessor's (:func:`select_threshold`). Returns
-    the result and the best dev WER of each boundary that ran.
+    Trains a teacher under the first config unless one is given, then runs
+    ``iterations`` iterations under each config of ``schedule`` in turn, up to
+    the first config whose best dev WER is worse than its predecessor's
+    (:func:`select_threshold`). Returns the result and the best dev WER of each config run.
     """
     teacher_report = None
     if teacher is None:
-        tr = train_teacher(splits, cfg)
+        tr = train_teacher(splits, schedule[0])
         teacher, teacher_report = tr.model, tr.report
         out.teacher(teacher, teacher_report)
 
     model = teacher
     reports: list[IterationReport] = []
-    best_per_boundary: list[float] = []
-    for boundary in boundaries:
-        for _ in range(iterations_per_boundary):
+    best_per_config: list[float] = []
+    for cfg in schedule:
+        for _ in range(iterations):
             t = len(reports) + 1
             base = model if cfg.warm_start else teacher
-            model, report, pls = _run_one_iteration(base, splits, cfg, t, boundary)
+            model, report, pls = _run_one_iteration(base, splits, cfg, t)
             reports.append(report)
             out.iteration(t, model, pls)
-        best_per_boundary.append(min(r.dev_wer for r in reports[-iterations_per_boundary:]))
-        if stop_on_decline and select_threshold(zip(boundaries, best_per_boundary))[1]:
+        best_per_config.append(min(r.dev_wer for r in reports[-iterations:]))
+        if select_threshold(zip(schedule, best_per_config))[1]:
             break
-    result = IplResult(model=model, reports=reports, teacher_report=teacher_report)
-    return result, best_per_boundary
+    return IplResult(model=model, reports=reports, teacher_report=teacher_report), best_per_config
 
 
 def run_ipl(
@@ -271,7 +259,7 @@ def run_ipl(
     teacher: AcousticModel | None = None,
     out_dir=None,
 ) -> IplResult:
-    """Run the full loop; returns the final model and one report per iteration.
+    """Run ``cfg.iter_max`` iterations under ``cfg``; returns the final model and the reports.
 
     With ``cfg.warm_start`` each iteration continues training from the previous
     model; otherwise every iteration restarts from the teacher weights. An
@@ -279,7 +267,7 @@ def run_ipl(
     is flagged in its report rather than aborting the run.
     """
     out = RunWriter(out_dir)
-    result, _ = _ipl_loop(splits, cfg, teacher, out, [cfg.score_threshold] * cfg.iter_max)
+    result, _ = _ipl_loop(splits, [cfg], cfg.iter_max, teacher, out)
     out.finish(result.reports)
     return result
 
@@ -313,9 +301,9 @@ def sweep_threshold(
     Each threshold gets ``schedule.iterations_per_update`` IPL iterations
     (training continues across thresholds); its slot is scored by the best dev
     WER among them. The sweep stops at the first threshold scoring worse than
-    its predecessor and returns that predecessor. Every iteration uses the
-    score filter, so ``cfg``'s filter mode, score threshold and max WER are
-    not read.
+    its predecessor and returns that predecessor. Each step runs under ``cfg``
+    with its filter replaced by the score filter at the step's boundary, so
+    ``cfg``'s filter mode, score threshold, max WER and ``iter_max`` are not read.
     """
     if max_updates < 1:
         raise ConfigurationError("max_updates must be >= 1")
@@ -324,10 +312,8 @@ def sweep_threshold(
 
     out = RunWriter(out_dir)
     boundaries = [schedule.boundary(u) for u in range(max_updates)]
-    run, best_per_threshold = _ipl_loop(
-        splits, cfg, teacher, out, boundaries,
-        schedule.iterations_per_update, stop_on_decline=True,
-    )
+    configs = [replace(cfg, filter_mode="score", score_threshold=b, max_wer=None) for b in boundaries]
+    run, best_per_threshold = _ipl_loop(splits, configs, schedule.iterations_per_update, teacher, out)
     thresholds = boundaries[: len(best_per_threshold)]
     best, declined = select_threshold(zip(thresholds, best_per_threshold))
     result = SweepResult(

@@ -66,7 +66,8 @@ def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) 
     and one batch :func:`greedy_decode`; yielding block by block keeps one
     block's arrays alive at a time. The scored maxima are every frame's, or
     with ``exclude_blank`` those of frames whose argmax is a real token
-    (every frame's again when the decode is pure blank).
+    (every frame's again when the decode is pure blank). A NaN frame, whose
+    argmax is 0 (blank), is always scored, so its utterance's score is NaN.
     """
     utts = list(utterances)
     for fs in utts:
@@ -79,7 +80,7 @@ def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) 
         cuts = np.cumsum(lengths[:-1])
         maxima = np.split(fmax, cuts)
         if exclude_blank:
-            token = np.split(logp.argmax(axis=1) != BLANK, cuts)
+            token = np.split((logp.argmax(axis=1) != BLANK) | np.isnan(fmax), cuts)
             maxima = [m[t] if t.any() else m for m, t in zip(maxima, token)]
         yield from zip(hyps, maxima)
 

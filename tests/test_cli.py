@@ -170,6 +170,23 @@ class TestPseudolabelAndFilter:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigurationError" and "parameter W has shape" in err["message"]
 
+    @pytest.mark.parametrize("command", ["pseudolabel", "estimate-threshold"])
+    def test_non_finite_checkpoint_is_usage_error_naming_file(self, corpus_dir, tmp_path, capsys,
+                                                              command):
+        teacher = tmp_path / "teacher"
+        main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(teacher), "--epochs", "0"])
+        rec = json.loads((teacher / "teacher_model.json").read_text())
+        rec["params"]["W"][0][1] = float("nan")
+        bad = tmp_path / "nan_model.json"
+        bad.write_text(json.dumps(rec))
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
+                   "--model", str(bad)])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ConfigurationError"
+        assert err["message"] == f"{bad}: parameter W has non-finite entries"
+
     def test_score_filter_file(self, labeled_run, tmp_path):
         out = tmp_path / "f1"
         rc = main(["filter", "--pseudo-labels", str(labeled_run),

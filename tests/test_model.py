@@ -377,6 +377,9 @@ class TestCheckpoint:
             (lambda r: r.update(feature_dim=0), "feature_dim, vocab_size >= 1"),
             (lambda r: r["params"].pop("b"), "parameters \\['W'\\]"),
             (lambda r: r["params"].update(b=[[0.0], [1.0, 2.0]]), "parameter b"),
+            (lambda r: r["params"]["W"][2].__setitem__(5, float("nan")), "parameter W has non-finite"),
+            (lambda r: r["params"]["b"].__setitem__(0, float("inf")), "parameter b has non-finite"),
+            (lambda r: r["params"]["b"].__setitem__(8, -float("inf")), "parameter b has non-finite"),
         ],
     )
     def test_rejects_mismatched_checkpoint(self, tmp_path, corrupt, message):

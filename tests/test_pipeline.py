@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iplfilter import pipeline
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.errors import ConfigurationError, InsufficientProbeError
 from iplfilter.model import TrainConfig, init_model
@@ -184,6 +185,14 @@ class TestRunIpl:
         assert len(load_run(tmp_path).reports) == 2
         assert "wall_clock" not in (tmp_path / "reports.jsonl").read_text()
 
+    def test_runs_every_iteration_while_dev_wer_rises(self, monkeypatch):
+        # a one-config schedule has no predecessor to decline against
+        wers = iter(range(100))
+        monkeypatch.setattr(pipeline, "evaluate_wer", lambda model, pairs: float(next(wers)))
+        result = run_ipl(small_splits(), IplConfig(iter_max=4, train=FAST))
+        assert [r.iteration for r in result.reports] == [1, 2, 3, 4]
+        assert [r.dev_wer for r in result.reports] == [2.0, 4.0, 6.0, 8.0]
+
 
 class TestSelectThreshold:
     def test_literal_tradeoff_sequence(self):
@@ -252,6 +261,17 @@ class TestSweep:
         result = sweep_threshold(splits, cfg, sched, max_updates=1)
         assert not result.declined
         assert result.best_threshold == -0.1
+
+    def test_schedule_replaces_the_configs_filter(self, tmp_path):
+        splits = small_splits()
+        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=1)
+        for mode, kw in [("none", {}), ("wer", {"max_wer": 0.1})]:
+            cfg = IplConfig(filter_mode=mode, train=FAST, **kw)
+            sweep_threshold(splits, cfg, sched, max_updates=2, out_dir=tmp_path / mode)
+        reports = (tmp_path / "none" / "reports.jsonl").read_bytes()
+        assert (tmp_path / "wer" / "reports.jsonl").read_bytes() == reports
+        thresholds = [r.threshold for r in load_run(tmp_path / "wer").reports]
+        assert thresholds == [sched.boundary(0), sched.boundary(1)]
 
     def test_needs_dev_split(self):
         splits = small_splits()

@@ -35,7 +35,7 @@ def score_utterance(logp, exclude_blank: bool = False) -> float:
     arr = np.asarray(getattr(logp, "logp", logp), dtype=np.float64)
     fmax = arr.max(axis=1)
     if exclude_blank:
-        mask = arr.argmax(axis=1) != BLANK
+        mask = (arr.argmax(axis=1) != BLANK) | np.isnan(fmax)
         if mask.any():
             fmax = fmax[mask]
     score = float(fmax.mean())
@@ -105,6 +105,13 @@ class TestScore:
         logp[1] = bad
         with pytest.raises(MetricError, match="non-finite confidence score"):
             score_utterance(logp)
+
+    def test_nan_row_is_scored_under_exclude_blank(self):
+        # a NaN row's argmax is 0, the blank; it must not drop out of the mean
+        logp = np.log(np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.1, 0.8, 0.1]]))
+        logp[1] = np.nan
+        with pytest.raises(MetricError, match="non-finite confidence score"):
+            score_utterance(logp, exclude_blank=True)
 
 
 class TestGenerate:
@@ -194,6 +201,15 @@ class TestGenerate:
         unlabeled[DECODE_BLOCK + 2] = FeatureSequence("u-nan", frames)
         with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
             generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+
+    @pytest.mark.parametrize("exclude_blank", [False, True])
+    def test_one_nan_feature_raises_with_or_without_exclude_blank(self, exclude_blank):
+        # the NaN frame decodes as blank; exclude_blank must still score it
+        frames = np.random.default_rng(0).standard_normal((6, 2))
+        frames[3, 1] = np.nan
+        with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), [FeatureSequence("u-nan", frames)],
+                                  exclude_blank=exclude_blank)
 
     def test_evaluate_wer_on_an_empty_split_raises(self):
         with pytest.raises(MetricError, match="at least one"):
