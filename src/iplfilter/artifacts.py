@@ -23,9 +23,12 @@ from pathlib import Path
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
 
+# json.dumps(..., sort_keys=True) would build a new encoder for every record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _ENCODER.encode(record) + "\n"
 
 
 def _replace(path, write) -> None:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .artifacts import VERSION, read_json, write_json, write_text
-from .corpus import CorpusGenConfig, generate_corpus, load_manifest, save_manifest
+from .corpus import CorpusGenConfig, generate_corpus, load_manifest, load_refs, save_manifest
 from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
 from .model import TrainConfig, load_checkpoint
 from .pipeline import (
@@ -120,26 +121,36 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+        if flags[key][0] is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ConfigurationError(f"{_flag(key)} must be finite, got {cfg[key]}")
     return cfg
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _require(cfg: dict, key: str):
     if cfg[key] is None:
-        raise ConfigurationError(f"--{key.replace('_', '-')} is required")
+        raise ConfigurationError(f"{_flag(key)} is required")
     return cfg[key]
 
 
 def _at_least_one(cfg: dict, key: str):
     if cfg[key] is not None and cfg[key] < 1:
-        raise ConfigurationError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+        raise ConfigurationError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
     return cfg[key]
 
 
-def _load_corpus(cfg: dict):
+def _corpus(cfg: dict) -> Path:
     path = Path(_require(cfg, "corpus"))
     if not path.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {path}")
-    return load_manifest(path)
+    return path
+
+
+# The corpus files a command opens are those of the splits it uses, and no other
+_TEACHER_SPLITS = ("labeled", "dev", "test")
 
 
 def _ipl_config(cfg: dict, **ipl) -> IplConfig:
@@ -166,7 +177,7 @@ def cmd_gen_corpus(cfg: dict, out: Path) -> None:
 
 
 def cmd_train_teacher(cfg: dict, out: Path) -> None:
-    report = _teacher(_load_corpus(cfg), cfg, out).report
+    report = _teacher(load_manifest(_corpus(cfg), _TEACHER_SPLITS), cfg, out).report
     write_text(
         out / "summary.txt",
         f"teacher dev_wer {report.dev_wer:.4f} test_wer {report.test_wer:.4f}\n",
@@ -174,7 +185,7 @@ def cmd_train_teacher(cfg: dict, out: Path) -> None:
 
 
 def cmd_pseudolabel(cfg: dict, out: Path) -> None:
-    splits = _load_corpus(cfg)
+    splits = load_manifest(_corpus(cfg), ("unlabeled",))
     model = load_checkpoint(_require(cfg, "model"))
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg["exclude_blank"])
     if cfg["annotate_oracle"]:
@@ -189,28 +200,27 @@ def cmd_filter(cfg: dict, out: Path) -> None:
     if cfg["score_threshold"] is not None:
         kept = score_filter(pls, cfg["score_threshold"])
     else:
-        splits = _load_corpus(cfg)
-        kept = wer_filter(pls, splits.unlabeled_refs, cfg["max_wer"])
+        kept = wer_filter(pls, load_refs(_corpus(cfg)), cfg["max_wer"])
         save_pseudolabels(pls, out / "annotated.jsonl")  # oracle_wer now filled on all
     save_pseudolabels(kept, out / "filtered.jsonl")
 
 
 def cmd_ipl(cfg: dict, out: Path) -> None:
-    run_ipl(_load_corpus(cfg), _ipl_config(cfg, **{key: cfg[key] for key in _IPL_FLAGS}), out_dir=out)
+    ipl = _ipl_config(cfg, **{key: cfg[key] for key in _IPL_FLAGS})
+    run_ipl(load_manifest(_corpus(cfg)), ipl, out_dir=out)
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
     schedule = ThresholdSchedule(
         initial=cfg["initial"], step=cfg["step"], iterations_per_update=cfg["iters_per_update"]
     )
-    sweep_threshold(
-        _load_corpus(cfg), _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out
-    )
+    splits = load_manifest(_corpus(cfg))
+    sweep_threshold(splits, _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out)
 
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
     probe_size, n_bins = _at_least_one(cfg, "probe_size"), _at_least_one(cfg, "bins")
-    splits = _load_corpus(cfg)
+    splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS if cfg["model"] is None else (cfg["probe"],))
     if cfg["model"] is not None:
         model = load_checkpoint(Path(cfg["model"]))
     else:
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config snapshot to start from")
         p.add_argument("--out-dir", required=True, help="directory for run artifacts")
         for key, (kind, default) in {"seed": (int, None), **flags}.items():
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             shown = None if default is None else f"default: {default}"
             if kind is bool:
                 p.add_argument(flag, action=argparse.BooleanOptionalAction, help=shown)

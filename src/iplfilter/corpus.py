@@ -33,12 +33,8 @@ _UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int, "feature_dim": int,
 _LABELED_FIELDS = {**_UTTERANCE_FIELDS, "tokens": list}
 _REFS_FIELDS = {"utterance_id": str, "tokens": list}
 
-_SPLIT_FILES = {
-    "labeled": "labeled.jsonl",
-    "unlabeled": "unlabeled.jsonl",
-    "dev": "dev.jsonl",
-    "test": "test.jsonl",
-}
+SPLITS = ("labeled", "unlabeled", "dev", "test")
+_SPLIT_FILES = {name: f"{name}.jsonl" for name in SPLITS}
 _REFS_FILE = "unlabeled_refs.jsonl"
 _META_FILE = "meta.json"
 
@@ -252,7 +248,7 @@ def _utterance_record(fs: FeatureSequence, labels: LabelSequence | None) -> dict
         "utterance_id": fs.utterance_id,
         "num_frames": fs.num_frames,
         "feature_dim": fs.feature_dim,
-        "frames": [float(x) for x in fs.frames.ravel()],
+        "frames": fs.frames.ravel().tolist(),
     }
     if labels is not None:
         rec["tokens"] = list(labels.tokens)
@@ -321,22 +317,18 @@ def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelS
     return lab
 
 
-def load_manifest(in_dir) -> CorpusSplits:
-    """Inverse of :func:`save_manifest`; load(save(x)) == x."""
-    root = Path(in_dir)
+def _read_meta(root: Path) -> tuple[Vocabulary, int]:
     meta_path = root / _META_FILE
     meta = read_json(meta_path, ManifestError, MANIFEST_SCHEMA, _META_FIELDS)
     try:
         vocab = Vocabulary(meta["tokens"])
     except ConfigurationError as e:
         raise ManifestError(f"{meta_path}:1: {e}") from e
+    return vocab, meta["feature_dim"]
 
-    dim = meta["feature_dim"]
-    labeled = _read_utterances(root / _SPLIT_FILES["labeled"], vocab, dim, with_labels=True)
-    unlabeled = _read_utterances(root / _SPLIT_FILES["unlabeled"], vocab, dim, with_labels=False)
-    dev = _read_utterances(root / _SPLIT_FILES["dev"], vocab, dim, with_labels=True)
-    test = _read_utterances(root / _SPLIT_FILES["test"], vocab, dim, with_labels=True)
 
+def _read_refs(root: Path, vocab: Vocabulary) -> dict[str, LabelSequence]:
+    """The hidden transcripts; a corpus without a refs file has withheld them."""
     refs: dict[str, LabelSequence] = {}
     refs_path = root / _REFS_FILE
     if refs_path.is_file():
@@ -345,11 +337,36 @@ def load_manifest(in_dir) -> CorpusSplits:
             if uid in refs:
                 raise ManifestError(f"{where}: duplicate utterance_id {uid!r}")
             refs[uid] = checked_labels(where, rec["tokens"], vocab.num_classes)
-    return CorpusSplits(
-        vocabulary=vocab,
-        labeled=labeled,
-        unlabeled=unlabeled,
-        unlabeled_refs=refs,
-        dev=dev,
-        test=test,
-    )
+    return refs
+
+
+def load_manifest(in_dir, splits=SPLITS) -> CorpusSplits:
+    """Inverse of :func:`save_manifest`; load(save(x)) == x.
+
+    Only ``meta.json`` and the files of the named ``splits`` are opened,
+    plus the refs file with the unlabeled split; a split not named is
+    returned empty, and so are the refs without the unlabeled split.
+    """
+    unknown = set(splits) - set(SPLITS)
+    if unknown:
+        raise ValueError(f"unknown split(s) {sorted(unknown)}; splits are {SPLITS}")
+    root = Path(in_dir)
+    vocab, dim = _read_meta(root)
+    read = {
+        name: _read_utterances(root / _SPLIT_FILES[name], vocab, dim, with_labels=name != "unlabeled")
+        if name in splits else []
+        for name in SPLITS
+    }
+    refs = _read_refs(root, vocab) if "unlabeled" in splits else {}
+    return CorpusSplits(vocabulary=vocab, unlabeled_refs=refs, **read)
+
+
+def load_refs(in_dir) -> dict[str, LabelSequence]:
+    """The unlabeled split's hidden transcripts alone, as in ``load_manifest(in_dir).unlabeled_refs``.
+
+    Opens ``meta.json`` and ``unlabeled_refs.jsonl`` only, so the refs are
+    not checked against the unlabeled ids.
+    """
+    root = Path(in_dir)
+    vocab, _ = _read_meta(root)
+    return _read_refs(root, vocab)

@@ -15,6 +15,7 @@ the score/none modes to bit-identical weights.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -72,6 +73,10 @@ class IplConfig:
                 raise ConfigurationError("wer mode needs max_wer")
         elif self.max_wer is not None:
             raise ConfigurationError(f"{self.filter_mode!r} mode takes no max_wer")
+        for name in ("score_threshold", "max_wer", "pseudo_weight"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.pseudo_weight < 0:
             raise ConfigurationError("pseudo_weight must be >= 0")
 

@@ -9,6 +9,7 @@ counterpart and may only run where ground truth is legitimately available.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ class ThresholdSchedule:
     iterations_per_update: int = 3
 
     def __post_init__(self):
+        if not (math.isfinite(self.initial) and math.isfinite(self.step)):
+            raise ConfigurationError("schedule initial and step must be finite")
         if self.step <= 0:
             raise ConfigurationError("schedule step must be > 0")
         if self.iterations_per_update < 1:
@@ -96,8 +99,9 @@ def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool =
     utts = list(unlabeled)
     out = []
     for fs, (hyp, maxima) in zip(utts, decode_split(model, utts, exclude_blank)):
-        score = float(maxima.mean())
-        if not np.isfinite(score):
+        # ndarray.mean()'s own reduction and division, without its per-call overhead
+        score = float(np.add.reduce(maxima)) / maxima.size
+        if not math.isfinite(score):
             raise MetricError(f"utterance {fs.utterance_id}: non-finite confidence score {score}")
         out.append(PseudoLabel(utterance_id=fs.utterance_id, hypothesis=hyp, score=score))
     return out

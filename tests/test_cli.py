@@ -336,8 +336,12 @@ DAMAGED_INPUTS = {
              lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
     "split-line": ("corpus/labeled.jsonl", 2, "ManifestError",
                    lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+    "unlabeled-line": ("corpus/unlabeled.jsonl", 1, "ManifestError",
+                       lambda d: ["pseudolabel", "--corpus", d / "corpus",
+                                  "--model", d / "teacher" / "teacher_model.json"]),
     "refs-line": ("corpus/unlabeled_refs.jsonl", 1, "ManifestError",
-                  lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+                  lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                             "--corpus", d / "corpus", "--max-wer", "0.5"]),
     "pseudo-label-header": ("pl/pseudolabels.jsonl", 1, "ManifestError",
                             lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
                                        "--score-threshold", "-0.1"]),
@@ -409,6 +413,32 @@ OUT_OF_RANGE = {
 }
 
 
+# A float flag that is not finite, from the command line or a --config file: (argv, flag)
+NON_FINITE = {
+    "ipl-pseudo-weight-nan": (lambda d: ["ipl", "--corpus", d / "corpus", "--pseudo-weight", "nan"],
+                              "--pseudo-weight"),
+    "ipl-pseudo-weight-inf": (lambda d: ["ipl", "--corpus", d / "corpus", "--pseudo-weight", "inf"],
+                              "--pseudo-weight"),
+    "ipl-score-threshold": (lambda d: ["ipl", "--corpus", d / "corpus", "--filter-mode", "score",
+                                       "--score-threshold", "nan"], "--score-threshold"),
+    "ipl-max-wer": (lambda d: ["ipl", "--corpus", d / "corpus", "--filter-mode", "wer",
+                               "--max-wer", "nan"], "--max-wer"),
+    "sweep-step": (lambda d: ["sweep", "--corpus", d / "corpus", "--step", "nan"], "--step"),
+    "sweep-initial": (lambda d: ["sweep", "--corpus", d / "corpus", "--initial", "nan"], "--initial"),
+    "filter-score-threshold": (lambda d: ["filter", "--pseudo-labels", d / "stray.jsonl",
+                                          "--score-threshold", "nan"], "--score-threshold"),
+    "filter-max-wer": (lambda d: ["filter", "--pseudo-labels", d / "stray.jsonl",
+                                  "--corpus", d / "corpus", "--max-wer", "nan"], "--max-wer"),
+    "estimate-max-wer": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                    "--max-wer", "nan"], "--max-wer"),
+    "estimate-coverage": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                     "--coverage=-inf"], "--coverage"),
+    "gen-corpus-noise-sigma": (lambda d: ["gen-corpus", "--noise-sigma", "nan"], "--noise-sigma"),
+    "config-max-wer": (lambda d: ["estimate-threshold", "--config", d / "nan-config.json",
+                                  "--corpus", d / "corpus"], "--max-wer"),
+}
+
+
 class TestOutOfRangeInput:
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
@@ -417,7 +447,20 @@ class TestOutOfRangeInput:
         assert main(["estimate-threshold", "--corpus", str(root / "corpus"),
                      "--out-dir", str(root / "est"), "--epochs", "0", "--min-probe", "5"]) == 0
         save_pseudolabels([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)], root / "stray.jsonl")
+        write_snapshot(root / "nan-config.json", "estimate-threshold", {"max_wer": float("nan")})
         return root
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_float_flag_is_usage_error_before_the_snapshot(self, world, tmp_path,
+                                                                      capsys, case):
+        argv, flag = NON_FINITE[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([str(a) for a in argv(world)] + ["--out-dir", str(out)]) == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ConfigurationError"
+        assert err["message"].startswith(f"{flag} must be finite, got ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
     def test_is_usage_error_before_any_output(self, world, tmp_path, capsys, case):
@@ -429,6 +472,62 @@ class TestOutOfRangeInput:
         assert err["error"] == error
         assert named in err["message"]
         assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+class TestCorpusFilesRead:
+    """A command opens the corpus files of the splits it uses, and no other."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reads")
+        corpus, teacher = root / "corpus", root / "teacher"
+        assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
+        assert main(["train-teacher", "--corpus", str(corpus), "--out-dir", str(teacher),
+                     "--epochs", "2"]) == 0
+        assert main(["pseudolabel", "--corpus", str(corpus), "--out-dir", str(root / "pl"),
+                     "--model", str(teacher / "teacher_model.json")]) == 0
+        for name, removed in (("no-unlabeled", ["unlabeled.jsonl", "unlabeled_refs.jsonl"]),
+                              ("refs-only", ["unlabeled.jsonl"])):
+            shutil.copytree(corpus, root / name)
+            for f in removed:
+                (root / name / f).unlink()
+        return root
+
+    @pytest.mark.parametrize("corpus, argv", [
+        ("no-unlabeled", lambda d: ["train-teacher", *FAST_TRAIN]),
+        ("no-unlabeled", lambda d: ["estimate-threshold", "--min-probe", "5", *FAST_TRAIN]),
+        ("no-unlabeled", lambda d: ["estimate-threshold", "--min-probe", "4", "--probe", "labeled",
+                                    "--model", d / "teacher" / "teacher_model.json"]),
+        ("refs-only", lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                 "--max-wer", "0.5"]),
+    ], ids=["train-teacher", "estimate-threshold", "estimate-threshold-model", "filter-max-wer"])
+    def test_same_files_without_the_unused_corpus_files(self, world, tmp_path, corpus, argv):
+        runs = {}
+        for name in ("corpus", corpus):
+            out = tmp_path / name
+            assert main([str(a) for a in argv(world)] + ["--corpus", str(world / name),
+                                                         "--out-dir", str(out)]) == 0
+            runs[name] = run_files(out)
+            # config.json records the corpus path
+            assert read_config(out)["config"]["corpus"] == str(world / name)
+            del runs[name]["config.json"]
+        assert runs["corpus"] == runs[corpus]
+
+    @pytest.mark.parametrize("argv", [
+        lambda d: ["pseudolabel", "--model", d / "teacher" / "teacher_model.json"],
+        lambda d: ["ipl", "--epochs", "0", "--iter-max", "1"],
+        lambda d: ["sweep", "--epochs", "0", "--iters-per-update", "1", "--max-updates", "1"],
+    ], ids=["pseudolabel", "ipl", "sweep"])
+    def test_commands_using_the_unlabeled_split_name_the_missing_file(self, world, tmp_path,
+                                                                      capsys, argv):
+        capsys.readouterr()
+        corpus = world / "no-unlabeled"
+        rc = main([str(a) for a in argv(world)] + ["--corpus", str(corpus),
+                                                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = usage_error(capsys)
+        assert err["error"] == "ManifestError"
+        assert err["message"] == f"{corpus / 'unlabeled.jsonl'}: missing file"
 
 
 class TestEstimateCommand:

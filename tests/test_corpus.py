@@ -14,7 +14,9 @@ from iplfilter.corpus import (
     Vocabulary,
     default_vocabulary,
     generate_corpus,
+    SPLITS,
     load_manifest,
+    load_refs,
     save_manifest,
 )
 from iplfilter.errors import ConfigurationError, ManifestError
@@ -255,6 +257,8 @@ class TestManifestRoundTrip:
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:2: "):
             load_manifest(tmp_path / "m")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:2: "):
+            load_refs(tmp_path / "m")
 
     def test_missing_split_file(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
@@ -262,3 +266,49 @@ class TestManifestRoundTrip:
         (tmp_path / "m" / "dev.jsonl").unlink()
         with pytest.raises(ManifestError, match="missing"):
             load_manifest(tmp_path / "m")
+
+
+class TestPartialLoad:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        splits = generate_corpus(SMALL, seed=2)
+        save_manifest(splits, tmp_path / "m")
+        return splits, tmp_path / "m"
+
+    @pytest.mark.parametrize("names", [
+        (), ("labeled", "dev", "test"), ("unlabeled",), ("dev",), ("labeled", "unlabeled"),
+    ], ids=lambda names: "+".join(names) or "none")
+    def test_reads_only_the_named_splits(self, saved, names):
+        full, d = saved
+        # the files this load must not open are gone, so opening one would raise
+        for name in set(SPLITS) - set(names):
+            (d / f"{name}.jsonl").unlink()
+        if "unlabeled" not in names:
+            (d / "unlabeled_refs.jsonl").unlink()
+        part = load_manifest(d, splits=names)
+        assert part.vocabulary == full.vocabulary
+        for name in SPLITS:
+            assert getattr(part, name) == (getattr(full, name) if name in names else []), name
+        assert part.unlabeled_refs == (full.unlabeled_refs if "unlabeled" in names else {})
+
+    def test_unknown_split_rejected(self, saved):
+        with pytest.raises(ValueError, match="unknown split"):
+            load_manifest(saved[1], splits="dev")
+
+    def test_load_refs_reads_meta_and_refs_alone(self, saved):
+        full, d = saved
+        for name in SPLITS:
+            (d / f"{name}.jsonl").unlink()
+        assert load_refs(d) == full.unlabeled_refs
+
+    def test_load_refs_without_truth_is_empty(self, tmp_path):
+        save_manifest(dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs={}), tmp_path / "m")
+        assert load_refs(tmp_path / "m") == {}
+
+    def test_refs_still_checked_against_unlabeled_ids(self, saved):
+        d = saved[1]
+        target = d / "unlabeled_refs.jsonl"
+        target.write_text("".join(target.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ManifestError, match="cover exactly the unlabeled ids"):
+            load_manifest(d, splits=("unlabeled",))
+        assert len(load_refs(d)) == SMALL.n_unlabeled - 1

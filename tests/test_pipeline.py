@@ -51,6 +51,17 @@ class TestIplConfig:
         with pytest.raises(ConfigurationError):
             IplConfig(iter_max=0, train=FAST)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("fields", [
+        dict(filter_mode="score", score_threshold=None),
+        dict(filter_mode="wer", max_wer=None),
+        dict(pseudo_weight=None),
+    ], ids=["score_threshold", "max_wer", "pseudo_weight"])
+    def test_non_finite_float_rejected_naming_field(self, fields, value):
+        name = next(k for k, v in fields.items() if v is None)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            IplConfig(**{**fields, name: value}, train=FAST)
+
 
 class TestTeacher:
     def test_noiseless_teacher_is_perfect(self):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iplfilter.corpus import BLANK, CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
 from iplfilter.ctc import greedy_decode
@@ -80,6 +81,13 @@ class TestScore:
             logp = random_logp(rng, int(rng.integers(1, 9)), int(rng.integers(2, 6)))
             _, fmax = greedy_decode(logp)
             assert score_utterance(logp) == float(np.mean(fmax))
+
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e6, 1e6)))
+    @settings(max_examples=300, deadline=None)
+    def test_generate_pseudolabels_mean_is_ndarray_mean_bit_for_bit(self, maxima):
+        # the expression generate_pseudolabels uses in place of .mean(); lengths
+        # up to 300 cross numpy's 8- and 128-element pairwise-summation blocks
+        assert float(np.add.reduce(maxima)) / maxima.size == float(maxima.mean())
 
     def test_always_nonpositive(self):
         rng = np.random.default_rng(1)
@@ -307,6 +315,12 @@ class TestThresholdSchedule:
     def test_zero_step_rejected(self):
         with pytest.raises(ConfigurationError):
             ThresholdSchedule(initial=-0.03, step=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["initial", "step"])
+    def test_non_finite_initial_or_step_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ThresholdSchedule(**{"initial": -0.03, "step": 0.01, name: value})
 
     def test_exact_arithmetic(self):
         sched = ThresholdSchedule(initial=-1.0, step=0.25)
