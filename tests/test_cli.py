@@ -68,6 +68,60 @@ def test_each_command_has_exactly_its_flags():
         assert flags == COMMON_FLAGS | FLAG_SETS[command], command
 
 
+# Every command's config keys: key -> (flag type, default). A tuple type lists the choices.
+TRAIN_SURFACE = {
+    "corpus": (str, None), "seed": (int, 0), "hidden_dim": (int, 0), "epochs": (int, 30),
+    "batch_size": (int, 8), "base_lr": (float, 0.15), "optimizer": (("adam", "sgd"), "adam"),
+    "warmup_frac": (float, 0.1), "hold_frac": (float, 0.4),
+}
+FLAG_SURFACE = {
+    "gen-corpus": {
+        "seed": (int, 0), "vocab_size": (int, 8), "feature_dim": (int, 8),
+        "label_len_min": (int, 2), "label_len_max": (int, 6), "frames_per_token_min": (int, 1),
+        "frames_per_token_max": (int, 4), "noise_sigma": (float, 0.5), "n_labeled": (int, 8),
+        "n_unlabeled": (int, 200), "n_dev": (int, 64), "n_test": (int, 64),
+    },
+    "train-teacher": TRAIN_SURFACE,
+    "pseudolabel": {"corpus": (str, None), "model": (str, None), "exclude_blank": (bool, False),
+                    "annotate_oracle": (bool, False)},
+    "filter": {"pseudo_labels": (str, None), "corpus": (str, None),
+               "score_threshold": (float, None), "max_wer": (float, None)},
+    "ipl": {
+        **TRAIN_SURFACE, "iter_max": (int, 3), "filter_mode": (("none", "score", "wer"), "none"),
+        "score_threshold": (float, None), "max_wer": (float, None), "warm_start": (bool, True),
+        "pseudo_weight": (float, 1.0), "exclude_blank": (bool, False),
+    },
+    "sweep": {**TRAIN_SURFACE, "initial": (float, -0.05), "step": (float, 0.03),
+              "iters_per_update": (int, 3), "max_updates": (int, 8)},
+    "estimate-threshold": {
+        **TRAIN_SURFACE, "model": (str, None), "max_wer": (float, 0.1), "coverage": (float, 0.9),
+        "min_probe": (int, 20), "probe": (("dev", "labeled"), "dev"), "probe_size": (int, None),
+        "exclude_blank": (bool, False), "bins": (int, 20),
+    },
+    "report": {"run_dir": (str, None), "bins": (int, 20)},
+}
+
+
+def _flag_kind(action):
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return bool
+    return tuple(action.choices) if action.choices is not None else action.type
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_flag_surface(command, tmp_path):
+    """Each config key's flag type (from the parser) and default (from config.json)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = {a.dest: _flag_kind(a) for a in sub.choices[command]._actions
+             if a.dest not in ("help", "config", "out_dir")}
+    expected = FLAG_SURFACE[command]
+    assert kinds == {"seed": int, **{key: kind for key, (kind, _) in expected.items()}}
+    main([command, "--out-dir", str(tmp_path)])  # the snapshot is written before any input is read
+    config = read_config(tmp_path)["config"]
+    assert {key: (value, type(value)) for key, value in config.items()} == {
+        key: (default, type(default)) for key, (_, default) in expected.items()}
+
+
 class TestGenCorpus:
     def test_writes_loadable_manifest_and_snapshot(self, corpus_dir):
         splits = load_manifest(corpus_dir)
