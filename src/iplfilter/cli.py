@@ -21,15 +21,18 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .artifacts import VERSION, read_json, write_json, write_text
-from .corpus import CorpusGenConfig, generate_corpus, load_manifest, load_refs, save_manifest
+from .corpus import (CorpusGenConfig, generate_corpus, load_manifest, load_refs, read_meta,
+                     save_manifest)
 from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
-from .model import TrainConfig, load_checkpoint
+from .model import OPTIMIZERS, TrainConfig, load_checkpoint
 from .pipeline import (
     FILTER_MODES,
     IplConfig,
     RunWriter,
+    check_estimate_args,
     estimate_threshold,
     load_run,
     run_ipl,
@@ -54,33 +57,44 @@ _SNAPSHOT_FIELDS = {"command": str, "config": dict}
 _USAGE_ERRORS = (ConfigurationError, ManifestError, InsufficientProbeError, OracleError,
                  FileNotFoundError)
 
-# Defaults come from the library's own dataclasses.
-_GEN = CorpusGenConfig()
-_TRAIN = TrainConfig()
-_IPL = IplConfig()
+# The config fields whose flag takes one of a fixed set of values
+_CHOICES = {"optimizer": OPTIMIZERS, "filter_mode": tuple(FILTER_MODES)}
+
+
+def _flags(config, skip=()) -> dict:
+    """The flag table of a config dataclass instance's fields not in ``skip``: each one's
+    choices or annotated type, and its value; a ``(lo, hi)`` field as ``_min``/``_max``."""
+    hints = get_type_hints(type(config))
+    table = {}
+    for f in fields(config):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        kind = _CHOICES.get(f.name) or (get_args(hint) or (hint,))[0]  # float | None: float
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            table |= {f"{f.name}_min": (kind, value[0]), f"{f.name}_max": (kind, value[1])}
+        else:
+            table[f.name] = (kind, value)
+    return table
+
+
+def _from_flags(cls, flags: dict, cfg: dict, **given):
+    """Inverse of :func:`_flags`: ``cls`` built from ``cfg``'s values of the fields in ``flags``."""
+    values = {f.name: (cfg[f.name] if f.name in flags
+                       else (cfg[f.name + "_min"], cfg[f.name + "_max"]))
+              for f in fields(cls) if f.name in flags or f.name + "_min" in flags}
+    return cls(**values, **given)
+
+
+_GEN_FLAGS = {"seed": (int, 0), **_flags(CorpusGenConfig())}
+_IPL = _flags(IplConfig(), skip=("train",))
+# Every training command sets the model's seed and size (TrainConfig's seed is derived
+# from IplConfig's); the rest of IplConfig is the ipl command's
+_TRAIN_FLAGS = {"corpus": (str, None), **{key: _IPL[key] for key in ("seed", "hidden_dim")},
+                **_flags(TrainConfig(), skip=("seed",))}
+_IPL_FLAGS = {**_TRAIN_FLAGS, **_IPL}
 _SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03)
-
-_TRAIN_FLAGS = {
-    "corpus": (str, None),
-    "seed": (int, _IPL.seed),
-    "hidden_dim": (int, _IPL.hidden_dim),
-    "epochs": (int, _TRAIN.epochs),
-    "batch_size": (int, _TRAIN.batch_size),
-    "base_lr": (float, _TRAIN.base_lr),
-    "optimizer": (("adam", "sgd"), _TRAIN.optimizer),
-    "warmup_frac": (float, _TRAIN.warmup_frac),
-    "hold_frac": (float, _TRAIN.hold_frac),
-}
-
-_IPL_FLAGS = {
-    "iter_max": (int, _IPL.iter_max),
-    "filter_mode": (FILTER_MODES, _IPL.filter_mode),
-    "score_threshold": (float, _IPL.score_threshold),
-    "max_wer": (float, _IPL.max_wer),
-    "warm_start": (bool, _IPL.warm_start),
-    "pseudo_weight": (float, _IPL.pseudo_weight),
-    "exclude_blank": (bool, _IPL.exclude_blank),
-}
 
 
 def _expected(kind, default) -> str:
@@ -153,9 +167,20 @@ def _corpus(cfg: dict) -> Path:
 _TEACHER_SPLITS = ("labeled", "dev", "test")
 
 
-def _ipl_config(cfg: dict, **ipl) -> IplConfig:
-    train = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
-    return IplConfig(train=train, seed=cfg["seed"], hidden_dim=cfg["hidden_dim"], **ipl)
+def _ipl_config(cfg: dict, flags: dict = _TRAIN_FLAGS) -> IplConfig:
+    return _from_flags(IplConfig, flags, cfg, train=_from_flags(TrainConfig, _TRAIN_FLAGS, cfg))
+
+
+def _checkpoint(cfg: dict):
+    """The ``--model`` checkpoint, whose dimensions must be those of the corpus's ``meta.json``."""
+    path = Path(_require(cfg, "model"))
+    model = load_checkpoint(path)
+    vocab, feature_dim = read_meta(_corpus(cfg))
+    for name, have, want in (("feature_dim", model.feature_dim, feature_dim),
+                             ("vocab_size", model.vocab_size, len(vocab.tokens))):
+        if have != want:
+            raise ConfigurationError(f"{path}: checkpoint {name} {have} != corpus {name} {want}")
+    return model
 
 
 def _teacher(splits, cfg: dict, out: Path):
@@ -168,11 +193,7 @@ def _teacher(splits, cfg: dict, out: Path):
 
 
 def cmd_gen_corpus(cfg: dict, out: Path) -> None:
-    gen = CorpusGenConfig(
-        label_len=(cfg["label_len_min"], cfg["label_len_max"]),
-        frames_per_token=(cfg["frames_per_token_min"], cfg["frames_per_token_max"]),
-        **{f.name: cfg[f.name] for f in fields(CorpusGenConfig) if f.name in cfg},
-    )
+    gen = _from_flags(CorpusGenConfig, _GEN_FLAGS, cfg)
     save_manifest(generate_corpus(gen, seed=cfg["seed"]), out)
 
 
@@ -185,8 +206,8 @@ def cmd_train_teacher(cfg: dict, out: Path) -> None:
 
 
 def cmd_pseudolabel(cfg: dict, out: Path) -> None:
+    model = _checkpoint(cfg)
     splits = load_manifest(_corpus(cfg), ("unlabeled",))
-    model = load_checkpoint(_require(cfg, "model"))
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg["exclude_blank"])
     if cfg["annotate_oracle"]:
         annotate_oracle_wer(pls, splits.unlabeled_refs)
@@ -206,8 +227,7 @@ def cmd_filter(cfg: dict, out: Path) -> None:
 
 
 def cmd_ipl(cfg: dict, out: Path) -> None:
-    ipl = _ipl_config(cfg, **{key: cfg[key] for key in _IPL_FLAGS})
-    run_ipl(load_manifest(_corpus(cfg)), ipl, out_dir=out)
+    run_ipl(load_manifest(_corpus(cfg)), _ipl_config(cfg, _IPL_FLAGS), out_dir=out)
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
@@ -220,10 +240,10 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
     probe_size, n_bins = _at_least_one(cfg, "probe_size"), _at_least_one(cfg, "bins")
-    splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS if cfg["model"] is None else (cfg["probe"],))
-    if cfg["model"] is not None:
-        model = load_checkpoint(Path(cfg["model"]))
-    else:
+    check_estimate_args(cfg["coverage"], cfg["min_probe"])
+    model = None if cfg["model"] is None else _checkpoint(cfg)
+    splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS if model is None else (cfg["probe"],))
+    if model is None:
         model = _teacher(splits, cfg, out).model
     probe = (splits.dev if cfg["probe"] == "dev" else splits.labeled)[:probe_size]
     estimate_threshold(
@@ -252,25 +272,12 @@ def cmd_report(cfg: dict, out: Path) -> None:
 # tuple of choices. Every command also takes --seed; the ones whose table has
 # no "seed" accept it and ignore it.
 COMMANDS = {
-    "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus manifest", {
-        "seed": (int, 0),
-        "vocab_size": (int, _GEN.vocab_size),
-        "feature_dim": (int, _GEN.feature_dim),
-        "label_len_min": (int, _GEN.label_len[0]),
-        "label_len_max": (int, _GEN.label_len[1]),
-        "frames_per_token_min": (int, _GEN.frames_per_token[0]),
-        "frames_per_token_max": (int, _GEN.frames_per_token[1]),
-        "noise_sigma": (float, _GEN.noise_sigma),
-        "n_labeled": (int, _GEN.n_labeled),
-        "n_unlabeled": (int, _GEN.n_unlabeled),
-        "n_dev": (int, _GEN.n_dev),
-        "n_test": (int, _GEN.n_test),
-    }),
+    "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus manifest", _GEN_FLAGS),
     "train-teacher": (cmd_train_teacher, "train the teacher on the labeled split", _TRAIN_FLAGS),
     "pseudolabel": (cmd_pseudolabel, "decode the unlabeled split with a model", {
         "corpus": (str, None),
         "model": (str, None),
-        "exclude_blank": (bool, _IPL.exclude_blank),
+        "exclude_blank": _IPL["exclude_blank"],
         "annotate_oracle": (bool, False),
     }),
     "filter": (cmd_filter, "filter a pseudo-label file by score or oracle WER", {
@@ -279,7 +286,7 @@ COMMANDS = {
         "score_threshold": (float, None),
         "max_wer": (float, None),
     }),
-    "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", {**_TRAIN_FLAGS, **_IPL_FLAGS}),
+    "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", _IPL_FLAGS),
     "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule", {
         **_TRAIN_FLAGS,
         "initial": (float, _SCHEDULE.initial),
@@ -295,7 +302,7 @@ COMMANDS = {
         "min_probe": (int, 20),
         "probe": (("dev", "labeled"), "dev"),
         "probe_size": (int, None),
-        "exclude_blank": (bool, _IPL.exclude_blank),
+        "exclude_blank": _IPL["exclude_blank"],
         "bins": (int, 20),
     }),
     "report": (cmd_report, "emit summary table, histograms, and scatter data",

@@ -317,7 +317,8 @@ def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelS
     return lab
 
 
-def _read_meta(root: Path) -> tuple[Vocabulary, int]:
+def read_meta(root: Path) -> tuple[Vocabulary, int]:
+    """The vocabulary and feature dimension a corpus's ``meta.json`` declares."""
     meta_path = root / _META_FILE
     meta = read_json(meta_path, ManifestError, MANIFEST_SCHEMA, _META_FIELDS)
     try:
@@ -351,7 +352,7 @@ def load_manifest(in_dir, splits=SPLITS) -> CorpusSplits:
     if unknown:
         raise ValueError(f"unknown split(s) {sorted(unknown)}; splits are {SPLITS}")
     root = Path(in_dir)
-    vocab, dim = _read_meta(root)
+    vocab, dim = read_meta(root)
     read = {
         name: _read_utterances(root / _SPLIT_FILES[name], vocab, dim, with_labels=name != "unlabeled")
         if name in splits else []
@@ -368,5 +369,5 @@ def load_refs(in_dir) -> dict[str, LabelSequence]:
     not checked against the unlabeled ids.
     """
     root = Path(in_dir)
-    vocab, _ = _read_meta(root)
+    vocab, _ = read_meta(root)
     return _read_refs(root, vocab)

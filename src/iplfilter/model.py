@@ -20,6 +20,7 @@ from .errors import ConfigurationError, ShapeError, TrainingError
 
 CHECKPOINT_SCHEMA = "acoustic-model"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass
@@ -69,7 +70,7 @@ class TrainConfig:
             raise ConfigurationError("schedule fractions must lie in [0, 1]")
         if self.warmup_frac + self.hold_frac > 1.0:
             raise ConfigurationError("warmup_frac + hold_frac must be <= 1")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
             raise ConfigurationError(f"base_lr must be finite and >= 0, got {self.base_lr}")

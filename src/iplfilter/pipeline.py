@@ -42,7 +42,8 @@ from .pseudolabel import (
 
 REPORT_SCHEMA = "iteration-reports"
 
-FILTER_MODES = ("none", "score", "wer")
+# Each filter mode and the IplConfig field holding its boundary; "none" keeps every label
+FILTER_MODES = {"none": None, "score": "score_threshold", "wer": "max_wer"}
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,11 @@ class IplConfig:
         if self.iter_max < 1:
             raise ConfigurationError("iter_max must be >= 1")
         if self.filter_mode not in FILTER_MODES:
-            raise ConfigurationError(f"filter_mode must be one of {FILTER_MODES}")
-        if self.filter_mode == "score":
-            if self.score_threshold is None:
-                raise ConfigurationError("score mode needs score_threshold")
-        elif self.score_threshold is not None:
-            raise ConfigurationError(f"{self.filter_mode!r} mode takes no score threshold")
-        if self.filter_mode == "wer":
-            if self.max_wer is None:
-                raise ConfigurationError("wer mode needs max_wer")
-        elif self.max_wer is not None:
-            raise ConfigurationError(f"{self.filter_mode!r} mode takes no max_wer")
+            raise ConfigurationError(f"filter_mode must be one of {tuple(FILTER_MODES)}")
+        for mode, name in FILTER_MODES.items():
+            if name is not None and (getattr(self, name) is None) == (mode == self.filter_mode):
+                raise ConfigurationError(f"{mode} mode needs {name}" if mode == self.filter_mode
+                                         else f"{self.filter_mode!r} mode takes no {name}")
         for name in ("score_threshold", "max_wer", "pseudo_weight"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -147,10 +142,16 @@ def evaluate_wer(model: AcousticModel, pairs) -> float:
     return wer([(ref, hyp) for (_, ref), (hyp, _) in zip(pairs, decoded)])
 
 
+def _check_splits(splits: CorpusSplits) -> None:
+    """A run trains on the labeled split and scores every model on dev and test."""
+    for name in ("labeled", "dev", "test"):
+        if not getattr(splits, name):
+            raise ConfigurationError(f"{name} split is empty")
+
+
 def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:
     """Train the initial model on the labeled split alone."""
-    if not splits.labeled:
-        raise ConfigurationError("labeled split is empty")
+    _check_splits(splits)
     t0 = time.perf_counter()
     model = init_model(
         splits.feature_dim, len(splits.vocabulary.tokens), cfg.hidden_dim, seed=cfg.seed
@@ -185,15 +186,12 @@ def _run_one_iteration(
     t0 = time.perf_counter()
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg.exclude_blank)
     has_truth = bool(splits.unlabeled_refs)
-    if has_truth:
-        annotate_oracle_wer(pls, splits.unlabeled_refs)
-
-    if cfg.filter_mode == "score":
-        kept = score_filter(pls, cfg.score_threshold)
-    elif cfg.filter_mode == "wer":
-        kept = wer_filter(pls, splits.unlabeled_refs, cfg.max_wer)
+    if cfg.filter_mode == "wer":
+        kept = wer_filter(pls, splits.unlabeled_refs, cfg.max_wer)  # annotates every label
     else:
-        kept = list(pls)
+        if has_truth:
+            annotate_oracle_wer(pls, splits.unlabeled_refs)
+        kept = score_filter(pls, cfg.score_threshold) if cfg.filter_mode == "score" else list(pls)
     kept_ids = {p.utterance_id for p in kept}
     rejected = [p for p in pls if p.utterance_id not in kept_ids]
 
@@ -225,17 +223,17 @@ def _run_one_iteration(
 def _ipl_loop(
     splits: CorpusSplits,
     schedule: list[IplConfig],
-    iterations: int,
     teacher: AcousticModel | None,
     out: RunWriter,
 ) -> tuple[IplResult, list[float]]:
     """The IPL loop behind :func:`run_ipl` and :func:`sweep_threshold`.
 
     Trains a teacher under the first config unless one is given, then runs
-    ``iterations`` iterations under each config of ``schedule`` in turn, up to
-    the first config whose best dev WER is worse than its predecessor's
-    (:func:`select_threshold`). Returns the result and the best dev WER of each config run.
+    each config of ``schedule`` in turn for its ``iter_max`` iterations, up to
+    the first config whose best dev WER is worse than its predecessor's.
+    Returns the result and the best dev WER of each config run.
     """
+    _check_splits(splits)
     teacher_report = None
     if teacher is None:
         tr = train_teacher(splits, schedule[0])
@@ -246,14 +244,14 @@ def _ipl_loop(
     reports: list[IterationReport] = []
     best_per_config: list[float] = []
     for cfg in schedule:
-        for _ in range(iterations):
+        for _ in range(cfg.iter_max):
             t = len(reports) + 1
             base = model if cfg.warm_start else teacher
             model, report, pls = _run_one_iteration(base, splits, cfg, t)
             reports.append(report)
             out.iteration(t, model, pls)
-        best_per_config.append(min(r.dev_wer for r in reports[-iterations:]))
-        if select_threshold(zip(schedule, best_per_config))[1]:
+        best_per_config.append(min(r.dev_wer for r in reports[-cfg.iter_max:]))
+        if len(best_per_config) > 1 and best_per_config[-1] > best_per_config[-2]:
             break
     return IplResult(model=model, reports=reports, teacher_report=teacher_report), best_per_config
 
@@ -272,7 +270,7 @@ def run_ipl(
     is flagged in its report rather than aborting the run.
     """
     out = RunWriter(out_dir)
-    result, _ = _ipl_loop(splits, [cfg], cfg.iter_max, teacher, out)
+    result, _ = _ipl_loop(splits, [cfg], teacher, out)
     out.finish(result.reports)
     return result
 
@@ -307,18 +305,17 @@ def sweep_threshold(
     (training continues across thresholds); its slot is scored by the best dev
     WER among them. The sweep stops at the first threshold scoring worse than
     its predecessor and returns that predecessor. Each step runs under ``cfg``
-    with its filter replaced by the score filter at the step's boundary, so
-    ``cfg``'s filter mode, score threshold, max WER and ``iter_max`` are not read.
+    with its filter replaced by the score filter at the step's boundary and
+    its ``iter_max`` set to ``schedule.iterations_per_update``.
     """
     if max_updates < 1:
         raise ConfigurationError("max_updates must be >= 1")
-    if not splits.dev:
-        raise ConfigurationError("sweep needs a non-empty dev split")
 
     out = RunWriter(out_dir)
     boundaries = [schedule.boundary(u) for u in range(max_updates)]
-    configs = [replace(cfg, filter_mode="score", score_threshold=b, max_wer=None) for b in boundaries]
-    run, best_per_threshold = _ipl_loop(splits, configs, schedule.iterations_per_update, teacher, out)
+    configs = [replace(cfg, filter_mode="score", score_threshold=b, max_wer=None,
+                       iter_max=schedule.iterations_per_update) for b in boundaries]
+    run, best_per_threshold = _ipl_loop(splits, configs, teacher, out)
     thresholds = boundaries[: len(best_per_threshold)]
     best, declined = select_threshold(zip(thresholds, best_per_threshold))
     result = SweepResult(
@@ -332,6 +329,14 @@ def sweep_threshold(
     )
     out.finish(run.reports, sweep=sweep_record(result))
     return result
+
+
+def check_estimate_args(coverage_frac: float, min_probe: int) -> None:
+    """The ranges :func:`estimate_threshold` accepts, checkable before a teacher is trained."""
+    if not 0.0 <= coverage_frac <= 1.0:
+        raise ConfigurationError(f"coverage_frac must lie in [0, 1], got {coverage_frac}")
+    if min_probe < 1:
+        raise ConfigurationError(f"min_probe must be >= 1, got {min_probe}")
 
 
 def estimate_threshold(
@@ -359,6 +364,7 @@ def estimate_threshold(
     comes back, which keeps nothing (scores are strictly negative for any
     finite model).
     """
+    check_estimate_args(coverage_frac, min_probe)
     pairs = list(probe)
     if len(pairs) < min_probe:
         raise InsufficientProbeError(
@@ -563,7 +569,9 @@ class RunWriter:
 def write_plots(pls, n_bins: int, out_dir) -> None:
     """Plot data of pseudo-labels: ``score_hist.jsonl`` and, when every label
     has an oracle WER, ``wer_hist.jsonl`` and the (utterance_id, score,
-    oracle_wer) points of ``scatter.jsonl``."""
+    oracle_wer) points of ``scatter.jsonl``. No labels write no file."""
+    if not pls:
+        return
     out = Path(out_dir)
     columns = {"score": [p.score for p in pls]}
     if all(p.oracle_wer is not None for p in pls):

@@ -464,6 +464,15 @@ OUT_OF_RANGE = {
     "filter-unknown-ids": (lambda d: ["filter", "--pseudo-labels", d / "stray.jsonl",
                                       "--corpus", d / "corpus", "--max-wer", "0.5"],
                            "OracleError", "stray-0"),
+    "coverage-above-one": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                      "--epochs", "0", "--min-probe", "5", "--coverage", "2"],
+                           "ConfigurationError", "coverage"),
+    "negative-coverage": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                     "--epochs", "0", "--min-probe", "5", "--coverage", "-1"],
+                          "ConfigurationError", "coverage"),
+    "zero-min-probe": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                  "--epochs", "0", "--min-probe", "0"],
+                       "ConfigurationError", "min_probe"),
 }
 
 
@@ -582,6 +591,64 @@ class TestCorpusFilesRead:
         err = usage_error(capsys)
         assert err["error"] == "ManifestError"
         assert err["message"] == f"{corpus / 'unlabeled.jsonl'}: missing file"
+
+
+class TestCorpusMismatch:
+    """Inputs that parse but cannot make a run on this corpus exit 2 before any output."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mismatch")
+        assert main(["gen-corpus", "--out-dir", str(root / "corpus"), *TINY_CORPUS]) == 0
+        for name, flag in (("dim4", "--feature-dim"), ("vocab3", "--vocab-size")):
+            other = root / f"corpus-{name}"
+            assert main(["gen-corpus", "--out-dir", str(other), flag, name[-1], *TINY_CORPUS]) == 0
+            assert main(["train-teacher", "--corpus", str(other), "--out-dir", str(root / name),
+                         "--epochs", "0"]) == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["train-teacher", "ipl", "estimate-threshold", "sweep"])
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_empty_split(self, world, tmp_path, capsys, command, split):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(world / "corpus", corpus)
+        (corpus / f"{split}.jsonl").write_text("")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(corpus), "--out-dir", str(out), "--epochs", "1"])
+        assert rc == 2
+        assert usage_error(capsys) == {"error": "ConfigurationError",
+                                       "message": f"{split} split is empty"}
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["pseudolabel", "estimate-threshold"])
+    @pytest.mark.parametrize("other, name, have, want", [
+        ("dim4", "feature_dim", 4, 8), ("vocab3", "vocab_size", 3, 8)])
+    def test_checkpoint_of_another_corpus(self, world, tmp_path, capsys, command, other, name,
+                                          have, want):
+        model = world / other / "teacher_model.json"
+        out = tmp_path / "out"
+        probe = [] if command == "pseudolabel" else ["--min-probe", "1"]
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(world / "corpus"), "--model", str(model),
+                   "--out-dir", str(out), *probe])
+        assert rc == 2
+        assert usage_error(capsys) == {
+            "error": "ConfigurationError",
+            "message": f"{model}: checkpoint {name} {have} != corpus {name} {want}"}
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    def test_report_on_an_ipl_run_without_unlabeled_utterances(self, world, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(world / "corpus", corpus)
+        for name in ("unlabeled.jsonl", "unlabeled_refs.jsonl"):
+            (corpus / name).write_text("")
+        run, rep = tmp_path / "run", tmp_path / "report"
+        assert main(["ipl", "--corpus", str(corpus), "--out-dir", str(run), "--epochs", "0",
+                     "--iter-max", "1"]) == 0
+        assert main(["report", "--run-dir", str(run), "--out-dir", str(rep)]) == 0
+        assert sorted(p.name for p in rep.iterdir()) == ["config.json", "report_summary.txt"]
+        assert (rep / "report_summary.txt").read_text() == (run / "summary.txt").read_text()
 
 
 class TestEstimateCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iplfilter import pipeline
+from iplfilter import metrics, pipeline
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.errors import ConfigurationError, InsufficientProbeError
 from iplfilter.model import TrainConfig, init_model
@@ -284,6 +284,14 @@ class TestSweep:
         thresholds = [r.threshold for r in load_run(tmp_path / "wer").reports]
         assert thresholds == [sched.boundary(0), sched.boundary(1)]
 
+    def test_each_step_runs_its_own_iter_max(self):
+        splits = small_splits()
+        schedule = [IplConfig(iter_max=n, train=FAST) for n in (2, 1)]
+        teacher = train_teacher(splits, schedule[0]).model
+        run, best = pipeline._ipl_loop(splits, schedule, teacher, RunWriter(None))
+        assert [r.iteration for r in run.reports] == [1, 2, 3]
+        assert best == [min(r.dev_wer for r in run.reports[:2]), run.reports[2].dev_wer]
+
     def test_needs_dev_split(self):
         splits = small_splits()
         splits.dev = []
@@ -292,7 +300,43 @@ class TestSweep:
             sweep_threshold(splits, cfg, ThresholdSchedule(-0.1, 0.05))
 
 
+class TestEmptySplits:
+    @pytest.mark.parametrize("split", ["labeled", "dev", "test"])
+    def test_a_run_needs_labeled_dev_and_test(self, split):
+        splits = small_splits()
+        teacher = init_model(splits.feature_dim, 8, 0, seed=0)
+        setattr(splits, split, [])
+        with pytest.raises(ConfigurationError, match=f"^{split} split is empty$"):
+            train_teacher(splits, IplConfig(train=FAST))
+        with pytest.raises(ConfigurationError, match=f"^{split} split is empty$"):
+            run_ipl(splits, IplConfig(iter_max=1, train=FAST), teacher=teacher)
+
+
+class TestOracleWerOnce:
+    @pytest.mark.parametrize("mode, kw", [("score", {"score_threshold": -1.0}),
+                                          ("wer", {"max_wer": 0.5}), ("none", {})])
+    def test_one_edit_distance_per_utterance_per_iteration(self, monkeypatch, mode, kw):
+        splits = small_splits(n_unlabeled=50, n_dev=10, n_test=10)
+        teacher = init_model(splits.feature_dim, 8, 0, seed=0)
+        calls = []
+        edit_counts = metrics.edit_counts
+        monkeypatch.setattr(metrics, "edit_counts", lambda *a: calls.append(1) or edit_counts(*a))
+        cfg = IplConfig(iter_max=1, filter_mode=mode, train=replace(FAST, epochs=0), **kw)
+        run_ipl(splits, cfg, teacher=teacher)
+        assert len(calls) == 50 + 10 + 10
+
+
 class TestEstimate:
+    @pytest.mark.parametrize("kw, named", [
+        ({"coverage_frac": 1.5}, "coverage_frac"), ({"coverage_frac": -0.1}, "coverage_frac"),
+        ({"min_probe": 0}, "min_probe"),
+    ])
+    def test_range_checks(self, kw, named):
+        splits = small_splits()
+        model = init_model(splits.feature_dim, 8, 0, seed=0)
+        with pytest.raises(ConfigurationError, match=f"^{named} must"):
+            estimate_threshold(model, splits.dev, max_wer=0.1, **kw)
+
     def test_perfect_hypotheses_keep_everything(self):
         splits = small_splits(noise_sigma=0.0, n_labeled=8, n_dev=24)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=25, seed=0)))
@@ -416,6 +460,10 @@ class TestWritePlots:
         assert [json.loads(line) for line in lines[1:]] == [
             {"utterance_id": p.utterance_id, "score": p.score, "oracle_wer": p.oracle_wer}
             for p in pls]
+
+    def test_no_labels_write_no_file(self, tmp_path):
+        write_plots([], 4, tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
 
     def test_without_oracle_wer_writes_score_histogram_only(self, pls, tmp_path):
         pls[0].oracle_wer = None
