@@ -17,6 +17,7 @@ threshold  runs the decreasing-threshold sweep (stop on the first dev-WER
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ import numpy as np
 from iplfilter.artifacts import write_jsonl
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.model import TrainConfig
-from iplfilter.pipeline import IplConfig, estimate_threshold, run_ipl, sweep_threshold, train_teacher
-from iplfilter.pseudolabel import ThresholdSchedule
+from iplfilter.pipeline import (IplConfig, ThresholdSchedule, estimate_threshold, run_ipl,
+                                sweep_threshold, train_teacher)
 
 
 def compare(seed, splits, cfg, teacher, args) -> dict:
@@ -51,8 +52,8 @@ def compare_summary(rows) -> None:
 
 
 def threshold(seed, splits, cfg, teacher, args) -> dict:
-    sched = ThresholdSchedule(args.initial, args.step, args.iters_per_update)
-    sw = sweep_threshold(splits, cfg, sched, max_updates=args.max_updates, teacher=teacher.model)
+    sched = ThresholdSchedule(**{f.name: getattr(args, f.name) for f in fields(ThresholdSchedule)})
+    sw = sweep_threshold(splits, cfg, sched, teacher=teacher.model)
     est = estimate_threshold(teacher.model, splits.dev, max_wer=args.max_wer,
                              coverage_frac=args.coverage)
     near = abs(est.threshold - sw.best_threshold) <= args.step + 1e-12
@@ -86,10 +87,8 @@ def main() -> int:
     p.add_argument("--score-threshold", type=float, default=-0.08)
     p.set_defaults(run=compare, summary=compare_summary)
     p = sub.add_parser("threshold", parents=[common], help="sweep against estimate")
-    p.add_argument("--initial", type=float, default=-0.05)
-    p.add_argument("--step", type=float, default=0.03)
-    p.add_argument("--iters-per-update", type=int, default=3)
-    p.add_argument("--max-updates", type=int, default=8)
+    for f in fields(ThresholdSchedule):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--coverage", type=float, default=0.9)
     p.set_defaults(run=threshold, summary=threshold_summary)
     args = ap.parse_args()

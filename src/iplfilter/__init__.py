@@ -15,6 +15,7 @@ from .metrics import edit_counts, histogram, overlap_rate, wer
 from .model import AcousticModel, FrameLogProbs, TrainConfig, forward, init_model, lr_at, train
 from .pipeline import (
     IplConfig,
+    ThresholdSchedule,
     estimate_threshold,
     run_ipl,
     select_threshold,
@@ -23,7 +24,6 @@ from .pipeline import (
 )
 from .pseudolabel import (
     PseudoLabel,
-    ThresholdSchedule,
     generate_pseudolabels,
     score_filter,
     wer_filter,

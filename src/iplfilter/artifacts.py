@@ -10,7 +10,7 @@ file, or none, never part of one.
 
 Readers stream ``.jsonl`` files line by line, require every record to be an
 object, and check the schema and, given a field table, each record's fields
-and value types. A violation raises the caller's error type naming
+and exact JSON value types. A violation raises the caller's error type naming
 ``path:line``.
 """
 
@@ -93,7 +93,7 @@ class _Fields:
             raise error(f"{where}: missing fields {sorted(self.required - keys)}, "
                         f"unknown fields {sorted(keys - self.types.keys())}")
         for name, value in rec.items():
-            if not isinstance(value, self.types[name]):
+            if type(value) not in self.types[name]:  # exact: true and false are not numbers
                 expected = " or ".join(t.__name__ for t in self.types[name])
                 raise error(f"{where}: field {name!r} is {type(value).__name__}, expected {expected}")
 

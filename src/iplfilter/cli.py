@@ -32,7 +32,10 @@ from .pipeline import (
     FILTER_MODES,
     IplConfig,
     RunWriter,
+    ThresholdSchedule,
     check_estimate_args,
+    check_probe_size,
+    check_splits,
     estimate_threshold,
     load_run,
     run_ipl,
@@ -42,7 +45,6 @@ from .pipeline import (
     write_plots,
 )
 from .pseudolabel import (
-    ThresholdSchedule,
     annotate_oracle_wer,
     generate_pseudolabels,
     load_pseudolabels,
@@ -94,7 +96,6 @@ _IPL = _flags(IplConfig(), skip=("train",))
 _TRAIN_FLAGS = {"corpus": (str, None), **{key: _IPL[key] for key in ("seed", "hidden_dim")},
                 **_flags(TrainConfig(), skip=("seed",))}
 _IPL_FLAGS = {**_TRAIN_FLAGS, **_IPL}
-_SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03)
 
 
 def _expected(kind, default) -> str:
@@ -231,11 +232,8 @@ def cmd_ipl(cfg: dict, out: Path) -> None:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
-    schedule = ThresholdSchedule(
-        initial=cfg["initial"], step=cfg["step"], iterations_per_update=cfg["iters_per_update"]
-    )
-    splits = load_manifest(_corpus(cfg))
-    sweep_threshold(splits, _ipl_config(cfg), schedule, max_updates=cfg["max_updates"], out_dir=out)
+    schedule = _from_flags(ThresholdSchedule, cfg, cfg)
+    sweep_threshold(load_manifest(_corpus(cfg)), _ipl_config(cfg), schedule, out_dir=out)
 
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
@@ -243,9 +241,12 @@ def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
     check_estimate_args(cfg["coverage"], cfg["min_probe"])
     model = None if cfg["model"] is None else _checkpoint(cfg)
     splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS if model is None else (cfg["probe"],))
+    probe = (splits.dev if cfg["probe"] == "dev" else splits.labeled)[:probe_size]
+    if model is None:
+        check_splits(splits)  # the teacher's splits, then the probe, before any training
+    check_probe_size(len(probe), cfg["min_probe"])
     if model is None:
         model = _teacher(splits, cfg, out).model
-    probe = (splits.dev if cfg["probe"] == "dev" else splits.labeled)[:probe_size]
     estimate_threshold(
         model,
         probe,
@@ -287,13 +288,8 @@ COMMANDS = {
         "max_wer": (float, None),
     }),
     "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", _IPL_FLAGS),
-    "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule", {
-        **_TRAIN_FLAGS,
-        "initial": (float, _SCHEDULE.initial),
-        "step": (float, _SCHEDULE.step),
-        "iters_per_update": (int, _SCHEDULE.iterations_per_update),
-        "max_updates": (int, 8),
-    }),
+    "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule",
+              {**_TRAIN_FLAGS, **_flags(ThresholdSchedule())}),
     "estimate-threshold": (cmd_estimate_threshold, "probe-based threshold estimation", {
         **_TRAIN_FLAGS,
         "model": (str, None),

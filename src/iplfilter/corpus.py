@@ -34,6 +34,7 @@ _LABELED_FIELDS = {**_UTTERANCE_FIELDS, "tokens": list}
 _REFS_FIELDS = {"utterance_id": str, "tokens": list}
 
 SPLITS = ("labeled", "unlabeled", "dev", "test")
+_ID_PREFIXES = {"labeled": "lab", "unlabeled": "unl", "dev": "dev", "test": "tst"}
 _SPLIT_FILES = {name: f"{name}.jsonl" for name in SPLITS}
 _REFS_FILE = "unlabeled_refs.jsonl"
 _META_FILE = "meta.json"
@@ -134,10 +135,7 @@ class CorpusSplits:
     test: list[tuple[FeatureSequence, LabelSequence]] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [fs.utterance_id for fs, _ in self.labeled]
-        ids += [fs.utterance_id for fs in self.unlabeled]
-        ids += [fs.utterance_id for fs, _ in self.dev]
-        ids += [fs.utterance_id for fs, _ in self.test]
+        ids = [fs.utterance_id for name in SPLITS for fs, _ in self.pairs(name)]
         dupes = {i for i in ids if ids.count(i) > 1} if len(set(ids)) != len(ids) else set()
         if dupes:
             raise ManifestError(f"duplicate utterance_id(s): {sorted(dupes)}")
@@ -145,6 +143,12 @@ class CorpusSplits:
             unl = {fs.utterance_id for fs in self.unlabeled}
             if set(self.unlabeled_refs) != unl:
                 raise ManifestError("unlabeled_refs must cover exactly the unlabeled ids")
+
+    def pairs(self, name: str):
+        """Split ``name`` as (features, labels) pairs; the unlabeled split's labels are None."""
+        if name == "unlabeled":
+            return [(fs, None) for fs in self.unlabeled]
+        return getattr(self, name)
 
     @property
     def feature_dim(self) -> int:
@@ -216,30 +220,21 @@ def _draw_pairs(rng, cfg: CorpusGenConfig, means: np.ndarray, prefix: str, n: in
 
 def generate_corpus(gen_config: CorpusGenConfig, seed: int) -> CorpusSplits:
     """Deterministically generate all four splits from (gen_config, seed)."""
-    root = np.random.SeedSequence(seed)
-    s_means, s_lab, s_unl, s_dev, s_tst = root.spawn(5)
+    s_means, *s_splits = np.random.SeedSequence(seed).spawn(1 + len(SPLITS))
     means = np.random.default_rng(s_means).standard_normal(
         (gen_config.vocab_size, gen_config.feature_dim)
     )
-    labeled = _draw_pairs(
-        np.random.default_rng(s_lab), gen_config, means, "lab", gen_config.n_labeled
-    )
-    unl_pairs = _draw_pairs(
-        np.random.default_rng(s_unl), gen_config, means, "unl", gen_config.n_unlabeled
-    )
-    dev = _draw_pairs(
-        np.random.default_rng(s_dev), gen_config, means, "dev", gen_config.n_dev
-    )
-    test = _draw_pairs(
-        np.random.default_rng(s_tst), gen_config, means, "tst", gen_config.n_test
-    )
+    drawn = {
+        name: _draw_pairs(np.random.default_rng(s), gen_config, means, _ID_PREFIXES[name],
+                          getattr(gen_config, f"n_{name}"))
+        for name, s in zip(SPLITS, s_splits)
+    }
+    unl_pairs = drawn.pop("unlabeled")
     return CorpusSplits(
         vocabulary=default_vocabulary(gen_config.vocab_size),
-        labeled=labeled,
         unlabeled=[fs for fs, _ in unl_pairs],
         unlabeled_refs={fs.utterance_id: lab for fs, lab in unl_pairs},
-        dev=dev,
-        test=test,
+        **drawn,
     )
 
 
@@ -270,10 +265,9 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
         "feature_dim": splits.feature_dim,
     }
     write_json(out / _META_FILE, meta)
-    write_jsonl(out / _SPLIT_FILES["labeled"], (_utterance_record(fs, lab) for fs, lab in splits.labeled))
-    write_jsonl(out / _SPLIT_FILES["unlabeled"], (_utterance_record(fs, None) for fs in splits.unlabeled))
-    write_jsonl(out / _SPLIT_FILES["dev"], (_utterance_record(fs, lab) for fs, lab in splits.dev))
-    write_jsonl(out / _SPLIT_FILES["test"], (_utterance_record(fs, lab) for fs, lab in splits.test))
+    for name in SPLITS:
+        write_jsonl(out / _SPLIT_FILES[name],
+                    (_utterance_record(fs, lab) for fs, lab in splits.pairs(name)))
     refs = [
         {"utterance_id": uid, "tokens": list(lab.tokens)}
         for uid, lab in ((fs.utterance_id, splits.unlabeled_refs[fs.utterance_id]) for fs in splits.unlabeled)
@@ -308,9 +302,11 @@ def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_label
 
 def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelSequence:
     """Labels read from a file; bad tokens raise ManifestError naming ``where``."""
+    if any(type(t) is not int for t in tokens):  # int() would take true, 1.7 and "2"
+        raise ManifestError(f"{where}: tokens must be JSON integers")
     try:
         lab = LabelSequence(tuple(tokens))
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ManifestError(f"{where}: {e}") from e
     if num_classes is not None and any(t >= num_classes for t in lab):
         raise ManifestError(f"{where}: token index out of vocabulary range")
@@ -338,6 +334,10 @@ def _read_refs(root: Path, vocab: Vocabulary) -> dict[str, LabelSequence]:
             if uid in refs:
                 raise ManifestError(f"{where}: duplicate utterance_id {uid!r}")
             refs[uid] = checked_labels(where, rec["tokens"], vocab.num_classes)
+            if not refs[uid]:
+                # any hypothesis but the empty one has an infinite WER against it, which
+                # reports.jsonl would carry as Infinity and no histogram can bin
+                raise ManifestError(f"{where}: utterance {uid!r}: empty transcript")
     return refs
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,13 +112,22 @@ def overlap_min_ratio(set_a, set_b) -> float:
 
 
 def histogram(values, n_bins: int) -> Histogram:
-    """Equal-width bins spanning [min, max]; the max lands in the last bin."""
+    """Equal-width bins spanning [min, max]; the max lands in the last bin.
+
+    A span too narrow for ``n_bins`` distinct edges (a single value, or two a
+    few ulps apart) is widened by 0.5 on each side, as numpy widens a zero span.
+    """
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         raise MetricError("histogram needs at least one value")
     if n_bins < 1:
         raise MetricError("n_bins must be >= 1")
-    counts, edges = np.histogram(vals, bins=n_bins)
+    lo, hi = float(vals.min()), float(vals.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise MetricError(f"histogram values must be finite, got range [{lo}, {hi}]")
+    if not (np.diff(np.linspace(lo, hi, n_bins + 1)) > 0).all():
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(vals, bins=n_bins, range=(lo, hi))
     return Histogram(
         bin_edges=tuple(float(x) for x in edges),
         counts=tuple(int(c) for c in counts),

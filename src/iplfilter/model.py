@@ -39,10 +39,6 @@ class AcousticModel:
     seed: int
     params: dict[str, np.ndarray]
 
-    @property
-    def num_classes(self) -> int:
-        return self.vocab_size + 1
-
     def copy(self) -> "AcousticModel":
         return AcousticModel(
             feature_dim=self.feature_dim,

@@ -31,7 +31,6 @@ from .model import AcousticModel, TrainConfig, forward, init_model, save_checkpo
 from .ctc import greedy_decode  # noqa: F401
 from .pseudolabel import (
     PseudoLabel,
-    ThresholdSchedule,
     annotate_oracle_wer,
     decode_split,
     generate_pseudolabels,
@@ -76,6 +75,30 @@ class IplConfig:
             raise ConfigurationError("pseudo_weight must be >= 0")
 
 
+@dataclass(frozen=True)
+class ThresholdSchedule:
+    """Every setting of the sweep: the decision boundaries ``initial - u * step``
+    for ``u < max_updates``, each run for ``iters_per_update`` IPL iterations."""
+
+    initial: float = -0.05
+    step: float = 0.03
+    iters_per_update: int = 3
+    max_updates: int = 8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.initial) and math.isfinite(self.step)):
+            raise ConfigurationError("schedule initial and step must be finite")
+        if self.step <= 0:
+            raise ConfigurationError("schedule step must be > 0")
+        for name in ("iters_per_update", "max_updates"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+
+    def boundary(self, u: int) -> float:
+        """The decision boundary at update ``u``."""
+        return self.initial - u * self.step
+
+
 @dataclass
 class IterationReport:
     iteration: int
@@ -110,7 +133,6 @@ class TeacherResult:
 class IplResult:
     model: AcousticModel
     reports: list[IterationReport]
-    teacher_report: TeacherReport | None = None
 
 
 @dataclass
@@ -121,7 +143,6 @@ class SweepResult:
     best_dev_wer_per_threshold: list[float]
     reports: list[IterationReport]
     model: AcousticModel
-    teacher_report: TeacherReport | None = None
 
 
 @dataclass
@@ -142,7 +163,7 @@ def evaluate_wer(model: AcousticModel, pairs) -> float:
     return wer([(ref, hyp) for (_, ref), (hyp, _) in zip(pairs, decoded)])
 
 
-def _check_splits(splits: CorpusSplits) -> None:
+def check_splits(splits: CorpusSplits) -> None:
     """A run trains on the labeled split and scores every model on dev and test."""
     for name in ("labeled", "dev", "test"):
         if not getattr(splits, name):
@@ -151,7 +172,7 @@ def _check_splits(splits: CorpusSplits) -> None:
 
 def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:
     """Train the initial model on the labeled split alone."""
-    _check_splits(splits)
+    check_splits(splits)
     t0 = time.perf_counter()
     model = init_model(
         splits.feature_dim, len(splits.vocabulary.tokens), cfg.hidden_dim, seed=cfg.seed
@@ -230,15 +251,14 @@ def _ipl_loop(
 
     Trains a teacher under the first config unless one is given, then runs
     each config of ``schedule`` in turn for its ``iter_max`` iterations, up to
-    the first config whose best dev WER is worse than its predecessor's.
-    Returns the result and the best dev WER of each config run.
+    the first config whose best dev WER :func:`select_threshold` finds to be a
+    decline. Returns the result and the best dev WER of each config run.
     """
-    _check_splits(splits)
-    teacher_report = None
+    check_splits(splits)
     if teacher is None:
         tr = train_teacher(splits, schedule[0])
-        teacher, teacher_report = tr.model, tr.report
-        out.teacher(teacher, teacher_report)
+        teacher = tr.model
+        out.teacher(tr.model, tr.report)
 
     model = teacher
     reports: list[IterationReport] = []
@@ -251,9 +271,9 @@ def _ipl_loop(
             reports.append(report)
             out.iteration(t, model, pls)
         best_per_config.append(min(r.dev_wer for r in reports[-cfg.iter_max:]))
-        if len(best_per_config) > 1 and best_per_config[-1] > best_per_config[-2]:
+        if select_threshold(enumerate(best_per_config))[1]:
             break
-    return IplResult(model=model, reports=reports, teacher_report=teacher_report), best_per_config
+    return IplResult(model=model, reports=reports), best_per_config
 
 
 def run_ipl(
@@ -294,27 +314,24 @@ def select_threshold(history) -> tuple[float, bool]:
 def sweep_threshold(
     splits: CorpusSplits,
     cfg: IplConfig,
-    schedule: ThresholdSchedule,
-    max_updates: int = 8,
+    schedule: ThresholdSchedule = ThresholdSchedule(),
     teacher: AcousticModel | None = None,
     out_dir=None,
 ) -> SweepResult:
     """Lower the boundary stepwise, a few iterations per step, stop on decline.
 
-    Each threshold gets ``schedule.iterations_per_update`` IPL iterations
-    (training continues across thresholds); its slot is scored by the best dev
-    WER among them. The sweep stops at the first threshold scoring worse than
-    its predecessor and returns that predecessor. Each step runs under ``cfg``
-    with its filter replaced by the score filter at the step's boundary and
-    its ``iter_max`` set to ``schedule.iterations_per_update``.
+    Each of the schedule's ``max_updates`` thresholds gets
+    ``schedule.iters_per_update`` IPL iterations (training continues across
+    thresholds); its slot is scored by the best dev WER among them. The sweep
+    stops at the first threshold scoring worse than its predecessor and
+    returns that predecessor. Each step runs under ``cfg`` with its filter
+    replaced by the score filter at the step's boundary and its ``iter_max``
+    set to ``schedule.iters_per_update``.
     """
-    if max_updates < 1:
-        raise ConfigurationError("max_updates must be >= 1")
-
     out = RunWriter(out_dir)
-    boundaries = [schedule.boundary(u) for u in range(max_updates)]
+    boundaries = [schedule.boundary(u) for u in range(schedule.max_updates)]
     configs = [replace(cfg, filter_mode="score", score_threshold=b, max_wer=None,
-                       iter_max=schedule.iterations_per_update) for b in boundaries]
+                       iter_max=schedule.iters_per_update) for b in boundaries]
     run, best_per_threshold = _ipl_loop(splits, configs, teacher, out)
     thresholds = boundaries[: len(best_per_threshold)]
     best, declined = select_threshold(zip(thresholds, best_per_threshold))
@@ -325,7 +342,6 @@ def sweep_threshold(
         best_dev_wer_per_threshold=best_per_threshold,
         reports=run.reports,
         model=run.model,
-        teacher_report=run.teacher_report,
     )
     out.finish(run.reports, sweep=sweep_record(result))
     return result
@@ -337,6 +353,12 @@ def check_estimate_args(coverage_frac: float, min_probe: int) -> None:
         raise ConfigurationError(f"coverage_frac must lie in [0, 1], got {coverage_frac}")
     if min_probe < 1:
         raise ConfigurationError(f"min_probe must be >= 1, got {min_probe}")
+
+
+def check_probe_size(probe_size: int, min_probe: int) -> None:
+    """The probe size :func:`estimate_threshold` needs, checkable before a teacher is trained."""
+    if probe_size < min_probe:
+        raise InsufficientProbeError(f"probe has {probe_size} utterances; need at least {min_probe}")
 
 
 def estimate_threshold(
@@ -366,10 +388,7 @@ def estimate_threshold(
     """
     check_estimate_args(coverage_frac, min_probe)
     pairs = list(probe)
-    if len(pairs) < min_probe:
-        raise InsufficientProbeError(
-            f"probe has {len(pairs)} utterances; need at least {min_probe}"
-        )
+    check_probe_size(len(pairs), min_probe)
     refs = {fs.utterance_id: lab for fs, lab in pairs}
     pls = generate_pseudolabels(model, [fs for fs, _ in pairs], exclude_blank=exclude_blank)
     wer_kept = wer_filter(pls, refs, max_wer)

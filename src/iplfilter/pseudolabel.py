@@ -18,7 +18,7 @@ import numpy as np
 from .artifacts import NUMBER, read_jsonl, write_jsonl
 from .corpus import BLANK, LabelSequence, checked_labels
 from .ctc import greedy_decode
-from .errors import ConfigurationError, ManifestError, MetricError, OracleError
+from .errors import ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
 # forward is unused here; it stays because perfbench's traced run wraps this module's name
 from .model import AcousticModel, check_feature_dim, forward, forward_frames  # noqa: F401
@@ -33,27 +33,6 @@ class PseudoLabel:
     hypothesis: LabelSequence
     score: float
     oracle_wer: float | None = None
-
-
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Decision boundaries initial - u * step for u = 0, 1, 2, ..."""
-
-    initial: float
-    step: float
-    iterations_per_update: int = 3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.initial) and math.isfinite(self.step)):
-            raise ConfigurationError("schedule initial and step must be finite")
-        if self.step <= 0:
-            raise ConfigurationError("schedule step must be > 0")
-        if self.iterations_per_update < 1:
-            raise ConfigurationError("iterations_per_update must be >= 1")
-
-    def boundary(self, u: int) -> float:
-        """The decision boundary at update ``u``."""
-        return self.initial - u * self.step
 
 
 # Utterances per stacked decode block. Stacking a whole split would grow the

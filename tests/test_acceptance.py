@@ -19,20 +19,21 @@ from iplfilter.metrics import edit_counts, overlap_rate
 from iplfilter.model import TrainConfig, init_model, lr_at, utterance_loss_and_grads
 from iplfilter.pipeline import (
     IplConfig,
+    ThresholdSchedule,
     estimate_threshold,
     run_ipl,
     select_threshold,
     sweep_threshold,
     train_teacher,
 )
-from iplfilter.pseudolabel import PseudoLabel, ThresholdSchedule, score_filter, wer_filter
+from iplfilter.pseudolabel import PseudoLabel, score_filter, wer_filter
 from test_pseudolabel import score_utterance
 
 SEEDS = (0, 1, 2, 3, 4)
 TRAIN = TrainConfig(epochs=30, base_lr=0.15)
 SCORE_THRESHOLD = -0.08
 MAX_WER = 0.10
-SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03, iterations_per_update=3)
+SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03, iters_per_update=3, max_updates=8)
 
 
 def random_logp(rng, T, C):
@@ -84,7 +85,7 @@ def sweep_estimate_runs():
             filter_mode="score", score_threshold=SCHEDULE.initial, train=TRAIN, seed=seed
         )
         teacher = train_teacher(splits, cfg)
-        sw = sweep_threshold(splits, cfg, SCHEDULE, max_updates=8, teacher=teacher.model)
+        sw = sweep_threshold(splits, cfg, SCHEDULE, teacher=teacher.model)
         est = estimate_threshold(teacher.model, splits.dev, max_wer=MAX_WER)
         rows.append((seed, sw, est))
     return rows
@@ -266,7 +267,7 @@ class TestCriterion7:
             wers = sw.best_dev_wer_per_threshold
             first_decline = next(k for k in range(1, len(wers)) if wers[k] > wers[k - 1])
             assert sw.best_threshold == sw.thresholds[first_decline - 1]
-            assert len(sw.reports) == len(sw.thresholds) * SCHEDULE.iterations_per_update
+            assert len(sw.reports) == len(sw.thresholds) * SCHEDULE.iters_per_update
         assert declined_anywhere, "tuned corpus never produced a dev-WER decline"
 
     def test_criterion_07_literal_tradeoff_sequence(self):

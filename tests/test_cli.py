@@ -335,6 +335,8 @@ MALFORMED_RUNS = {
         lambda rec: rec.pop("dev_wer")))),
     "wrong-type": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
         lambda rec: rec.update(dev_wer="x")))),
+    "bool-for-number": ("sweep/reports.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec.update(iteration=True, kept=False, dev_wer=True)))),
     "header-only": ("sweep/reports.jsonl",
                     lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
     "sweep-bad-json": ("sweep/sweep.json", lambda p: _set_line(p, 1, lambda line: line[:-3])),
@@ -355,6 +357,8 @@ MALFORMED_RUNS = {
     "estimate-array": ("est/estimate.json", lambda p: p.write_text("[1, 2]\n")),
     "estimate-wrong-type": ("est/estimate.json", lambda p: _set_line(p, 1, _edit_record(
         lambda rec: rec.update(threshold="x")))),
+    "estimate-bool-for-number": ("est/estimate.json", lambda p: _set_line(p, 1, _edit_record(
+        lambda rec: rec.update(threshold=True)))),
 }
 
 
@@ -437,6 +441,24 @@ class TestDamagedInput:
         assert err["error"] == error
         assert str(root / name) in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        lambda d: ["ipl", "--corpus", d / "corpus", "--epochs", "0", "--iter-max", "1"],
+        lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                   "--corpus", d / "corpus", "--max-wer", "0.5"],
+    ], ids=["ipl", "filter-max-wer"])
+    def test_empty_transcript_is_usage_error(self, world, tmp_path, capsys, argv):
+        # any non-empty hypothesis has an infinite WER against it, which report cannot bin
+        root = tmp_path / "world"
+        shutil.copytree(world, root)
+        refs = root / "corpus" / "unlabeled_refs.jsonl"
+        _set_line(refs, 2, _edit_record(lambda rec: rec.update(tokens=[])))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([str(a) for a in argv(root)] + ["--out-dir", str(out)]) == 2
+        assert usage_error(capsys) == {
+            "error": "ManifestError", "message": f"{refs}:2: utterance 'unl-0001': empty transcript"}
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
     def test_snapshot_config_member_not_object(self, world, tmp_path, capsys):
         snapshot = tmp_path / "config.json"
         shutil.copy(world / "teacher" / "config.json", snapshot)
@@ -473,6 +495,19 @@ OUT_OF_RANGE = {
     "zero-min-probe": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
                                   "--epochs", "0", "--min-probe", "0"],
                        "ConfigurationError", "min_probe"),
+    # the probe is checked before a teacher is trained and written
+    "probe-size-below-min-probe": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                              "--epochs", "0", "--probe-size", "3",
+                                              "--min-probe", "5"],
+                                   "InsufficientProbeError", "probe has 3 utterances"),
+    "dev-below-min-probe": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                       "--epochs", "1", "--min-probe", "50"],
+                            "InsufficientProbeError", "need at least 50"),
+    "sweep-zero-iters-per-update": (lambda d: ["sweep", "--corpus", d / "corpus",
+                                               "--iters-per-update", "0"],
+                                    "ConfigurationError", "iters_per_update"),
+    "sweep-zero-max-updates": (lambda d: ["sweep", "--corpus", d / "corpus", "--max-updates", "0"],
+                               "ConfigurationError", "max_updates"),
 }
 
 

@@ -188,6 +188,18 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=r"test\.jsonl:1"):
             load_manifest(tmp_path / "m")
 
+    @pytest.mark.parametrize("field", ["num_frames", "feature_dim"])
+    def test_bool_for_a_number_names_line(self, tmp_path, field):
+        # json's true is not the number 1
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "labeled.jsonl"
+        lines = target.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: True})
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:2: field {field!r} is bool, expected int"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_frame_names_line(self, tmp_path, value):
         # json writes and reads NaN and Infinity
@@ -245,6 +257,28 @@ class TestManifestRoundTrip:
         lines[1] = json.dumps(rec)
         target.write_text("\n".join(lines) + "\n")
         expected = f"{target}:2: utterance dev-0001: feature_dim 4 != manifest 8"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
+
+    def test_empty_transcript_names_line(self, tmp_path):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "unlabeled_refs.jsonl"
+        lines = target.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "tokens": []})
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:2: utterance 'unl-0001': empty transcript"
+        for load in (load_manifest, load_refs):
+            with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+                load(tmp_path / "m")
+
+    @pytest.mark.parametrize("tokens", [[True, 2], [1.7], ["2"]])
+    def test_non_integer_tokens_name_line(self, tmp_path, tokens):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "dev.jsonl"
+        lines = target.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "tokens": tokens})
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:2: tokens must be JSON integers"
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 

@@ -193,6 +193,18 @@ class TestHistogram:
         with pytest.raises(MetricError):
             histogram([1.0], 0)
 
+    @pytest.mark.parametrize("values", [[0.0, 5e-324], [-0.1, float(np.nextafter(-0.1, 0.0))]])
+    def test_span_too_narrow_for_the_bins_is_widened(self, values):
+        # numpy cannot make 20 distinct edges between two values an ulp apart
+        h = histogram(values, 20)
+        assert sum(h.counts) == 2
+        assert h.bin_edges[0] == min(values) - 0.5 and h.bin_edges[-1] == max(values) + 0.5
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(MetricError, match="must be finite"):
+            histogram([0.75, value], 20)
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
            st.integers(min_value=1, max_value=10))
     def test_conservation(self, values, n_bins):

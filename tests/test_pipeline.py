@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,12 @@ from iplfilter.pipeline import (
     run_ipl,
     run_summary,
     select_threshold,
+    ThresholdSchedule,
     sweep_threshold,
     train_teacher,
     write_plots,
 )
-from iplfilter.pseudolabel import ThresholdSchedule, load_pseudolabels, score_filter
+from iplfilter.pseudolabel import load_pseudolabels, score_filter
 
 FAST = TrainConfig(epochs=8, base_lr=0.15, seed=0)
 SMALL = CorpusGenConfig(n_labeled=6, n_unlabeled=16, n_dev=8, n_test=8)
@@ -245,8 +247,8 @@ class TestSweep:
             filter_mode="score", score_threshold=-0.05,
             train=TrainConfig(epochs=30, base_lr=0.15), seed=0,
         )
-        sched = ThresholdSchedule(initial=-0.05, step=0.03, iterations_per_update=3)
-        result = sweep_threshold(splits, cfg, sched, max_updates=8)
+        sched = ThresholdSchedule(initial=-0.05, step=0.03, iters_per_update=3, max_updates=8)
+        result = sweep_threshold(splits, cfg, sched)
         assert result.declined
         decline_idx = result.thresholds.index(result.best_threshold)
         assert result.best_dev_wer_per_threshold[decline_idx + 1] > result.best_dev_wer_per_threshold[decline_idx]
@@ -255,11 +257,12 @@ class TestSweep:
     def test_boundary_advances_every_n_iterations(self):
         # max_updates caps the sweep before a decline can stop it early
         splits = small_splits()
-        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=2)
+        sched = ThresholdSchedule(initial=-0.1, step=0.05, iters_per_update=2, max_updates=1)
         cfg = IplConfig(train=FAST)
-        result = sweep_threshold(splits, cfg, sched, max_updates=1)
+        result = sweep_threshold(splits, cfg, sched)
         assert [r.threshold for r in result.reports] == [-0.1, -0.1]
-        result = sweep_threshold(splits, cfg, sched, max_updates=3)
+        sched = replace(sched, max_updates=3)
+        result = sweep_threshold(splits, cfg, sched)
         n = len(result.thresholds)
         assert result.thresholds == [sched.boundary(u) for u in range(n)]
         assert [r.threshold for r in result.reports] == [sched.boundary(u // 2) for u in range(2 * n)]
@@ -268,17 +271,17 @@ class TestSweep:
     def test_exhausted_schedule_warns(self):
         splits = small_splits()
         cfg = IplConfig(filter_mode="score", score_threshold=-0.1, train=FAST)
-        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=1)
-        result = sweep_threshold(splits, cfg, sched, max_updates=1)
+        sched = ThresholdSchedule(initial=-0.1, step=0.05, iters_per_update=1, max_updates=1)
+        result = sweep_threshold(splits, cfg, sched)
         assert not result.declined
         assert result.best_threshold == -0.1
 
     def test_schedule_replaces_the_configs_filter(self, tmp_path):
         splits = small_splits()
-        sched = ThresholdSchedule(initial=-0.1, step=0.05, iterations_per_update=1)
+        sched = ThresholdSchedule(initial=-0.1, step=0.05, iters_per_update=1, max_updates=2)
         for mode, kw in [("none", {}), ("wer", {"max_wer": 0.1})]:
             cfg = IplConfig(filter_mode=mode, train=FAST, **kw)
-            sweep_threshold(splits, cfg, sched, max_updates=2, out_dir=tmp_path / mode)
+            sweep_threshold(splits, cfg, sched, out_dir=tmp_path / mode)
         reports = (tmp_path / "none" / "reports.jsonl").read_bytes()
         assert (tmp_path / "wer" / "reports.jsonl").read_bytes() == reports
         thresholds = [r.threshold for r in load_run(tmp_path / "wer").reports]
@@ -434,6 +437,20 @@ class TestLoadRun:
         for t in (9, 10, 99, 100):
             (tmp_path / f"iter-{t:02d}.pseudolabels.jsonl").touch()
         assert load_run(tmp_path).pseudolabels == tmp_path / "iter-100.pseudolabels.jsonl"
+
+    @pytest.mark.parametrize("name, lineno, field", [("reports.jsonl", 2, "dev_wer"),
+                                                     ("estimate.json", 1, "threshold")])
+    def test_bool_for_a_number_names_line(self, tmp_path, name, lineno, field):
+        splits = small_splits(n_dev=12)
+        result = run_ipl(splits, IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
+        estimate_threshold(result.model, splits.dev, max_wer=0.5, min_probe=10, out_dir=tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: True})
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"{path}:{lineno}: field {field!r} is bool, expected int or float"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(expected)}$"):
+            load_run(tmp_path)
 
     def test_missing_dir_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -11,11 +11,10 @@ from iplfilter.ctc import greedy_decode
 from iplfilter.errors import ConfigurationError, ManifestError, MetricError, OracleError, ShapeError
 from iplfilter.metrics import wer
 from iplfilter.model import init_model, forward
-from iplfilter.pipeline import evaluate_wer
+from iplfilter.pipeline import ThresholdSchedule, evaluate_wer
 from iplfilter.pseudolabel import (
     DECODE_BLOCK,
     PseudoLabel,
-    ThresholdSchedule,
     annotate_oracle_wer,
     generate_pseudolabels,
     load_pseudolabels,
@@ -322,6 +321,14 @@ class TestThresholdSchedule:
         with pytest.raises(ConfigurationError, match="must be finite"):
             ThresholdSchedule(**{"initial": -0.03, "step": 0.01, name: value})
 
+    @pytest.mark.parametrize("name", ["iters_per_update", "max_updates"])
+    def test_counts_must_be_positive(self, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= 1"):
+            ThresholdSchedule(**{name: 0})
+
+    def test_defaults_are_the_paper_sweep(self):
+        assert ThresholdSchedule() == ThresholdSchedule(-0.05, 0.03, 3, 8)
+
     def test_exact_arithmetic(self):
         sched = ThresholdSchedule(initial=-1.0, step=0.25)
         for k in range(8):
@@ -362,6 +369,7 @@ class TestPseudolabelFiles:
 
     @pytest.mark.parametrize("edit", [
         {"tokens": [0]}, {"tokens": 2}, {"tokens": ["a"]}, {"score": "-0.1"}, {"oracle_wer": None},
+        {"score": True}, {"oracle_wer": False},
     ])
     def test_bad_value_names_line(self, tmp_path, edit):
         path = tmp_path / "p.jsonl"
