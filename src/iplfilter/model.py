@@ -15,7 +15,7 @@ import numpy as np
 
 from .artifacts import VERSION, read_json, write_json
 from .corpus import FeatureSequence, LabelSequence
-from .ctc import ctc_log_prob, is_feasible
+from .ctc import ctc_log_prob, label_plan
 from .errors import ConfigurationError, ShapeError, TrainingError
 
 CHECKPOINT_SCHEMA = "acoustic-model"
@@ -205,19 +205,30 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     therefore match a per-utterance loop to rounding, not bit for bit.
     The loss curve records the per-epoch mean of unweighted utterance losses.
 
-    A non-finite loss or batch gradient raises :class:`TrainingError` naming
-    the utterance; a non-finite Adam second moment or update raises it naming
-    the parameter. Both name the epoch and the step (counted from 0), and
-    both are raised before any weight of that step is written.
+    The labels are fixed for all epochs: one :func:`~iplfilter.ctc.label_plan`
+    per call holds them, checked against the vocabulary and the frames before
+    any step, and each minibatch passes ``plan[idx]`` to ``ctc_log_prob``.
+    The parameters (``out.params`` are views), the gradient, which becomes
+    the update, and Adam's two moments are the rows of one flat buffer, so a
+    step is one set of elementwise operations for all parameters.
+
+    A token outside the vocabulary, an infeasible label, or a non-finite loss
+    or batch gradient raises :class:`TrainingError` naming the utterance; a
+    non-finite Adam second moment or update raises it naming the parameter.
+    A non-finite value is also named with its epoch and step (counted from
+    0), and is raised before any weight of that step is written.
     """
     pairs = list(data)
-    for fs, lab in pairs:
+    plan = label_plan(lab for _, lab in pairs)
+    num_frames = np.array([fs.num_frames for fs, _ in pairs], dtype=np.int64)
+    bad_token = plan.max_token > model.vocab_size
+    bad = bad_token | (num_frames < plan.min_frames)
+    for i, (fs, _) in enumerate(pairs):
         check_feature_dim(model, fs)
-        if not is_feasible(fs.num_frames, lab):
-            raise TrainingError(
-                f"utterance {fs.utterance_id}: label of length {len(lab)} "
-                f"infeasible for {fs.num_frames} frame(s)"
-            )
+        if bad[i]:
+            raise TrainingError(f"utterance {fs.utterance_id}: " + (
+                f"label token outside the vocabulary 1..{model.vocab_size}" if bad_token[i] else
+                f"label of length {plan.n_states[i] // 2} infeasible for {fs.num_frames} frame(s)"))
     if weights is None:
         w = np.ones(len(pairs))
     else:
@@ -233,8 +244,15 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     rng = np.random.default_rng(cfg.seed)
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
-    adam_m = {k: np.zeros_like(v) for k, v in out.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in out.params.items()}
+    # rows: the parameters, the batch gradient (then the update), Adam's m and v
+    shapes = {k: p.shape for k, p in out.params.items()}
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    flat = np.zeros((4, ends[-1]))
+    flat[0] = np.concatenate([p.ravel() for p in out.params.values()])
+    out.params, upd, _, adam_v = (
+        {k: part.reshape(shapes[k]) for k, part in zip(shapes, np.split(row, ends[:-1]))} for row in flat
+    )
+    param, g, m, v = flat
     step = 0
     curve = []
     for epoch in range(cfg.epochs):
@@ -242,14 +260,14 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
         epoch_losses = []
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            frames = [pairs[i][0].frames for i in idx]
-            lengths = [f.shape[0] for f in frames]
-            x = np.concatenate(frames)
+            lengths = num_frames[idx]
+            x = np.concatenate([pairs[i][0].frames for i in idx])
             logp, hidden = _forward_cache(out, x)
-            res = ctc_log_prob(logp, [pairs[i][1] for i in idx], with_grad=True, lengths=lengths)
+            res = ctc_log_prob(logp, plan[idx], with_grad=True, lengths=lengths)
             losses = -res.log_prob
             batch_grads = _backprop(out, x, hidden, res.grad * np.repeat(w[idx], lengths)[:, None])
-            if not (np.isfinite(losses).all() and all(np.isfinite(g).all() for g in batch_grads.values())):
+            np.concatenate([batch_grads[k].ravel() for k in upd], out=g)
+            if not (np.isfinite(losses).all() and np.isfinite(g).all()):
                 dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
                 uid = _first_nonfinite([pairs[i][0].utterance_id for i in idx], losses, dlogits)
                 raise TrainingError(
@@ -257,20 +275,19 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
                 )
             epoch_losses.extend(losses.tolist())
             lr = lr_at(step, total_steps, cfg)
-            for k, g in batch_grads.items():  # g becomes the update, applied once all are finite
-                g /= idx.size
-                if cfg.optimizer == "sgd":
-                    g *= lr
-                    continue
-                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * g
-                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * g**2
-                m_hat = adam_m[k] / (1 - ADAM_BETA1 ** (step + 1))
-                v_hat = adam_v[k] / (1 - ADAM_BETA2 ** (step + 1))
+            g /= idx.size  # g becomes the update, applied once it is finite
+            if cfg.optimizer == "sgd":
+                g *= lr
+            else:
+                m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+                v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g**2
+                m_hat = m / (1 - ADAM_BETA1 ** (step + 1))
+                v_hat = v / (1 - ADAM_BETA2 ** (step + 1))
                 g[...] = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if not (np.isfinite(adam_v[k]).all() and np.isfinite(g).all()):
+                if not (np.isfinite(v).all() and np.isfinite(g).all()):
+                    k = next(k for k in batch_grads if not np.isfinite([adam_v[k], upd[k]]).all())
                     raise TrainingError(f"parameter {k}: non-finite Adam state in epoch {epoch}, step {step}")
-            for k, g in batch_grads.items():
-                out.params[k] -= g
+            param -= g
             step += 1
         curve.append(float(np.mean(epoch_losses)))
     return TrainResult(model=out, loss_curve=curve)

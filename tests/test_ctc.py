@@ -9,6 +9,7 @@ from iplfilter.ctc import (
     ctc_log_prob,
     greedy_decode,
     is_feasible,
+    label_plan,
 )
 from iplfilter.errors import FeasibilityError
 
@@ -271,6 +272,84 @@ class TestBatchLoss:
             assert np.array_equal(res.grad[rows[b] : rows[b + 1]], ref_grad)
             single = ctc_log_prob(lp, lab, with_grad=True)
             assert single.log_prob == ref_lp and np.array_equal(single.grad, ref_grad)
+
+
+class TestLabelPlan:
+    def test_columns_counts_and_token_maxima(self):
+        plan = label_plan([[2, 2, 1], [], [3]])
+        assert plan.ext.tolist() == [
+            [BLANK, BLANK, BLANK],
+            [2, -1, 3],
+            [BLANK, -1, BLANK],
+            [2, -1, -1],
+            [BLANK, -1, -1],
+            [1, -1, -1],
+            [BLANK, -1, -1],
+        ]
+        assert plan.n_states.tolist() == [7, 1, 3]
+        assert plan.min_frames.tolist() == [4, 0, 1]
+        assert plan.max_token.tolist() == [2, 0, 3]
+
+    def test_blank_or_negative_token_maxes_out(self):
+        assert label_plan([[1, BLANK], [-2, 1], [1]]).max_token.tolist() == [np.iinfo(np.int64).max] * 2 + [1]
+
+    @given(st.lists(st.lists(st.integers(1, 3), max_size=6), max_size=8))
+    def test_min_frames_is_the_feasibility_boundary(self, labels):
+        plan = label_plan(labels)
+        for lab, m in zip(labels, plan.min_frames.tolist()):
+            assert is_feasible(m, lab) and (m == 0 or not is_feasible(m - 1, lab))
+
+    def test_slice_pads_to_its_longest_label(self):
+        plan = label_plan([[1, 2, 3], [1], [2, 2]])
+        part = plan[np.array([2, 1])]
+        assert part.ext.shape == (5, 2) and len(part) == 2
+        assert part.ext[:, 0].tolist() == plan.ext[:5, 2].tolist()
+        assert part.n_states.tolist() == [5, 3] and part.min_frames.tolist() == [3, 1]
+        assert len(plan[np.array([], dtype=np.int64)]) == 0
+
+    @given(ragged_batches(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_slice_matches_label_lists_exactly(self, batch, data):
+        # a plan over extra utterances (longer labels too), sliced back to the batch
+        extra = data.draw(st.lists(st.lists(st.integers(1, 9), max_size=9), max_size=4))
+        labels = [lab for _, lab in batch] + extra
+        order = data.draw(st.permutations(range(len(labels))))
+        plan = label_plan([labels[i] for i in order])
+        idx = np.array([order.index(b) for b in range(len(batch))])
+        logp, labs, lengths = stacked(batch)
+        for with_grad in (False, True):
+            want = ctc_log_prob(logp, labs, with_grad=with_grad, lengths=lengths)
+            got = ctc_log_prob(logp, plan[idx], with_grad=with_grad, lengths=lengths)
+            assert np.array_equal(got.log_prob, want.log_prob)
+            assert (got.grad is None) if not with_grad else np.array_equal(got.grad, want.grad)
+        lp, lab = batch[0]
+        single = ctc_log_prob(lp, plan[idx[:1]], with_grad=True)
+        assert single.log_prob == want.log_prob[0] and np.array_equal(single.grad, want.grad[: len(lp)])
+
+    @given(ragged_batches(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_slices_sharing_work_arrays_match_fresh_calls(self, batch, data):
+        # one plan's slices of varying sizes, in turn, as train's minibatches use them
+        plan = label_plan([lab for _, lab in batch])
+        for _ in range(3):
+            idx = np.array(data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=4)))
+            part = [batch[i] for i in idx]
+            logp, labs, lengths = stacked(part)
+            want = ctc_log_prob(logp, labs, with_grad=True, lengths=lengths)
+            got = ctc_log_prob(logp, plan[idx], with_grad=True, lengths=lengths)
+            assert np.array_equal(got.log_prob, want.log_prob) and np.array_equal(got.grad, want.grad)
+
+    def test_plan_errors_keep_their_messages(self):
+        rng = np.random.default_rng(12)
+        batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 1, 3), [1, 1]), (random_logp(rng, 4, 3), [7])]
+        logp, labels, lengths = stacked(batch)
+        plan = label_plan(labels)
+        with pytest.raises(FeasibilityError, match="^utterance 1: label of length 2 with 1 repeat pair"):
+            ctc_log_prob(logp, plan, lengths=lengths)
+        with pytest.raises(ValueError, match="^utterance 0: label token outside the non-blank class range$"):
+            ctc_log_prob(logp[5:], plan[[2]], lengths=[4])
+        with pytest.raises(ValueError, match="mismatch: 2 lengths vs 3 labels"):
+            ctc_log_prob(logp[:5], plan, lengths=[4, 1])
 
 
 class TestGreedyDecode:

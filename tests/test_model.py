@@ -1,13 +1,19 @@
 import itertools
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iplfilter.corpus import CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
 from iplfilter.ctc import collapse, ctc_log_prob, greedy_decode, is_feasible
 from iplfilter.errors import ConfigurationError, ShapeError, TrainingError
 from iplfilter.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     _backprop,
     _forward_cache,
@@ -251,6 +257,100 @@ class TestLrSchedule:
             TrainConfig(base_lr=base_lr)
 
 
+def reference_train(model, data, cfg, weights=None):
+    """``train`` as it was before the label plan and the flat Adam buffer:
+    label lists handed to ``ctc_log_prob`` per minibatch, and Adam updated
+    parameter by parameter. The reference for ``train``'s weights and loss
+    curve, bit for bit."""
+    pairs = list(data)
+    for fs, lab in pairs:
+        assert is_feasible(fs.num_frames, lab)
+    w = np.ones(len(pairs)) if weights is None else np.asarray(weights, dtype=np.float64)
+    out = model.copy()
+    n = len(pairs)
+    if n == 0 or cfg.epochs == 0:
+        return out, []
+    rng = np.random.default_rng(cfg.seed)
+    batches_per_epoch = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs * batches_per_epoch
+    adam_m = {k: np.zeros_like(v) for k, v in out.params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in out.params.items()}
+    step = 0
+    curve = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_losses = []
+        for b in range(batches_per_epoch):
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            frames = [pairs[i][0].frames for i in idx]
+            lengths = [f.shape[0] for f in frames]
+            x = np.concatenate(frames)
+            logp, hidden = _forward_cache(out, x)
+            res = ctc_log_prob(logp, [pairs[i][1] for i in idx], with_grad=True, lengths=lengths)
+            batch_grads = _backprop(out, x, hidden, res.grad * np.repeat(w[idx], lengths)[:, None])
+            epoch_losses.extend((-res.log_prob).tolist())
+            lr = lr_at(step, total_steps, cfg)
+            for k, g in batch_grads.items():
+                g /= idx.size
+                if cfg.optimizer == "sgd":
+                    g *= lr
+                    continue
+                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * g
+                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * g**2
+                m_hat = adam_m[k] / (1 - ADAM_BETA1 ** (step + 1))
+                v_hat = adam_v[k] / (1 - ADAM_BETA2 ** (step + 1))
+                g[...] = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            for k, g in batch_grads.items():
+                out.params[k] -= g
+            step += 1
+        curve.append(float(np.mean(epoch_losses)))
+    return out, curve
+
+
+@st.composite
+def ragged_corpora(draw):
+    """1-12 utterances of 1-7 frames over a 1-4 token vocabulary: empty
+    labels, repeat pairs, optional pseudo-label weights, either optimizer,
+    ``hidden_dim`` 0 or 3."""
+    D, V = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = []
+    for i in range(draw(st.integers(1, 12))):
+        T = draw(st.integers(1, 7))
+        labels = draw(st.lists(st.integers(1, V), max_size=T))
+        while not is_feasible(T, labels):
+            labels.pop()
+        data.append((FeatureSequence(f"u{i}", rng.standard_normal((T, D))), LabelSequence(tuple(labels))))
+    weights = draw(st.none() | st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=len(data),
+                                        max_size=len(data)))
+    cfg = TrainConfig(epochs=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, 5)),
+                      seed=draw(st.integers(0, 99)), optimizer=draw(st.sampled_from(["adam", "sgd"])))
+    return init_model(D, V, draw(st.sampled_from([0, 3])), seed=draw(st.integers(0, 99))), data, cfg, weights
+
+
+class TestTrainMatchesReference:
+    @given(ragged_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_weights_and_loss_curve_are_bit_identical(self, case):
+        model, data, cfg, weights = case
+        result = train(model, data, cfg, weights=weights)
+        ref_model, ref_curve = reference_train(model, data, cfg, weights=weights)
+        assert list(result.model.params) == list(ref_model.params)
+        for k, p in ref_model.params.items():
+            assert np.array_equal(result.model.params[k], p), f"param {k}"
+        assert result.loss_curve == ref_curve
+
+    def test_default_corpus_matches_at_both_hidden_dims(self):
+        splits = generate_corpus(CorpusGenConfig(n_labeled=24, n_unlabeled=2, n_dev=2, n_test=2), seed=6)
+        for hidden in (0, 8):
+            model = init_model(splits.feature_dim, 8, hidden, seed=2)
+            cfg = TrainConfig(epochs=3, seed=4)
+            result = train(model, splits.labeled, cfg)
+            ref_model, ref_curve = reference_train(model, splits.labeled, cfg)
+            assert all(np.array_equal(result.model.params[k], p) for k, p in ref_model.params.items())
+            assert result.loss_curve == ref_curve
+
+
 class TestTrain:
     def test_noiseless_corpus_learns_exactly(self):
         cfg = CorpusGenConfig(noise_sigma=0.0, n_labeled=8, n_unlabeled=2, n_dev=2, n_test=2)
@@ -298,6 +398,20 @@ class TestTrain:
         bad = (FeatureSequence("bad-utt", np.zeros((1, 2))), LabelSequence((1, 1)))
         with pytest.raises(TrainingError, match="bad-utt"):
             train(model, [bad], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_token_outside_vocabulary_names_utterance_before_any_step(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        data = [(FeatureSequence("bad-utt", rng.standard_normal((4, 2))), LabelSequence((1, 7)))]
+        data += [(FeatureSequence(f"u{i}", rng.standard_normal((4, 2))), LabelSequence((1, 2))) for i in range(11)]
+        monkeypatch.setattr("iplfilter.model.ctc_log_prob", None)  # no step may run
+        with pytest.raises(TrainingError, match="^utterance bad-utt: label token outside the vocabulary 1..3$"):
+            train(init_model(2, 3, 0, seed=0), data, TrainConfig(epochs=1, batch_size=4, seed=seed))
+
+    def test_infeasible_label_message(self):
+        bad = (FeatureSequence("short", np.zeros((2, 2))), LabelSequence((1, 1)))
+        with pytest.raises(TrainingError, match=r"^utterance short: label of length 2 infeasible for 2 frame\(s\)$"):
+            train(init_model(2, 3, 0, seed=0), [bad], TrainConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_frames_name_utterance_epoch_and_step(self):
