@@ -2,17 +2,21 @@
 """Paired benchmark runs of two source trees, and the CTC kernel's time by section.
 
     python3 scripts/bench_pair.py --base REV --seeds 51 52 53 54 --seconds 30 --out BENCH.json
+    python3 scripts/bench_pair.py --base REV --workloads cli-pipeline --seeds 91 92 ... --out BENCH.json
 
 Run from the repository root on an otherwise idle machine. The committed
 files of git revision ``--base`` are exported (``git archive``) to a
-temporary directory and compared with the working tree:
+temporary directory and compared with the working tree on the workloads
+``--workloads`` names (all three by default), so that a claim on one
+workload can run more seeds there than a check of the others:
 
-- for every workload and seed, one ``perfbench/run.py --trace 0`` run per
-  tree, the two back to back (the base first on every other seed);
-- one ``--trace 1`` run per tree of each IPL workload on the first seed,
-  for the per-layer metrics;
-- the CTC kernel's time by section over one ``ipl-long`` pass on the first
-  seed, per tree (``--sections TREE`` runs that part alone).
+- for every named workload and seed, one ``perfbench/run.py --trace 0``
+  run per tree, the two back to back (the base first on every other seed);
+- one ``--trace 1`` run per tree of every named workload on the first
+  seed, for the per-layer metrics;
+- when ``ipl-long`` is named, the CTC kernel's time by section over one
+  ``ipl-long`` pass on the first seed, per tree (``--sections TREE`` runs
+  that part alone).
 
 Sections are read off a line tracer: the time between line events of
 ``ctc_log_prob``, ``LabelPlan.__getitem__`` (where it exists) and
@@ -186,9 +190,17 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return {"failed": rec["failed"], **{k: v["value"] for k, v in rec["metrics"].items()}}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def quartiles(values: list[float]) -> list[float] | None:
+    """The first and third quartiles (``statistics.quantiles``' exclusive method), given two values or more."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def summarize(pairs: list[dict], workloads) -> dict:
     out = {}
-    for workload in WORKLOADS:
+    for workload in workloads:
         rows = [p for p in pairs if p["workload"] == workload]
         for metric in METRICS:
             base = [p["base"][metric] for p in rows]
@@ -197,6 +209,7 @@ def summarize(pairs: list[dict]) -> dict:
             mb, mc = statistics.median(base), statistics.median(change)
             out[f"{workload}/{metric}"] = {
                 "base_median": mb, "change_median": mc,
+                "base_quartiles": quartiles(base), "change_quartiles": quartiles(change),
                 "speedup": (mc / mb if metric in HIGHER_IS_BETTER else mb / mc) if mb and mc else None,
                 "change_better_pairs": f"{sum(better)}/{len(rows)}",
             }
@@ -211,6 +224,8 @@ def git_sha(rev: str) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare the working tree with")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS), metavar="NAME",
+                    help=f"workloads to pair, of {', '.join(WORKLOADS)} (default: all)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[51, 52, 53, 54])
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path)
@@ -228,7 +243,8 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         trees = {"base": base, "change": ROOT}
         pairs = []
-        for workload in WORKLOADS:
+        workloads = [wl for wl in WORKLOADS if wl in args.workloads]
+        for workload in workloads:
             for i, seed in enumerate(args.seeds):
                 pair = {"workload": workload, "seed": seed}
                 for name in ("base", "change") if i % 2 == 0 else ("change", "base"):
@@ -237,9 +253,9 @@ def main(argv=None) -> int:
                 print(json.dumps(pair), flush=True)
         traced = {f"{wl}/seed{args.seeds[0]}": {name: bench(tree, wl, args.seeds[0], args.seconds, 1)
                                                 for name, tree in trees.items()}
-                  for wl in WORKLOADS[:2]}
+                  for wl in workloads}
         sections = {}
-        for name, tree in trees.items():
+        for name, tree in trees.items() if "ipl-long" in workloads else ():
             proc = subprocess.run([sys.executable, __file__, "--sections", str(tree), "--seeds",
                                    str(args.seeds[0])], capture_output=True, text=True, check=True)
             sections[name] = json.loads(proc.stdout)
@@ -250,11 +266,12 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                     "processor": platform.processor() or platform.machine(), "cpus": os.cpu_count()},
         "seconds": args.seconds,
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, workloads),
         "pairs": pairs,
         "traced": traced,
-        "kernel_sections": {f"ipl-long/seed{args.seeds[0]}": sections},
     }
+    if sections:
+        record["kernel_sections"] = {f"ipl-long/seed{args.seeds[0]}": sections}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import VERSION, read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import NUMBER, VERSION, read_json, read_jsonl, write_json, write_jsonl
 from .errors import ConfigurationError, ManifestError
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
@@ -286,9 +286,11 @@ def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_label
             raise ManifestError(
                 f"{where}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
             )
+        if not set(map(type, flat)).issubset(NUMBER):  # float() would take true and "1.5"; None is NaN
+            raise ManifestError(f"{where}: utterance {uid}: frame values must be JSON numbers")
         try:
             fs = FeatureSequence(uid, np.asarray(flat, dtype=np.float64).reshape(T, D))
-        except (TypeError, ValueError) as e:
+        except (OverflowError, TypeError, ValueError) as e:
             raise ManifestError(f"{where}: utterance {uid}: {e}") from e
         if not np.isfinite(fs.frames).all():
             # json reads NaN and Infinity; training on them fails far from the file

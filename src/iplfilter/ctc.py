@@ -65,12 +65,6 @@ def collapse(alignment) -> LabelSequence:
     return LabelSequence(tuple(out))
 
 
-def is_feasible(num_frames: int, labels) -> bool:
-    """A label fits in T frames iff T >= L + (# adjacent equal pairs)."""
-    toks = list(labels)
-    return num_frames >= len(toks) + sum(a == b for a, b in zip(toks, toks[1:]))
-
-
 @dataclass(frozen=True)
 class LabelPlan:
     """The label side of a CTC batch, built once by :func:`label_plan`.

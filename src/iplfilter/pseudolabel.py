@@ -92,11 +92,17 @@ def score_filter(pseudo_labels, boundary: float) -> list[PseudoLabel]:
 
 
 def annotate_oracle_wer(pseudo_labels, references) -> None:
-    """Fill ``oracle_wer`` on every pseudo-label (oracle-only path)."""
-    for p in pseudo_labels:
-        if p.utterance_id not in references:
-            raise OracleError(f"no ground truth for utterance {p.utterance_id}")
-        p.oracle_wer = utterance_wer(references[p.utterance_id], p.hypothesis)
+    """Fill ``oracle_wer`` on every pseudo-label, all in one batch (oracle-only path).
+
+    A label without a reference raises :class:`OracleError` before any is filled.
+    """
+    pls = list(pseudo_labels)
+    try:
+        pairs = [(references[p.utterance_id], p.hypothesis) for p in pls]
+    except KeyError as e:
+        raise OracleError(f"no ground truth for utterance {e.args[0]}") from None
+    for p, w in zip(pls, utterance_wer(pairs)):
+        p.oracle_wer = w
 
 
 def wer_filter(pseudo_labels, references, max_wer: float) -> list[PseudoLabel]:

@@ -14,7 +14,7 @@ import pytest
 
 from iplfilter.cli import main as cli_main
 from iplfilter.corpus import CorpusGenConfig, LabelSequence, generate_corpus
-from iplfilter.ctc import brute_force_ctc, ctc_log_prob, greedy_decode, is_feasible
+from iplfilter.ctc import brute_force_ctc, ctc_log_prob, greedy_decode
 from iplfilter.metrics import edit_counts, overlap_rate
 from iplfilter.model import TrainConfig, init_model, lr_at, utterance_loss_and_grads
 from iplfilter.pipeline import (
@@ -27,6 +27,7 @@ from iplfilter.pipeline import (
     train_teacher,
 )
 from iplfilter.pseudolabel import PseudoLabel, score_filter, wer_filter
+from test_ctc import is_feasible
 from test_pseudolabel import score_utterance
 
 SEEDS = (0, 1, 2, 3, 4)

@@ -388,7 +388,12 @@ class TestReportOnMalformedRun:
         assert str(root / name) in err["message"]
 
 
-# Every other artifact a command reads: (file, line to damage, error, argv in the copied root)
+# A frame value that float() would read as a number (true, "1.5") or as NaN (null)
+FRAME_DAMAGES = {name: _edit_record(lambda rec, v=v: rec["frames"].__setitem__(0, v))
+                 for name, v in {"bool": True, "string": "1.5", "null": None}.items()}
+
+# Every other artifact a command reads: (file, line to damage, error, argv in the copied root),
+# damaged in each way DAMAGES names, or in each way of a fifth element
 DAMAGED_INPUTS = {
     "meta": ("corpus/meta.json", 1, "ManifestError",
              lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
@@ -411,8 +416,15 @@ DAMAGED_INPUTS = {
                               "--model", d / "teacher" / "teacher_model.json"]),
     "config": ("teacher/config.json", 1, "ConfigurationError",
                lambda d: ["train-teacher", "--config", d / "teacher" / "config.json"]),
+    "frame-value": ("corpus/unlabeled.jsonl", 2, "ManifestError",
+                    lambda d: ["pseudolabel", "--corpus", d / "corpus",
+                               "--model", d / "teacher" / "teacher_model.json"], FRAME_DAMAGES),
 }
 DAMAGES = {"invalid-json": lambda line: line[: len(line) // 2], "array": lambda line: "[1, 2]"}
+
+
+def _damages(case):
+    return (DAMAGED_INPUTS[case][4:] or (DAMAGES,))[0]
 
 
 class TestDamagedInput:
@@ -427,13 +439,13 @@ class TestDamagedInput:
                      "--model", str(teacher / "teacher_model.json")]) == 0
         return root
 
-    @pytest.mark.parametrize("damage", sorted(DAMAGES))
-    @pytest.mark.parametrize("case", sorted(DAMAGED_INPUTS))
+    @pytest.mark.parametrize("case, damage", [(case, damage) for case in sorted(DAMAGED_INPUTS)
+                                              for damage in sorted(_damages(case))])
     def test_damaged_input_is_usage_error(self, world, tmp_path, capsys, case, damage):
-        name, lineno, error, argv = DAMAGED_INPUTS[case]
+        name, lineno, error, argv = DAMAGED_INPUTS[case][:4]
         root = tmp_path / "world"
         shutil.copytree(world, root)
-        _set_line(root / name, lineno, DAMAGES[damage])
+        _set_line(root / name, lineno, _damages(case)[damage])
         capsys.readouterr()
         rc = main([str(a) for a in argv(root)] + ["--out-dir", str(tmp_path / "out")])
         assert rc == 2

@@ -214,6 +214,31 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=r"unlabeled\.jsonl:2: utterance unl-0001: non-finite"):
             load_manifest(tmp_path / "m")
 
+    @pytest.mark.parametrize("value", [True, "1.5", None, [1.0]], ids=["bool", "string", "null", "list"])
+    def test_non_number_frame_names_line_and_utterance(self, tmp_path, value):
+        # float() would read true as 1.0 and "1.5" as 1.5; None would become NaN
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "unlabeled.jsonl"
+        lines = target.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["frames"][1] = value
+        lines[1] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:2: utterance unl-0001: frame values must be JSON numbers"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
+
+    def test_frame_too_large_for_a_float_names_line(self, tmp_path):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "dev.jsonl"
+        lines = target.read_text().splitlines()
+        lines[0] = lines[0].replace('"frames": [', '"frames": [1' + "0" * 400 + ", ", 1)
+        rec = json.loads(lines[0])
+        lines[0] = json.dumps({**rec, "frames": rec["frames"][:-1]})
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=r"dev\.jsonl:1: utterance dev-0000: int too large"):
+            load_manifest(tmp_path / "m")
+
     def test_frame_count_mismatch_rejected(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")

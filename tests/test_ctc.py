@@ -8,7 +8,6 @@ from iplfilter.ctc import (
     collapse,
     ctc_log_prob,
     greedy_decode,
-    is_feasible,
     label_plan,
 )
 from iplfilter.errors import FeasibilityError
@@ -131,6 +130,13 @@ class TestCtcLogProb:
         logp = random_logp(rng, T + 1, 3)
         assert is_feasible(T + 1, labels)
         assert np.isfinite(ctc_log_prob(logp, labels).log_prob)
+
+
+def is_feasible(num_frames: int, labels) -> bool:
+    """A label fits in T frames iff T >= L + (# adjacent equal pairs); the
+    per-label rule that :attr:`LabelPlan.min_frames` vectorizes."""
+    toks = list(labels)
+    return num_frames >= len(toks) + sum(a == b for a, b in zip(toks, toks[1:]))
 
 
 def reference_ctc_log_prob(logp, labels):

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
@@ -111,6 +112,66 @@ class TestEditCounts:
         assert edit_counts(ref, hyp) == reference_edit_counts(ref, hyp)
 
 
+def stacked(pairs):
+    """The batch-form arguments of :func:`edit_counts`, built by hand."""
+    return ([t for r, _ in pairs for t in r], [t for _, h in pairs for t in h],
+            [len(r) for r, _ in pairs], [len(h) for _, h in pairs])
+
+
+# ragged batches over a 3-token alphabet, empty references and hypotheses included
+ragged_pairs = st.lists(
+    st.tuples(st.lists(st.integers(1, 3), max_size=9), st.lists(st.integers(1, 3), max_size=9)),
+    max_size=12,
+)
+
+
+def reference_wer(ref, hyp) -> float:
+    c = reference_edit_counts(ref, hyp)
+    if c.reference_length == 0:
+        return 0.0 if not hyp else float("inf")
+    return c.errors / c.reference_length
+
+
+class TestEditCountsBatch:
+    @given(ragged_pairs)
+    @example([])
+    @example([([], []), ([], [2, 2]), ([1, 3], []), ([1, 2, 3, 1], [3, 2, 1, 3, 3])])
+    @settings(max_examples=300, deadline=None)
+    def test_every_pair_matches_the_reference(self, pairs):
+        c = edit_counts(*stacked(pairs))
+        assert all(x.shape == (len(pairs),) for x in (c.substitutions, c.deletions, c.insertions, c.hits))
+        got = list(zip(c.substitutions.tolist(), c.deletions.tolist(), c.insertions.tolist(), c.hits.tolist()))
+        assert got == [astuple(reference_edit_counts(r, h)) for r, h in pairs]
+
+    @given(st.lists(st.integers(1, 3), max_size=10), st.lists(st.integers(1, 3), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_of_one_equals_the_single_form(self, ref, hyp):
+        c = edit_counts(ref, hyp, [len(ref)], [len(hyp)])
+        single = edit_counts(ref, hyp)
+        assert all(type(x) is int for x in astuple(single))
+        assert astuple(single) == tuple(int(x[0]) for x in astuple(c))
+
+    @given(ragged_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_wers_equal_the_per_pair_reference_bit_for_bit(self, pairs):
+        assert utterance_wer(pairs) == [reference_wer(r, h) for r, h in pairs]
+        counts = [reference_edit_counts(r, h) for r, h in pairs]
+        total = sum(c.reference_length for c in counts)
+        if total:
+            assert wer(pairs) == sum(c.errors for c in counts) / total
+
+    @pytest.mark.parametrize("args", [
+        ([1], [1], [[1]], [[1]]), ([1], [1], [1], [1, 0]), ([1], [], [2, -1], [0, 0]), ([1, 2], [1], [1], [1]),
+    ], ids=["2-D", "unequal", "negative", "sum"])
+    def test_malformed_batch_rejected(self, args):
+        with pytest.raises(ValueError, match="^a batch needs 1-D, equally long, non-negative lengths"):
+            edit_counts(*args)
+
+    def test_one_length_list_alone_rejected(self):
+        with pytest.raises(ValueError, match="both"):
+            edit_counts([1], [1], [1])
+
+
 class TestWer:
     def test_all_identical_is_zero(self):
         assert wer([([1, 2], [1, 2]), ([3], [3])]) == 0.0
@@ -137,9 +198,8 @@ class TestWer:
         assert wer([([1], [1]), ([2], [3])]) > 0.0
 
     def test_utterance_wer_empty_conventions(self):
-        assert utterance_wer([], []) == 0.0
-        assert utterance_wer([], [1]) == float("inf")
-        assert utterance_wer([1, 2], [1, 3]) == pytest.approx(0.5)
+        assert utterance_wer([([], []), ([], [1]), ([1, 2], [1, 3])]) == [0.0, float("inf"), 0.5]
+        assert utterance_wer([]) == []
 
 
 class TestOverlap:

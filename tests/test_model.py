@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iplfilter.corpus import CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
-from iplfilter.ctc import collapse, ctc_log_prob, greedy_decode, is_feasible
+from iplfilter.ctc import collapse, ctc_log_prob, greedy_decode
 from iplfilter.errors import ConfigurationError, ShapeError, TrainingError
 from iplfilter.model import (
     ADAM_BETA1,
@@ -26,6 +26,7 @@ from iplfilter.model import (
     train,
     utterance_loss_and_grads,
 )
+from test_ctc import is_feasible
 
 
 def greedy_accuracy(model, data) -> float:

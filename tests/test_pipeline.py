@@ -321,12 +321,13 @@ class TestOracleWerOnce:
     def test_one_edit_distance_per_utterance_per_iteration(self, monkeypatch, mode, kw):
         splits = small_splits(n_unlabeled=50, n_dev=10, n_test=10)
         teacher = init_model(splits.feature_dim, 8, 0, seed=0)
-        calls = []
+        pairs = []  # pairs handed to each edit_counts call, batch form or single
         edit_counts = metrics.edit_counts
-        monkeypatch.setattr(metrics, "edit_counts", lambda *a: calls.append(1) or edit_counts(*a))
+        monkeypatch.setattr(metrics, "edit_counts",
+                            lambda *a: pairs.append(len(a[2]) if len(a) > 2 else 1) or edit_counts(*a))
         cfg = IplConfig(iter_max=1, filter_mode=mode, train=replace(FAST, epochs=0), **kw)
         run_ipl(splits, cfg, teacher=teacher)
-        assert len(calls) == 50 + 10 + 10
+        assert sum(pairs) == 50 + 10 + 10
 
 
 class TestEstimate:

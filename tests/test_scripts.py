@@ -34,3 +34,30 @@ def test_study_runs_one_short_seed(mode, tmp_path):
     rows = [json.loads(line) for line in lines]
     assert [row["seed"] for row in rows] == [0]
     assert set(rows[0]) == ROW_FIELDS[mode]
+
+
+def _bench_pair():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pair
+    finally:
+        sys.path.pop(0)
+    return bench_pair
+
+
+def test_bench_pair_summarizes_only_the_named_workloads():
+    bench_pair = _bench_pair()
+    run = {"setup_s": 1.0, "run_s": 2.0, "train_utt_per_s": 10.0, "peak_rss_mb": 50.0}
+    pairs = [{"workload": "cli-pipeline", "seed": seed, "base": run, "change": {**run, "run_s": 1.5}}
+             for seed in (1, 2)]
+    summary = bench_pair.summarize(pairs, ["cli-pipeline"])
+    assert {key.split("/")[0] for key in summary} == {"cli-pipeline"}
+    assert summary["cli-pipeline/run_s"]["change_better_pairs"] == "2/2"
+    assert summary["cli-pipeline/run_s"]["base_quartiles"] == [2.0, 2.0]
+
+
+def test_bench_pair_rejects_an_unknown_workload(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _bench_pair().main(["--base", "HEAD", "--out", "x.json", "--workloads", "no-such-workload"])
+    assert exc.value.code == 2
+    assert "no-such-workload" in capsys.readouterr().err
