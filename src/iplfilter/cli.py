@@ -96,6 +96,10 @@ _IPL = _flags(IplConfig(), skip=("train",))
 _TRAIN_FLAGS = {"corpus": (str, None), **{key: _IPL[key] for key in ("seed", "hidden_dim")},
                 **_flags(TrainConfig(), skip=("seed",))}
 _IPL_FLAGS = {**_TRAIN_FLAGS, **_IPL}
+# The sweep sets each step's filter and iteration count itself
+_SWEEP_FLAGS = {**_TRAIN_FLAGS,
+                **{key: _IPL[key] for key in ("warm_start", "pseudo_weight", "exclude_blank")},
+                **_flags(ThresholdSchedule())}
 
 
 def _expected(kind, default) -> str:
@@ -218,11 +222,14 @@ def cmd_pseudolabel(cfg: dict, out: Path) -> None:
 def cmd_filter(cfg: dict, out: Path) -> None:
     if (cfg["score_threshold"] is None) == (cfg["max_wer"] is None):
         raise ConfigurationError("filter: exactly one of --score-threshold / --max-wer")
-    pls = load_pseudolabels(_require(cfg, "pseudo_labels"))
     if cfg["score_threshold"] is not None:
+        pls = load_pseudolabels(_require(cfg, "pseudo_labels"))
         kept = score_filter(pls, cfg["score_threshold"])
     else:
-        kept = wer_filter(pls, load_refs(_corpus(cfg)), cfg["max_wer"])
+        corpus = _corpus(cfg)
+        # a token outside the corpus's vocabulary has no place in an edit distance against its refs
+        pls = load_pseudolabels(_require(cfg, "pseudo_labels"), read_meta(corpus)[0].num_classes)
+        kept = wer_filter(pls, load_refs(corpus), cfg["max_wer"])
         save_pseudolabels(pls, out / "annotated.jsonl")  # oracle_wer now filled on all
     save_pseudolabels(kept, out / "filtered.jsonl")
 
@@ -232,8 +239,9 @@ def cmd_ipl(cfg: dict, out: Path) -> None:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
-    schedule = _from_flags(ThresholdSchedule, cfg, cfg)
-    sweep_threshold(load_manifest(_corpus(cfg)), _ipl_config(cfg), schedule, out_dir=out)
+    schedule = _from_flags(ThresholdSchedule, _SWEEP_FLAGS, cfg)
+    sweep_threshold(load_manifest(_corpus(cfg)), _ipl_config(cfg, _SWEEP_FLAGS), schedule,
+                    out_dir=out)
 
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
@@ -288,8 +296,7 @@ COMMANDS = {
         "max_wer": (float, None),
     }),
     "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", _IPL_FLAGS),
-    "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule",
-              {**_TRAIN_FLAGS, **_flags(ThresholdSchedule())}),
+    "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule", _SWEEP_FLAGS),
     "estimate-threshold": (cmd_estimate_threshold, "probe-based threshold estimation", {
         **_TRAIN_FLAGS,
         "model": (str, None),

@@ -15,13 +15,14 @@ repeat-free labels only require at least one frame per token.
 
 from __future__ import annotations
 
+import base64
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import NUMBER, VERSION, read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import VERSION, read_json, read_jsonl, write_json, write_jsonl
 from .errors import ConfigurationError, ManifestError
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
@@ -29,9 +30,11 @@ BLANK = 0
 
 MANIFEST_SCHEMA = "corpus-manifest"
 _META_FIELDS = {"tokens": list, "feature_dim": int}
-_UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int, "feature_dim": int, "frames": list}
+_UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int, "feature_dim": int, "frames": str}
 _LABELED_FIELDS = {**_UTTERANCE_FIELDS, "tokens": list}
 _REFS_FIELDS = {"utterance_id": str, "tokens": list}
+# A record's frames: the base64 text of the (T, D) matrix's row-major bytes in this type
+_FRAME_DTYPE = np.dtype("<f8")
 
 SPLITS = ("labeled", "unlabeled", "dev", "test")
 _ID_PREFIXES = {"labeled": "lab", "unlabeled": "unl", "dev": "dev", "test": "tst"}
@@ -90,7 +93,11 @@ class LabelSequence:
 
 @dataclass(frozen=True, eq=False)
 class FeatureSequence:
-    """A (T, D) frame matrix for one utterance."""
+    """A (T, D) frame matrix for one utterance.
+
+    Frames read from a manifest are read-only views of the decoded bytes;
+    nothing writes frames in place.
+    """
 
     utterance_id: str
     frames: np.ndarray
@@ -243,7 +250,7 @@ def _utterance_record(fs: FeatureSequence, labels: LabelSequence | None) -> dict
         "utterance_id": fs.utterance_id,
         "num_frames": fs.num_frames,
         "feature_dim": fs.feature_dim,
-        "frames": fs.frames.ravel().tolist(),
+        "frames": base64.b64encode(fs.frames.astype(_FRAME_DTYPE, copy=False).tobytes()).decode(),
     }
     if labels is not None:
         rec["tokens"] = list(labels.tokens)
@@ -253,7 +260,8 @@ def _utterance_record(fs: FeatureSequence, labels: LabelSequence | None) -> dict
 def save_manifest(splits: CorpusSplits, out_dir) -> None:
     """Write one directory per corpus: meta + one jsonl file per split.
 
-    Floats go through ``json.dumps`` (repr-based), so the round trip is exact.
+    Each utterance's ``frames`` field is the base64 text of its row-major
+    little-endian float64 (``<f8``) bytes, so the round trip is exact to the bit.
     The unlabeled split's public file carries no transcripts; the hidden truth
     goes to a separate refs file read only by oracle paths.
     """
@@ -279,21 +287,23 @@ def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_label
     out = []
     fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
     for where, rec in read_jsonl(path, ManifestError, fields):
-        uid, T, D, flat = rec["utterance_id"], rec["num_frames"], rec["feature_dim"], rec["frames"]
+        uid, T, D = rec["utterance_id"], rec["num_frames"], rec["feature_dim"]
         if D != feature_dim:
             raise ManifestError(f"{where}: utterance {uid}: feature_dim {D} != manifest {feature_dim}")
-        if len(flat) != T * D:
-            raise ManifestError(
-                f"{where}: frames length {len(flat)} != num_frames*feature_dim {T * D}"
-            )
-        if not set(map(type, flat)).issubset(NUMBER):  # float() would take true and "1.5"; None is NaN
-            raise ManifestError(f"{where}: utterance {uid}: frame values must be JSON numbers")
         try:
-            fs = FeatureSequence(uid, np.asarray(flat, dtype=np.float64).reshape(T, D))
-        except (OverflowError, TypeError, ValueError) as e:
+            raw = base64.b64decode(rec["frames"], validate=True)
+        except ValueError as e:  # binascii.Error, or text that is not ASCII
+            raise ManifestError(f"{where}: utterance {uid}: frames are not base64: {e}") from e
+        size = T * D * _FRAME_DTYPE.itemsize
+        if len(raw) != size:
+            raise ManifestError(
+                f"{where}: frames hold {len(raw)} bytes != num_frames*feature_dim*8 {size}")
+        try:
+            fs = FeatureSequence(uid, np.frombuffer(raw, _FRAME_DTYPE).reshape(T, D))
+        except ValueError as e:
             raise ManifestError(f"{where}: utterance {uid}: {e}") from e
         if not np.isfinite(fs.frames).all():
-            # json reads NaN and Infinity; training on them fails far from the file
+            # the bytes can hold NaN and infinities; training on them fails far from the file
             raise ManifestError(f"{where}: utterance {uid}: non-finite frame value")
         if with_labels:
             out.append((fs, checked_labels(where, rec["tokens"], vocab.num_classes)))

@@ -126,8 +126,9 @@ def save_pseudolabels(pseudo_labels, path) -> None:
     write_jsonl(path, (_record(p) for p in pseudo_labels), PSEUDOLABEL_SCHEMA)
 
 
-def load_pseudolabels(path) -> list[PseudoLabel]:
-    """Inverse of :func:`save_pseudolabels`; a malformed file raises ManifestError."""
+def load_pseudolabels(path, num_classes: int | None = None) -> list[PseudoLabel]:
+    """Inverse of :func:`save_pseudolabels`; a malformed file raises ManifestError,
+    and so does a token of ``num_classes`` or more when it is given."""
     out = []
     for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA):
         score = float(rec["score"])
@@ -136,7 +137,7 @@ def load_pseudolabels(path) -> list[PseudoLabel]:
         oracle_wer = rec.get("oracle_wer")
         out.append(PseudoLabel(
             utterance_id=rec["utterance_id"],
-            hypothesis=checked_labels(where, rec["tokens"]),
+            hypothesis=checked_labels(where, rec["tokens"], num_classes),
             score=score,
             oracle_wer=None if oracle_wer is None else float(oracle_wer),
         ))

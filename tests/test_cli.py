@@ -1,10 +1,13 @@
 import argparse
+import base64
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from iplfilter import cli
 from iplfilter.cli import build_parser, main
 from iplfilter.corpus import LabelSequence, load_manifest
 from iplfilter.pseudolabel import PseudoLabel, load_pseudolabels, save_pseudolabels
@@ -20,6 +23,16 @@ def corpus_dir(tmp_path):
     d = tmp_path / "corpus"
     assert main(["gen-corpus", "--out-dir", str(d), "--seed", "3", *TINY_CORPUS]) == 0
     return d
+
+
+def _frame_values(rec) -> list:
+    """A manifest record's frame values, as a flat list."""
+    return np.frombuffer(base64.b64decode(rec["frames"]), "<f8").tolist()
+
+
+def _frames_text(values) -> str:
+    """Flat frame values as a manifest record's ``frames`` text."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
 def read_config(run_dir):
@@ -52,7 +65,9 @@ FLAG_SETS = {
     "ipl": TRAIN_FLAGS | {"--iter-max", "--filter-mode", "--score-threshold", "--max-wer",
                           "--warm-start", "--no-warm-start", "--pseudo-weight",
                           "--exclude-blank", "--no-exclude-blank"},
-    "sweep": TRAIN_FLAGS | {"--initial", "--step", "--iters-per-update", "--max-updates"},
+    "sweep": TRAIN_FLAGS | {"--initial", "--step", "--iters-per-update", "--max-updates",
+                            "--warm-start", "--no-warm-start", "--pseudo-weight",
+                            "--exclude-blank", "--no-exclude-blank"},
     "estimate-threshold": TRAIN_FLAGS | {"--model", "--max-wer", "--coverage", "--min-probe",
                                          "--probe", "--probe-size", "--exclude-blank",
                                          "--no-exclude-blank", "--bins"},
@@ -92,7 +107,8 @@ FLAG_SURFACE = {
         "pseudo_weight": (float, 1.0), "exclude_blank": (bool, False),
     },
     "sweep": {**TRAIN_SURFACE, "initial": (float, -0.05), "step": (float, 0.03),
-              "iters_per_update": (int, 3), "max_updates": (int, 8)},
+              "iters_per_update": (int, 3), "max_updates": (int, 8), "warm_start": (bool, True),
+              "pseudo_weight": (float, 1.0), "exclude_blank": (bool, False)},
     "estimate-threshold": {
         **TRAIN_SURFACE, "model": (str, None), "max_wer": (float, 0.1), "coverage": (float, 0.9),
         "min_probe": (int, 20), "probe": (("dev", "labeled"), "dev"), "probe_size": (int, None),
@@ -155,7 +171,7 @@ class TestTrainTeacher:
         target = corpus_dir / "labeled.jsonl"
         lines = target.read_text().splitlines()
         rec = json.loads(lines[0])
-        rec["frames"][0] = float("nan")
+        rec["frames"] = _frames_text([np.nan, *_frame_values(rec)[1:]])
         lines[0] = json.dumps(rec)
         target.write_text("\n".join(lines) + "\n")
         rc = main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "r"),
@@ -287,6 +303,15 @@ class TestIplCommand:
 
 
 class TestSweepAndReport:
+    def test_ipl_flags_reach_the_sweep_config(self, corpus_dir, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "sweep_threshold",
+                            lambda splits, cfg, schedule, out_dir: seen.update(cfg=cfg))
+        assert main(["sweep", "--corpus", str(corpus_dir), "--out-dir", str(tmp_path / "run"),
+                     "--no-warm-start", "--pseudo-weight", "0.25", "--exclude-blank"]) == 0
+        cfg = seen["cfg"]
+        assert (cfg.warm_start, cfg.pseudo_weight, cfg.exclude_blank) == (False, 0.25, True)
+
     def test_sweep_then_report(self, corpus_dir, tmp_path):
         run = tmp_path / "sweep"
         rc = main(["sweep", "--corpus", str(corpus_dir), "--out-dir", str(run),
@@ -388,9 +413,18 @@ class TestReportOnMalformedRun:
         assert str(root / name) in err["message"]
 
 
-# A frame value that float() would read as a number (true, "1.5") or as NaN (null)
-FRAME_DAMAGES = {name: _edit_record(lambda rec, v=v: rec["frames"].__setitem__(0, v))
-                 for name, v in {"bool": True, "string": "1.5", "null": None}.items()}
+# A frames field that is not base64 text (the text-float list format among them), or whose
+# bytes hold a NaN
+_FRAMES_FIELDS = {"bool": lambda rec: True, "string": lambda rec: "1.5", "null": lambda rec: None,
+                  "list": _frame_values,
+                  "nan": lambda rec: _frames_text([np.nan, *_frame_values(rec)[1:]])}
+FRAME_DAMAGES = {name: _edit_record(lambda rec, f=f: rec.update(frames=f(rec)))
+                 for name, f in _FRAMES_FIELDS.items()}
+
+# A pseudo-label token outside the corpus's vocabulary, too large for the edit distance's int32
+# or for a C long among them
+TOKEN_DAMAGES = {name: _edit_record(lambda rec, t=t: rec.update(tokens=[1, t]))
+                 for name, t in {"2**40": 2**40, "2**70": 2**70, "99": 99}.items()}
 
 # Every other artifact a command reads: (file, line to damage, error, argv in the copied root),
 # damaged in each way DAMAGES names, or in each way of a fifth element
@@ -419,6 +453,10 @@ DAMAGED_INPUTS = {
     "frame-value": ("corpus/unlabeled.jsonl", 2, "ManifestError",
                     lambda d: ["pseudolabel", "--corpus", d / "corpus",
                                "--model", d / "teacher" / "teacher_model.json"], FRAME_DAMAGES),
+    "pseudo-label-token": ("pl/pseudolabels.jsonl", 2, "ManifestError",
+                           lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                      "--corpus", d / "corpus", "--max-wer", "0.5"],
+                           TOKEN_DAMAGES),
 }
 DAMAGES = {"invalid-json": lambda line: line[: len(line) // 2], "array": lambda line: "[1, 2]"}
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iplfilter.corpus import (
     CorpusGenConfig,
@@ -22,12 +24,23 @@ from iplfilter.corpus import (
 from iplfilter.errors import ConfigurationError, ManifestError
 
 SMALL = CorpusGenConfig(n_labeled=3, n_unlabeled=4, n_dev=2, n_test=2)
+# Signed zero, the smallest subnormals, a subnormal and the largest finite magnitudes
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 def manifest_bytes(tmp_path, splits, name):
     d = tmp_path / name
     save_manifest(splits, d)
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def _edit_frames(path, lineno, edit):
+    """Replace line ``lineno``'s frame bytes by ``edit(bytes)``, base64-encoded again."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    rec["frames"] = base64.b64encode(edit(base64.b64decode(rec["frames"]))).decode()
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestTypes:
@@ -158,6 +171,22 @@ class TestManifestRoundTrip:
         save_manifest(splits, target)
         assert load_manifest(target) == splits
 
+    @given(frames=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(EDGE_FLOATS)))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_frames_round_trip_bit_for_bit(self, tmp_path, frames):
+        splits = CorpusSplits(vocabulary=default_vocabulary(2),
+                              labeled=[(FeatureSequence("lab", frames), LabelSequence((1,)))],
+                              unlabeled=[FeatureSequence("unl", frames[::-1])])
+        save_manifest(splits, tmp_path / "m")
+        back = load_manifest(tmp_path / "m")
+        for fs, loaded in ((splits.labeled[0][0], back.labeled[0][0]),
+                           (splits.unlabeled[0], back.unlabeled[0])):
+            assert loaded.frames.shape == fs.frames.shape
+            assert np.array_equal(loaded.frames.view(np.uint64), fs.frames.view(np.uint64))
+
     def test_truncated_record_names_line(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")
@@ -202,54 +231,44 @@ class TestManifestRoundTrip:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_frame_names_line(self, tmp_path, value):
-        # json writes and reads NaN and Infinity
-        splits = generate_corpus(SMALL, seed=2)
-        save_manifest(splits, tmp_path / "m")
-        target = tmp_path / "m" / "unlabeled.jsonl"
-        lines = target.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["frames"][1] = value
-        lines[1] = json.dumps(rec)
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ManifestError, match=r"unlabeled\.jsonl:2: utterance unl-0001: non-finite"):
-            load_manifest(tmp_path / "m")
-
-    @pytest.mark.parametrize("value", [True, "1.5", None, [1.0]], ids=["bool", "string", "null", "list"])
-    def test_non_number_frame_names_line_and_utterance(self, tmp_path, value):
-        # float() would read true as 1.0 and "1.5" as 1.5; None would become NaN
+        # the frame bytes can hold NaN and infinities
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
         target = tmp_path / "m" / "unlabeled.jsonl"
-        lines = target.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["frames"][1] = value
-        lines[1] = json.dumps(rec)
-        target.write_text("\n".join(lines) + "\n")
-        expected = f"{target}:2: utterance unl-0001: frame values must be JSON numbers"
+        _edit_frames(target, 2, lambda raw: raw[:8] + np.float64(value).tobytes() + raw[16:])
+        expected = f"{target}:2: utterance unl-0001: non-finite frame value"
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
-    def test_frame_too_large_for_a_float_names_line(self, tmp_path):
+    @pytest.mark.parametrize("value, expected", [
+        (True, "field 'frames' is bool, expected str"),
+        ("1.5", "utterance unl-0001: frames are not base64: Only base64 data is allowed"),
+        (None, "field 'frames' is NoneType, expected str"),
+        ([1.0], "field 'frames' is list, expected str"),
+    ], ids=["bool", "string", "null", "list"])
+    def test_non_number_frame_names_line_and_utterance(self, tmp_path, value, expected):
+        # frames are one base64 string: a bool, null or a list of numbers (the text-float
+        # format) fails the field table, and text that is not base64 names the utterance too
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "dev.jsonl"
+        target = tmp_path / "m" / "unlabeled.jsonl"
         lines = target.read_text().splitlines()
-        lines[0] = lines[0].replace('"frames": [', '"frames": [1' + "0" * 400 + ", ", 1)
-        rec = json.loads(lines[0])
-        lines[0] = json.dumps({**rec, "frames": rec["frames"][:-1]})
+        lines[1] = json.dumps({**json.loads(lines[1]), "frames": value})
         target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ManifestError, match=r"dev\.jsonl:1: utterance dev-0000: int too large"):
+        expected = f"{target}:2: {expected}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
     def test_frame_count_mismatch_rejected(self, tmp_path):
+        # one byte short (not whole floats) and one float short
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")
         target = tmp_path / "m" / "unlabeled.jsonl"
-        lines = target.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["frames"] = rec["frames"][:-1]
-        lines[1] = json.dumps(rec)
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ManifestError, match=r"unlabeled\.jsonl:2"):
-            load_manifest(tmp_path / "m")
+        size = 8 * splits.unlabeled[1].frames.size
+        for short in (1, 8):
+            _edit_frames(target, 2, lambda raw: raw[:-short])
+            expected = f"{target}:2: frames hold {size - short} bytes != num_frames*feature_dim*8 {size}"
+            with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+                load_manifest(tmp_path / "m")
+            save_manifest(splits, tmp_path / "m")
 
     @pytest.mark.parametrize("field", ["tokens", "feature_dim"])
     def test_meta_missing_field_names_file(self, tmp_path, field):
