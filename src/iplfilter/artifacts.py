@@ -1,17 +1,19 @@
 """Reading and writing every file of a corpus or run directory.
 
-A ``.json`` file holds one JSON object; a ``.jsonl`` file holds one object
-per line, after a ``{"schema": ..., "version": 1}`` header line when it has a
-schema; summaries and timings are plain text. Objects are written with sorted
-keys and a newline, so equal content gives equal bytes. Each file is written
-to ``<name>.tmp`` beside its target, creating the directory if needed, and
-moved into place with ``os.replace``, so a failed write leaves the earlier
-file, or none, never part of one.
+A ``.json`` file holds one JSON object, whose ``schema`` and ``version`` keys
+name its schema; a ``.jsonl`` file holds one object per line, after a
+``{"schema": ..., "version": 1}`` header line when it has a schema; summaries
+and timings are plain text. Objects are written with sorted keys and a
+newline, so equal content gives equal bytes. Each file is written to
+``<name>.tmp`` beside its target, creating the directory if needed, and moved
+into place with ``os.replace``, so a failed write leaves the earlier file, or
+none, never part of one.
 
 Readers stream ``.jsonl`` files line by line, require every record to be an
 object, and check the schema and, given a field table, each record's fields
 and exact JSON value types. A violation raises the caller's error type naming
-``path:line``.
+``path:line``. :func:`record_fields` derives a record's field table from the
+dataclass it serializes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import get_type_hints
 
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
+
+# The JSON types of each field annotation a record may hold
+_JSON_TYPES = {int: int, bool: bool, str: str, float: NUMBER, float | None: (*NUMBER, type(None)),
+               list[float]: list}
 
 # json.dumps(..., sort_keys=True) would build a new encoder for every record
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -29,6 +36,14 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 
 def _dump(record: dict) -> str:
     return _ENCODER.encode(record) + "\n"
+
+
+def record_fields(cls, skip=()) -> dict:
+    """The field table of a dataclass's fields not in ``skip``, in field order: name -> JSON types."""
+    hints = {name: hint for name, hint in get_type_hints(cls).items() if name not in skip}
+    if unknown := {name: hint for name, hint in hints.items() if hint not in _JSON_TYPES}:
+        raise TypeError(f"{cls.__name__}: no JSON type for the fields {unknown}")
+    return {name: _JSON_TYPES[hint] for name, hint in hints.items()}
 
 
 def _replace(path, write) -> None:
@@ -48,8 +63,9 @@ def write_text(path, text: str) -> None:
     _replace(path, lambda fh: fh.write(text))
 
 
-def write_json(path, record: dict) -> None:
-    write_text(path, _dump(record))
+def write_json(path, record: dict, schema: str | None = None) -> None:
+    header = {} if schema is None else {"schema": schema, "version": VERSION}
+    write_text(path, _dump({**header, **record}))
 
 
 def write_jsonl(path, records, schema: str | None = None) -> None:

@@ -23,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .artifacts import VERSION, read_json, write_json, write_text
+from .artifacts import read_json, write_json, write_text
 from .corpus import (CorpusGenConfig, generate_corpus, load_manifest, load_refs, read_meta,
                      save_manifest)
 from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
@@ -190,8 +190,8 @@ def _checkpoint(cfg: dict):
 
 def _teacher(splits, cfg: dict, out: Path):
     """Train the teacher on the labeled split and write its artifacts to ``out``."""
+    writer = RunWriter(out)  # its clock times the training
     result = train_teacher(splits, _ipl_config(cfg))
-    writer = RunWriter(out)
     writer.teacher(result.model, result.report)
     writer.finish([])
     return result
@@ -341,8 +341,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         out = Path(args.out_dir)
-        write_json(out / "config.json", {"schema": CONFIG_SCHEMA, "version": VERSION,
-                                         "command": args.command, "config": cfg})
+        write_json(out / "config.json", {"command": args.command, "config": cfg}, CONFIG_SCHEMA)
         COMMANDS[args.command][0](cfg, out)
     except Exception as e:  # noqa: BLE001 - single reporting point for every failure
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import VERSION, read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import read_json, read_jsonl, write_json, write_jsonl
 from .errors import ConfigurationError, ManifestError
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
@@ -267,12 +267,10 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     """
     out = Path(out_dir)
     meta = {
-        "schema": MANIFEST_SCHEMA,
-        "version": VERSION,
         "tokens": list(splits.vocabulary.tokens),
         "feature_dim": splits.feature_dim,
     }
-    write_json(out / _META_FILE, meta)
+    write_json(out / _META_FILE, meta, MANIFEST_SCHEMA)
     for name in SPLITS:
         write_jsonl(out / _SPLIT_FILES[name],
                     (_utterance_record(fs, lab) for fs, lab in splits.pairs(name)))

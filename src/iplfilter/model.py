@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import VERSION, read_json, write_json
+from .artifacts import read_json, write_json
 from .corpus import FeatureSequence, LabelSequence
 from .ctc import ctc_log_prob, label_plan
 from .errors import ConfigurationError, ShapeError, TrainingError
@@ -295,15 +295,13 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
 
 def save_checkpoint(model: AcousticModel, path) -> None:
     rec = {
-        "schema": CHECKPOINT_SCHEMA,
-        "version": VERSION,
         "feature_dim": model.feature_dim,
         "vocab_size": model.vocab_size,
         "hidden_dim": model.hidden_dim,
         "seed": model.seed,
         "params": {k: v.tolist() for k, v in sorted(model.params.items())},
     }
-    write_json(path, rec)
+    write_json(path, rec, CHECKPOINT_SCHEMA)
 
 
 def load_checkpoint(path) -> AcousticModel:

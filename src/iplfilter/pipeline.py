@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import NUMBER, VERSION, read_json, read_jsonl, write_json, write_jsonl, write_text
+from .artifacts import NUMBER, read_json, read_jsonl, record_fields, write_json, write_jsonl, write_text
 from .corpus import CorpusSplits
-from .errors import ConfigurationError, InsufficientProbeError
+from .errors import ConfigurationError, InsufficientProbeError, OracleError
 from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
 # forward and greedy_decode are unused here; they stay because perfbench's traced run wraps them
 from .model import AcousticModel, TrainConfig, forward, init_model, save_checkpoint, train  # noqa: F401
@@ -112,7 +112,6 @@ class IterationReport:
     dev_wer: float
     test_wer: float
     trained_on_labeled_only: bool
-    wall_clock_sec: float = 0.0  # measured; excluded from serialized records
 
 
 @dataclass
@@ -120,7 +119,6 @@ class TeacherReport:
     dev_wer: float
     test_wer: float
     loss_curve: list[float]
-    wall_clock_sec: float = 0.0
 
 
 @dataclass
@@ -173,7 +171,6 @@ def check_splits(splits: CorpusSplits) -> None:
 def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:
     """Train the initial model on the labeled split alone."""
     check_splits(splits)
-    t0 = time.perf_counter()
     model = init_model(
         splits.feature_dim, len(splits.vocabulary.tokens), cfg.hidden_dim, seed=cfg.seed
     )
@@ -183,7 +180,6 @@ def train_teacher(splits: CorpusSplits, cfg: IplConfig) -> TeacherResult:
         dev_wer=evaluate_wer(result.model, splits.dev),
         test_wer=evaluate_wer(result.model, splits.test),
         loss_curve=result.loss_curve,
-        wall_clock_sec=time.perf_counter() - t0,
     )
     return TeacherResult(model=result.model, report=report)
 
@@ -204,7 +200,6 @@ def _run_one_iteration(
     iteration: int,
 ) -> tuple[AcousticModel, IterationReport, list[PseudoLabel]]:
     """One iteration under ``cfg``: decode, filter by ``cfg.filter_mode``, fuse, train, evaluate."""
-    t0 = time.perf_counter()
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg.exclude_blank)
     has_truth = bool(splits.unlabeled_refs)
     if cfg.filter_mode == "wer":
@@ -236,7 +231,6 @@ def _run_one_iteration(
         dev_wer=evaluate_wer(trained.model, splits.dev),
         test_wer=evaluate_wer(trained.model, splits.test),
         trained_on_labeled_only=not kept,
-        wall_clock_sec=time.perf_counter() - t0,
     )
     return trained.model, report, pls
 
@@ -255,6 +249,8 @@ def _ipl_loop(
     decline. Returns the result and the best dev WER of each config run.
     """
     check_splits(splits)
+    if splits.unlabeled and not splits.unlabeled_refs and any(c.filter_mode == "wer" for c in schedule):
+        raise OracleError("filter mode 'wer' needs the unlabeled transcripts the corpus withholds")
     if teacher is None:
         tr = train_teacher(splits, schedule[0])
         teacher = tr.model
@@ -343,7 +339,7 @@ def sweep_threshold(
         reports=run.reports,
         model=run.model,
     )
-    out.finish(run.reports, sweep=sweep_record(result))
+    out.finish(run.reports, sweep=_record(result, SWEEP_FIELDS))
     return result
 
 
@@ -422,31 +418,22 @@ def estimate_threshold(
 # ---------------------------------------------------------------------------
 
 
-# Field tables of the records (see artifacts): name -> allowed JSON types.
-_OPTIONAL = (*NUMBER, type(None))
-REPORT_FIELDS = {
-    "iteration": int, "threshold": _OPTIONAL, "generated": int, "kept": int, "rejected": int,
-    "mean_score_kept": _OPTIONAL, "oracle_mean_wer_kept": _OPTIONAL,
-    "oracle_mean_wer_rejected": _OPTIONAL, "dev_wer": NUMBER, "test_wer": NUMBER,
-    "trained_on_labeled_only": bool,
-}
+# Field tables of the records (see artifacts), one per dataclass: name -> allowed JSON types
+REPORT_FIELDS = record_fields(IterationReport)
+TEACHER_FIELDS = record_fields(TeacherReport)
 SWEEP_SCHEMA = "sweep-result"
-SWEEP_FIELDS = {"best_threshold": NUMBER, "declined": bool, "thresholds": list,
-                "best_dev_wer_per_threshold": list}
+SWEEP_FIELDS = record_fields(SweepResult, skip=("reports", "model"))
 ESTIMATE_SCHEMA = "threshold-estimate"
-ESTIMATE_FIELDS = {"threshold": NUMBER, "probe_size": int, "wer_kept_count": int,
-                   "score_kept_count": int, "overlap_jaccard": NUMBER, "overlap_min_ratio": NUMBER}
+ESTIMATE_FIELDS = record_fields(EstimateResult, skip=("pseudolabels",))
+
+
+def _record(obj, table: dict) -> dict:
+    return {name: getattr(obj, name) for name in table}
 
 
 def report_record(report: IterationReport) -> dict:
-    """Deterministic serializable view of a report (wall clock excluded)."""
-    return {name: getattr(report, name) for name in REPORT_FIELDS}
-
-
-def sweep_record(result: SweepResult) -> dict:
-    """The ``sweep.json`` record of a sweep."""
-    return {"schema": SWEEP_SCHEMA, "version": VERSION,
-            **{name: getattr(result, name) for name in SWEEP_FIELDS}}
+    """The ``reports.jsonl`` record of an iteration."""
+    return _record(report, REPORT_FIELDS)
 
 
 @dataclass
@@ -546,40 +533,42 @@ def run_summary(reports, sweep: dict | None = None, estimate: dict | None = None
 
 
 class RunWriter:
-    """Writes run-directory artifacts; a no-op when no directory is given."""
+    """Writes run-directory artifacts; a no-op when no directory is given. ``timings.txt``
+    times each stage it writes from the end of the one before (or its creation) to its writes."""
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir is not None else None
         self.timings: list[tuple[str, float]] = []
+        self._clock = time.perf_counter()
+
+    def _stage_done(self, name: str) -> None:
+        now = time.perf_counter()
+        self.timings.append((name, now - self._clock))
+        self._clock = now
 
     def teacher(self, model: AcousticModel, report: TeacherReport) -> None:
         if self.dir is None:
             return
         save_checkpoint(model, self.dir / "teacher_model.json")
-        body = {
-            "dev_wer": report.dev_wer,
-            "test_wer": report.test_wer,
-            "loss_curve": report.loss_curve,
-        }
-        write_jsonl(self.dir / "teacher_report.jsonl", [body], "teacher-report")
-        self.timings.append(("teacher", report.wall_clock_sec))
+        write_jsonl(self.dir / "teacher_report.jsonl", [_record(report, TEACHER_FIELDS)], "teacher-report")
+        self._stage_done("teacher")
 
     def iteration(self, t: int, model: AcousticModel, pls) -> None:
         if self.dir is None:
             return
         save_checkpoint(model, self.dir / f"iter-{t:02d}.model.json")
         save_pseudolabels(pls, self.dir / f"iter-{t:02d}.pseudolabels.jsonl")
+        self._stage_done(f"iter-{t:02d}")
 
     def finish(self, reports, sweep: dict | None = None) -> None:
         """Write the reports, ``sweep.json`` given a sweep record, the summary and timings."""
         if self.dir is None:
             return
         if sweep is not None:
-            write_json(self.dir / "sweep.json", sweep)
+            write_json(self.dir / "sweep.json", sweep, SWEEP_SCHEMA)
         if reports:
             write_jsonl(self.dir / "reports.jsonl", map(report_record, reports), REPORT_SCHEMA)
             write_text(self.dir / "summary.txt", run_summary(reports, sweep))
-            self.timings.extend((f"iter-{r.iteration:02d}", r.wall_clock_sec) for r in reports)
         if self.timings:
             write_text(self.dir / "timings.txt",
                        "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
@@ -612,5 +601,4 @@ def write_estimate(result: EstimateResult, n_bins: int, out_dir) -> None:
     out = Path(out_dir)
     save_pseudolabels(result.pseudolabels, out / "probe_pseudolabels.jsonl")
     write_plots(result.pseudolabels, n_bins, out)
-    write_json(out / "estimate.json", {"schema": ESTIMATE_SCHEMA, "version": VERSION,
-                                       **{name: getattr(result, name) for name in ESTIMATE_FIELDS}})
+    write_json(out / "estimate.json", _record(result, ESTIMATE_FIELDS), ESTIMATE_SCHEMA)

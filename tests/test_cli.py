@@ -1,6 +1,7 @@
 import argparse
 import base64
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -302,6 +303,35 @@ class TestIplCommand:
         assert rc == 2
 
 
+def timings(run_dir) -> list[str]:
+    """The stage names of a run's ``timings.txt``, each line checked as ``name<TAB>N.NNNs``."""
+    lines = (Path(run_dir) / "timings.txt").read_text().splitlines()
+    for line in lines:
+        assert re.fullmatch(r"[a-z0-9-]+\t\d+\.\d{3}s", line), line
+    return [line.split("\t")[0] for line in lines]
+
+
+class TestTimings:
+    def test_ipl_times_the_teacher_then_each_iteration(self, corpus_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["ipl", "--corpus", str(corpus_dir), "--out-dir", str(run),
+                     "--iter-max", "3", "--epochs", "1"]) == 0
+        assert timings(run) == ["teacher", "iter-01", "iter-02", "iter-03"]
+
+    def test_sweep_times_every_iteration_it_ran(self, corpus_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["sweep", "--corpus", str(corpus_dir), "--out-dir", str(run), "--epochs", "1",
+                     "--iters-per-update", "2", "--max-updates", "3"]) == 0
+        ran = len((run / "reports.jsonl").read_text().splitlines()) - 1
+        assert timings(run) == ["teacher", *(f"iter-{t:02d}" for t in range(1, ran + 1))]
+
+    def test_train_teacher_times_the_teacher_alone(self, corpus_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(run),
+                     "--epochs", "1"]) == 0
+        assert timings(run) == ["teacher"]
+
+
 class TestSweepAndReport:
     def test_ipl_flags_reach_the_sweep_config(self, corpus_dir, tmp_path, monkeypatch):
         seen = {}
@@ -558,6 +588,10 @@ OUT_OF_RANGE = {
                                     "ConfigurationError", "iters_per_update"),
     "sweep-zero-max-updates": (lambda d: ["sweep", "--corpus", d / "corpus", "--max-updates", "0"],
                                "ConfigurationError", "max_updates"),
+    # the corpus withholds the truth the wer filter needs: checked before a teacher is trained
+    "wer-mode-without-truth": (lambda d: ["ipl", "--corpus", d / "no-refs", "--filter-mode", "wer",
+                                          "--max-wer", "0.1", "--epochs", "1"],
+                               "OracleError", "filter mode 'wer'"),
 }
 
 
@@ -596,6 +630,8 @@ class TestOutOfRangeInput:
                      "--out-dir", str(root / "est"), "--epochs", "0", "--min-probe", "5"]) == 0
         save_pseudolabels([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)], root / "stray.jsonl")
         write_snapshot(root / "nan-config.json", "estimate-threshold", {"max_wer": float("nan")})
+        shutil.copytree(root / "corpus", root / "no-refs")
+        (root / "no-refs" / "unlabeled_refs.jsonl").unlink()
         return root
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))

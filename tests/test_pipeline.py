@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iplfilter import metrics, pipeline
+from iplfilter.artifacts import NUMBER
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
-from iplfilter.errors import ConfigurationError, InsufficientProbeError
+from iplfilter.errors import ConfigurationError, InsufficientProbeError, OracleError
 from iplfilter.model import TrainConfig, init_model
 from iplfilter.pipeline import (
     IplConfig,
@@ -153,13 +154,13 @@ class TestRunIpl:
         assert rep.trained_on_labeled_only
         assert rep.mean_score_kept is None
 
-    def test_wer_mode_requires_truth(self):
-        from iplfilter.errors import OracleError
-
+    def test_wer_mode_requires_truth(self, tmp_path, monkeypatch):
         splits = replace(small_splits(), unlabeled_refs={})
         cfg = IplConfig(iter_max=1, filter_mode="wer", max_wer=0.1, train=FAST)
-        with pytest.raises(OracleError):
-            run_ipl(splits, cfg)
+        monkeypatch.setattr(pipeline, "train_teacher", lambda *a: pytest.fail("teacher trained"))
+        with pytest.raises(OracleError, match="withholds"):
+            run_ipl(splits, cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()  # no teacher written either
 
     def test_restart_vs_warm_start_differ_after_two_iterations(self):
         splits = small_splits()
@@ -492,3 +493,44 @@ class TestWritePlots:
         assert len(bins) == 4 and sum(b["count"] for b in bins) == len(pls)
         assert bins[0]["bin_left"] == min(p.score for p in pls)
         assert bins[-1]["bin_right"] == max(p.score for p in pls)
+
+
+# The field table of each run record, pinned: a new dataclass field is a change of file format
+_OPTIONAL = (*NUMBER, type(None))
+RECORD_TABLES = {
+    "REPORT_FIELDS": {
+        "iteration": int, "threshold": _OPTIONAL, "generated": int, "kept": int, "rejected": int,
+        "mean_score_kept": _OPTIONAL, "oracle_mean_wer_kept": _OPTIONAL,
+        "oracle_mean_wer_rejected": _OPTIONAL, "dev_wer": NUMBER, "test_wer": NUMBER,
+        "trained_on_labeled_only": bool,
+    },
+    "TEACHER_FIELDS": {"dev_wer": NUMBER, "test_wer": NUMBER, "loss_curve": list},
+    "SWEEP_FIELDS": {"best_threshold": NUMBER, "declined": bool, "thresholds": list,
+                     "best_dev_wer_per_threshold": list},
+    "ESTIMATE_FIELDS": {"threshold": NUMBER, "probe_size": int, "wer_kept_count": int,
+                        "score_kept_count": int, "overlap_jaccard": NUMBER,
+                        "overlap_min_ratio": NUMBER},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_TABLES))
+def test_record_tables_are_pinned(name):
+    table = getattr(pipeline, name)
+    assert table == RECORD_TABLES[name]
+    assert list(table) == list(RECORD_TABLES[name])  # in dataclass field order
+
+
+def test_record_fields_rejects_an_annotation_without_a_json_type():
+    from dataclasses import dataclass
+
+    from iplfilter.artifacts import record_fields
+
+    @dataclass
+    class Odd:
+        n: int
+        ids: list[str]
+        ok: bool
+
+    assert record_fields(Odd, skip=("ids",)) == {"n": int, "ok": bool}
+    with pytest.raises(TypeError, match="Odd: no JSON type for the fields .*'ids'"):
+        record_fields(Odd)

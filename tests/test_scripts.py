@@ -1,7 +1,8 @@
-"""Both modes of the study script run end to end against the current library API."""
+"""The scripts run end to end against the current library API."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,13 +37,16 @@ def test_study_runs_one_short_seed(mode, tmp_path):
     assert set(rows[0]) == ROW_FIELDS[mode]
 
 
-def _bench_pair():
+def _script(name):
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
-        import bench_pair
+        return __import__(name)
     finally:
         sys.path.pop(0)
-    return bench_pair
+
+
+def _bench_pair():
+    return _script("bench_pair")
 
 
 def test_bench_pair_summarizes_only_the_named_workloads():
@@ -61,3 +65,23 @@ def test_bench_pair_rejects_an_unknown_workload(capsys):
         _bench_pair().main(["--base", "HEAD", "--out", "x.json", "--workloads", "no-such-workload"])
     assert exc.value.code == 2
     assert "no-such-workload" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="needs git and the repository")
+def test_same_outputs_finds_no_difference_against_head():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "same_outputs.py"), "--base", "HEAD", "--epochs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("0 of "), proc.stdout
+    assert proc.stdout.rstrip().endswith("files differ (timings.txt ignored)")
+
+
+def test_same_outputs_allows_a_named_file_or_directory():
+    allowed = _script("same_outputs").allowed
+    assert allowed("ipl/summary.txt", ["ipl/summary.txt"])
+    assert allowed("ipl/summary.txt", ["ipl/"]) and allowed("ipl/summary.txt", ["ipl"])
+    assert not allowed("ipl-wer/summary.txt", ["ipl"])
+    assert not allowed("ipl/summary.txt", [])
