@@ -24,6 +24,7 @@ from .pipeline import (
 )
 from .pseudolabel import (
     PseudoLabel,
+    PseudoLabels,
     generate_pseudolabels,
     score_filter,
     wer_filter,

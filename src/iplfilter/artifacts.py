@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -69,13 +70,10 @@ def write_json(path, record: dict, schema: str | None = None) -> None:
 
 
 def write_jsonl(path, records, schema: str | None = None) -> None:
-    def write(fh):
-        if schema is not None:
-            fh.write(_dump({"schema": schema, "version": VERSION}))
-        for rec in records:
-            fh.write(_dump(rec))
-
-    _replace(path, write)
+    """One line per record; a record already encoded (a ``str`` line) is written as is."""
+    header = [] if schema is None else [{"schema": schema, "version": VERSION}]
+    lines = (rec if isinstance(rec, str) else _dump(rec) for rec in chain(header, records))
+    _replace(path, lambda fh: fh.writelines(lines))
 
 
 def _parse(path, lineno: int, text: str, error) -> dict:

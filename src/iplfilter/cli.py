@@ -231,7 +231,7 @@ def cmd_filter(cfg: dict, out: Path) -> None:
         pls = load_pseudolabels(_require(cfg, "pseudo_labels"), read_meta(corpus)[0].num_classes)
         kept = wer_filter(pls, load_refs(corpus), cfg["max_wer"])
         save_pseudolabels(pls, out / "annotated.jsonl")  # oracle_wer now filled on all
-    save_pseudolabels(kept, out / "filtered.jsonl")
+    save_pseudolabels(pls[kept], out / "filtered.jsonl")
 
 
 def cmd_ipl(cfg: dict, out: Path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import string
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,8 @@ class LabelSequence:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if any(t < 1 for t in self.tokens):
+        object.__setattr__(self, "tokens", tuple(map(int, self.tokens)))
+        if min(self.tokens, default=1) < 1:
             raise ValueError("label tokens must be >= 1; blank (0) is excluded")
 
     def __len__(self) -> int:
@@ -282,7 +283,7 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
 
 
 def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_labels: bool):
-    out = []
+    out, wheres, tokens = [], [], []
     fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
     for where, rec in read_jsonl(path, ManifestError, fields):
         uid, T, D = rec["utterance_id"], rec["num_frames"], rec["feature_dim"]
@@ -303,24 +304,49 @@ def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_label
         if not np.isfinite(fs.frames).all():
             # the bytes can hold NaN and infinities; training on them fails far from the file
             raise ManifestError(f"{where}: utterance {uid}: non-finite frame value")
+        out.append(fs)
         if with_labels:
-            out.append((fs, checked_labels(where, rec["tokens"], vocab.num_classes)))
-        else:
-            out.append(fs)
-    return out
+            wheres.append(where)
+            tokens.append(rec["tokens"])
+    if not with_labels:
+        return out
+    checked_tokens(wheres, tokens, vocab.num_classes, [fs.utterance_id for fs in out])
+    return list(zip(out, map(LabelSequence, tokens)))
 
 
-def checked_labels(where: str, tokens, num_classes: int | None = None) -> LabelSequence:
-    """Labels read from a file; bad tokens raise ManifestError naming ``where``."""
-    if any(type(t) is not int for t in tokens):  # int() would take true, 1.7 and "2"
-        raise ManifestError(f"{where}: tokens must be JSON integers")
-    try:
-        lab = LabelSequence(tuple(tokens))
-    except ValueError as e:
-        raise ManifestError(f"{where}: {e}") from e
-    if num_classes is not None and any(t >= num_classes for t in lab):
-        raise ManifestError(f"{where}: token index out of vocabulary range")
-    return lab
+def stacked(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 columns ``(tokens, lengths)`` of token sequences: their tokens
+    stacked, sequence b owning the next ``lengths[b]``."""
+    labels = list(labels)
+    lengths = np.fromiter(map(len, labels), np.int64, len(labels))
+    return np.fromiter(chain.from_iterable(labels), np.int64, int(lengths.sum())), lengths
+
+
+def checked_tokens(wheres, token_lists, num_classes: int | None = None, uids=None):
+    """:func:`stacked` of token lists read from a file, list i from ``wheres[i]``.
+
+    All tokens are checked at once: JSON integers (``int()`` would take true,
+    1.7 and "2") from 1 to below ``num_classes`` (or the int64 end). Given
+    ``uids``, the lists are their transcripts and none may be empty: any
+    hypothesis but the empty one has an infinite WER against it, which no
+    report or histogram can hold. The first bad list raises ManifestError
+    naming its ``where``.
+    """
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    flat = list(chain.from_iterable(token_lists))
+    end = 2**63 if num_classes is None else num_classes
+    ok = set(map(type, flat)) <= {int} and min(flat, default=1) >= 1 and max(flat, default=0) < end
+    for where, toks in ([] if ok else zip(wheres, token_lists)):
+        if any(type(t) is not int for t in toks):
+            raise ManifestError(f"{where}: tokens must be JSON integers")
+        if min(toks, default=1) < 1:
+            raise ManifestError(f"{where}: label tokens must be >= 1; blank (0) is excluded")
+        if max(toks, default=0) >= end:
+            raise ManifestError(f"{where}: token index out of vocabulary range")
+    if uids is not None and not lengths.all():
+        i = int(np.argmin(lengths))
+        raise ManifestError(f"{wheres[i]}: utterance {uids[i]!r}: empty transcript")
+    return np.array(flat, dtype=np.int64), lengths
 
 
 def read_meta(root: Path) -> tuple[Vocabulary, int]:
@@ -336,19 +362,17 @@ def read_meta(root: Path) -> tuple[Vocabulary, int]:
 
 def _read_refs(root: Path, vocab: Vocabulary) -> dict[str, LabelSequence]:
     """The hidden transcripts; a corpus without a refs file has withheld them."""
-    refs: dict[str, LabelSequence] = {}
     refs_path = root / _REFS_FILE
-    if refs_path.is_file():
-        for where, rec in read_jsonl(refs_path, ManifestError, _REFS_FIELDS):
-            uid = rec["utterance_id"]
-            if uid in refs:
-                raise ManifestError(f"{where}: duplicate utterance_id {uid!r}")
-            refs[uid] = checked_labels(where, rec["tokens"], vocab.num_classes)
-            if not refs[uid]:
-                # any hypothesis but the empty one has an infinite WER against it, which
-                # reports.jsonl would carry as Infinity and no histogram can bin
-                raise ManifestError(f"{where}: utterance {uid!r}: empty transcript")
-    return refs
+    if not refs_path.is_file():
+        return {}
+    refs, wheres = {}, []  # utterance_id -> its token list, in file order
+    for where, rec in read_jsonl(refs_path, ManifestError, _REFS_FIELDS):
+        if rec["utterance_id"] in refs:
+            raise ManifestError(f"{where}: duplicate utterance_id {rec['utterance_id']!r}")
+        refs[rec["utterance_id"]] = rec["tokens"]
+        wheres.append(where)
+    checked_tokens(wheres, list(refs.values()), vocab.num_classes, list(refs))
+    return {uid: LabelSequence(tokens) for uid, tokens in refs.items()}
 
 
 def load_manifest(in_dir, splits=SPLITS) -> CorpusSplits:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BLANK, LabelSequence
+from .corpus import BLANK, LabelSequence, stacked
 from .errors import FeasibilityError
 
 NEG_INF = float("-inf")
@@ -95,11 +95,13 @@ class LabelPlan:
         return LabelPlan(ext, n_states, self.min_frames[idx], self.max_token[idx], self.scratch)
 
 
-def label_plan(labels) -> LabelPlan:
-    """The :class:`LabelPlan` of a list of token sequences."""
-    toks = [list(lab) for lab in labels]
-    n_tokens = np.array([len(t) for t in toks], dtype=np.int64)
-    flat = np.array([t for lab in toks for t in lab], dtype=np.int64)
+def label_plan(labels, lengths=None) -> LabelPlan:
+    """The :class:`LabelPlan` of a list of token sequences, or with ``lengths``
+    of their stacked tokens, sequence b owning the next ``lengths[b]``."""
+    if lengths is None:
+        labels, lengths = stacked(labels)
+    flat = np.asarray(labels, dtype=np.int64)
+    n_tokens = np.asarray(lengths, dtype=np.int64)
     col = np.repeat(np.arange(n_tokens.size), n_tokens)
     pos = np.arange(flat.size) - np.repeat(np.cumsum(n_tokens) - n_tokens, n_tokens)
     n_states = 2 * n_tokens + 1
@@ -270,14 +272,15 @@ def greedy_decode(logp, lengths=None):
     """Collapse of the per-frame argmax path, plus each frame's max log-prob.
 
     Ties break toward the lowest class index, so decodes are reproducible.
-    With ``lengths`` (stacked as in :func:`ctc_log_prob`) it returns B
-    hypotheses and the stacked row maxima; an utterance's first frame always
-    starts a new token, so tokens never merge across utterances.
+    With ``lengths`` (stacked as in :func:`ctc_log_prob`) the B hypotheses
+    come back stacked too, as ``(tokens, token_lengths, frame_max)``; an
+    utterance's first frame always starts a new token, so tokens never merge
+    across utterances.
     """
     if lengths is None:  # a batch of one
         arr = _as_logp(logp)
-        (hyp,), fmax = greedy_decode(arr, [len(arr)])
-        return hyp, fmax
+        tokens, _, fmax = greedy_decode(arr, [len(arr)])
+        return LabelSequence(tokens.tolist()), fmax
     arr = np.asarray(logp, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if arr.ndim != 2 or lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != arr.shape[0]:
@@ -288,10 +291,7 @@ def greedy_decode(logp, lengths=None):
     emit[1:] = alignment[1:] != alignment[:-1]
     emit[starts] = True
     emit &= alignment != BLANK
-    tokens = alignment[emit].tolist()
-    ends = np.cumsum(np.add.reduceat(emit, starts, dtype=np.int64)).tolist()
-    hyps = [LabelSequence(tuple(tokens[a:b])) for a, b in zip([0, *ends], ends)]
-    return hyps, arr.max(axis=1)
+    return alignment[emit], np.add.reduceat(emit, starts, dtype=np.int64), arr.max(axis=1)
 
 
 def brute_force_ctc(logp, labels) -> float:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from .corpus import stacked
 from .errors import MetricError
 
 
@@ -119,34 +119,26 @@ def _padded(tokens: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _batch(pairs) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """The batch-form arguments of :func:`edit_counts` for (ref, hyp) pairs of int32 tokens."""
-    refs, hyps = [r for r, _ in pairs], [h for _, h in pairs]
-    r_len, h_len = list(map(len, refs)), list(map(len, hyps))
-    return (np.fromiter(chain.from_iterable(refs), np.int32, sum(r_len)),
-            np.fromiter(chain.from_iterable(hyps), np.int32, sum(h_len)), r_len, h_len)
-
-
 def wer(pairs) -> float:
     """Corpus-level WER: pooled (S + D + I) / pooled reference length, in one batch."""
     pair_list = list(pairs)
     if not pair_list:
         raise MetricError("wer needs at least one (ref, hyp) pair")
-    c = edit_counts(*_batch(pair_list))
+    (ref, r_len), (hyp, h_len) = (stacked(side) for side in zip(*pair_list))
+    c = edit_counts(ref, hyp, r_len, h_len)
     total = int(c.reference_length.sum())
     if total == 0:
         raise MetricError("wer undefined: total reference length is 0")
     return int(c.errors.sum()) / total
 
 
-def utterance_wer(pairs) -> list[float]:
-    """Each (ref, hyp) pair's WER, in one batch: 0.0 for two empty sequences
-    and inf for a hypothesis against an empty reference."""
-    ref, hyp, r_len, h_len = _batch(list(pairs))
-    c = edit_counts(ref, hyp, r_len, h_len)
+def utterance_wer(ref, hyp, ref_lengths, hyp_lengths) -> np.ndarray:
+    """Each pair's WER, for a batch stacked as in :func:`edit_counts`: 0.0 for
+    two empty sequences and inf for a hypothesis against an empty reference."""
+    c = edit_counts(ref, hyp, ref_lengths, hyp_lengths)
     n = c.reference_length
-    empty = np.where(np.asarray(h_len) == 0, 0.0, np.inf)
-    return np.divide(c.errors, n, out=empty, where=n > 0).tolist()
+    empty = np.where(np.asarray(hyp_lengths) == 0, 0.0, np.inf)
+    return np.divide(c.errors, n, out=empty, where=n > 0)
 
 
 def overlap_rate(set_a, set_b) -> float:

@@ -193,7 +193,7 @@ class TrainResult:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainResult:
+def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=None) -> TrainResult:
     """Run `cfg.epochs` of minibatch CTC training; returns an updated copy.
 
     The shuffle order, and therefore the final weights, are a pure function
@@ -205,8 +205,10 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     therefore match a per-utterance loop to rounding, not bit for bit.
     The loss curve records the per-epoch mean of unweighted utterance losses.
 
-    The labels are fixed for all epochs: one :func:`~iplfilter.ctc.label_plan`
-    per call holds them, checked against the vocabulary and the frames before
+    ``data`` holds (features, labels) pairs, or the features alone given
+    their stacked ``labels`` as ``label_plan`` takes them. The labels are
+    fixed for all epochs: one :func:`~iplfilter.ctc.label_plan` per call
+    holds them, checked against the vocabulary and the frames before
     any step, and each minibatch passes ``plan[idx]`` to ``ctc_log_prob``.
     The parameters (``out.params`` are views), the gradient, which becomes
     the update, and Adam's two moments are the rows of one flat buffer, so a
@@ -218,26 +220,29 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
     A non-finite value is also named with its epoch and step (counted from
     0), and is raised before any weight of that step is written.
     """
-    pairs = list(data)
-    plan = label_plan(lab for _, lab in pairs)
-    num_frames = np.array([fs.num_frames for fs, _ in pairs], dtype=np.int64)
+    if labels is None:
+        pairs = list(data)
+        features, plan = [fs for fs, _ in pairs], label_plan([lab for _, lab in pairs])
+    else:
+        features, plan = list(data), label_plan(*labels)
+    num_frames = np.array([fs.num_frames for fs in features], dtype=np.int64)
     bad_token = plan.max_token > model.vocab_size
     bad = bad_token | (num_frames < plan.min_frames)
-    for i, (fs, _) in enumerate(pairs):
+    for i, fs in enumerate(features):
         check_feature_dim(model, fs)
         if bad[i]:
             raise TrainingError(f"utterance {fs.utterance_id}: " + (
                 f"label token outside the vocabulary 1..{model.vocab_size}" if bad_token[i] else
                 f"label of length {plan.n_states[i] // 2} infeasible for {fs.num_frames} frame(s)"))
+    n = len(features)
     if weights is None:
-        w = np.ones(len(pairs))
+        w = np.ones(n)
     else:
         w = np.asarray(list(weights), dtype=np.float64)
-        if w.shape != (len(pairs),):
+        if w.shape != (n,):
             raise ConfigurationError("weights must match the number of utterances")
 
     out = model.copy()
-    n = len(pairs)
     if n == 0 or cfg.epochs == 0:
         return TrainResult(model=out, loss_curve=[])
 
@@ -261,7 +266,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lengths = num_frames[idx]
-            x = np.concatenate([pairs[i][0].frames for i in idx])
+            x = np.concatenate([features[i].frames for i in idx])
             logp, hidden = _forward_cache(out, x)
             res = ctc_log_prob(logp, plan[idx], with_grad=True, lengths=lengths)
             losses = -res.log_prob
@@ -269,7 +274,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None) -> TrainRe
             np.concatenate([batch_grads[k].ravel() for k in upd], out=g)
             if not (np.isfinite(losses).all() and np.isfinite(g).all()):
                 dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
-                uid = _first_nonfinite([pairs[i][0].utterance_id for i in idx], losses, dlogits)
+                uid = _first_nonfinite([features[i].utterance_id for i in idx], losses, dlogits)
                 raise TrainingError(
                     f"utterance {uid}: non-finite loss or gradient in epoch {epoch}, step {step}"
                 )

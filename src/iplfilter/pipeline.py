@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import NUMBER, read_json, read_jsonl, record_fields, write_json, write_jsonl, write_text
-from .corpus import CorpusSplits
+from .corpus import CorpusSplits, stacked
 from .errors import ConfigurationError, InsufficientProbeError, OracleError
 from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
 # forward and greedy_decode are unused here; they stay because perfbench's traced run wraps them
 from .model import AcousticModel, TrainConfig, forward, init_model, save_checkpoint, train  # noqa: F401
 from .ctc import greedy_decode  # noqa: F401
 from .pseudolabel import (
-    PseudoLabel,
+    PseudoLabels,
     annotate_oracle_wer,
     decode_split,
     generate_pseudolabels,
@@ -151,14 +151,14 @@ class EstimateResult:
     score_kept_count: int
     overlap_jaccard: float
     overlap_min_ratio: float
-    pseudolabels: list[PseudoLabel]  # the probe's labels, with oracle WER
+    pseudolabels: PseudoLabels  # the probe's labels, with oracle WER
 
 
 def evaluate_wer(model: AcousticModel, pairs) -> float:
     """Pooled greedy-decode WER of a model over (features, reference) pairs."""
     pairs = list(pairs)
-    decoded = decode_split(model, [fs for fs, _ in pairs])
-    return wer([(ref, hyp) for (_, ref), (hyp, _) in zip(pairs, decoded)])
+    tokens, lengths, _, _ = decode_split(model, [fs for fs, _ in pairs])
+    return wer(zip([ref for _, ref in pairs], np.split(tokens, np.cumsum(lengths)[:-1])))
 
 
 def check_splits(splits: CorpusSplits) -> None:
@@ -188,9 +188,8 @@ def _derived_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1)[0])
 
 
-def _mean_or_none(values) -> float | None:
-    vals = list(values)
-    return float(np.mean(vals)) if vals else None
+def _mean_or_none(values: np.ndarray) -> float | None:
+    return float(np.mean(values)) if values.size else None
 
 
 def _run_one_iteration(
@@ -198,7 +197,7 @@ def _run_one_iteration(
     splits: CorpusSplits,
     cfg: IplConfig,
     iteration: int,
-) -> tuple[AcousticModel, IterationReport, list[PseudoLabel]]:
+) -> tuple[AcousticModel, IterationReport, PseudoLabels]:
     """One iteration under ``cfg``: decode, filter by ``cfg.filter_mode``, fuse, train, evaluate."""
     pls = generate_pseudolabels(model, splits.unlabeled, exclude_blank=cfg.exclude_blank)
     has_truth = bool(splits.unlabeled_refs)
@@ -207,30 +206,29 @@ def _run_one_iteration(
     else:
         if has_truth:
             annotate_oracle_wer(pls, splits.unlabeled_refs)
-        kept = score_filter(pls, cfg.score_threshold) if cfg.filter_mode == "score" else list(pls)
-    kept_ids = {p.utterance_id for p in kept}
-    rejected = [p for p in pls if p.utterance_id not in kept_ids]
+        kept = score_filter(pls, cfg.score_threshold) if cfg.filter_mode == "score" else np.arange(len(pls))
+    rejected = np.delete(np.arange(len(pls)), kept)
 
-    features_by_id = {fs.utterance_id: fs for fs in splits.unlabeled}
-    fused = list(splits.labeled) + [
-        (features_by_id[p.utterance_id], p.hypothesis) for p in kept
-    ]
-    weights = [1.0] * len(splits.labeled) + [cfg.pseudo_weight] * len(kept)
+    # the labeled split, then the kept rows, with labels as stacked columns
+    features = [fs for fs, _ in splits.labeled] + [splits.unlabeled[i] for i in kept.tolist()]
+    lab_tokens, lab_lengths = stacked(lab for _, lab in splits.labeled)
+    labels = (np.concatenate([lab_tokens, pls[kept].tokens]), np.concatenate([lab_lengths, pls.lengths[kept]]))
+    weights = [1.0] * len(splits.labeled) + [cfg.pseudo_weight] * kept.size
     tcfg = replace(cfg.train, seed=_derived_seed(cfg.seed, iteration))
-    trained = train(model, fused, tcfg, weights=weights)
+    trained = train(model, features, tcfg, weights=weights, labels=labels)
 
     report = IterationReport(
         iteration=iteration,
         threshold=cfg.score_threshold,
         generated=len(pls),
-        kept=len(kept),
-        rejected=len(rejected),
-        mean_score_kept=_mean_or_none(p.score for p in kept),
-        oracle_mean_wer_kept=_mean_or_none(p.oracle_wer for p in kept) if has_truth else None,
-        oracle_mean_wer_rejected=_mean_or_none(p.oracle_wer for p in rejected) if has_truth else None,
+        kept=kept.size,
+        rejected=rejected.size,
+        mean_score_kept=_mean_or_none(pls.scores[kept]),
+        oracle_mean_wer_kept=_mean_or_none(pls.oracle_wer[kept]) if has_truth else None,
+        oracle_mean_wer_rejected=_mean_or_none(pls.oracle_wer[rejected]) if has_truth else None,
         dev_wer=evaluate_wer(trained.model, splits.dev),
         test_wer=evaluate_wer(trained.model, splits.test),
-        trained_on_labeled_only=not kept,
+        trained_on_labeled_only=not kept.size,
     )
     return trained.model, report, pls
 
@@ -388,24 +386,24 @@ def estimate_threshold(
     refs = {fs.utterance_id: lab for fs, lab in pairs}
     pls = generate_pseudolabels(model, [fs for fs, _ in pairs], exclude_blank=exclude_blank)
     wer_kept = wer_filter(pls, refs, max_wer)
-    wer_ids = {p.utterance_id for p in wer_kept}
 
-    estimate, inside = 0.0, 0  # the empty prefix trivially qualifies
-    by_score = sorted(pls, key=lambda p: -p.score)
-    for n_kept, p in enumerate(by_score, start=1):  # candidate p.score, once per tied run
-        inside += p.utterance_id in wer_ids
-        tied = n_kept < len(by_score) and by_score[n_kept].score == p.score
-        if not tied and n_kept <= len(wer_kept) and inside >= coverage_frac * n_kept:
-            estimate = float(np.nextafter(p.score, -np.inf))
+    # the candidates, down the sorted scores, are each tied run's last; the
+    # empty prefix trivially qualifies
+    order = np.argsort(-pls.scores, kind="stable")
+    ranked, n_kept = pls.scores[order], np.arange(1, len(pls) + 1)
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    inside = np.cumsum(np.isin(order, wer_kept))
+    qualifies = last & (n_kept <= wer_kept.size) & (inside >= coverage_frac * n_kept)
+    estimate = float(np.nextafter(ranked[qualifies][-1], -np.inf)) if qualifies.any() else 0.0
 
-    score_kept_ids = {p.utterance_id for p in score_filter(pls, estimate)}
+    score_kept, wer_set = set(score_filter(pls, estimate).tolist()), set(wer_kept.tolist())
     result = EstimateResult(
         threshold=estimate,
         probe_size=len(pairs),
-        wer_kept_count=len(wer_kept),
-        score_kept_count=len(score_kept_ids),
-        overlap_jaccard=overlap_rate(score_kept_ids, wer_ids),
-        overlap_min_ratio=overlap_min_ratio(score_kept_ids, wer_ids),
+        wer_kept_count=wer_kept.size,
+        score_kept_count=len(score_kept),
+        overlap_jaccard=overlap_rate(score_kept, wer_set),
+        overlap_min_ratio=overlap_min_ratio(score_kept, wer_set),
         pseudolabels=pls,
     )
     if out_dir is not None:
@@ -575,15 +573,15 @@ class RunWriter:
 
 
 def write_plots(pls, n_bins: int, out_dir) -> None:
-    """Plot data of pseudo-labels: ``score_hist.jsonl`` and, when every label
-    has an oracle WER, ``wer_hist.jsonl`` and the (utterance_id, score,
+    """Plot data of pseudo-labels: ``score_hist.jsonl`` and, when they carry
+    oracle WERs, ``wer_hist.jsonl`` and the (utterance_id, score,
     oracle_wer) points of ``scatter.jsonl``. No labels write no file."""
     if not pls:
         return
     out = Path(out_dir)
-    columns = {"score": [p.score for p in pls]}
-    if all(p.oracle_wer is not None for p in pls):
-        columns["wer"] = [p.oracle_wer for p in pls]
+    columns = {"score": pls.scores}
+    if pls.oracle_wer is not None:
+        columns["wer"] = pls.oracle_wer
     for name, values in columns.items():
         hist = histogram(values, n_bins)
         write_jsonl(out / f"{name}_hist.jsonl", (
@@ -592,8 +590,8 @@ def write_plots(pls, n_bins: int, out_dir) -> None:
         ), f"{name}-histogram")
     if "wer" in columns:
         write_jsonl(out / "scatter.jsonl", (
-            {"utterance_id": p.utterance_id, "score": p.score, "oracle_wer": p.oracle_wer}
-            for p in pls
+            {"utterance_id": uid, "score": score, "oracle_wer": wer}
+            for uid, score, wer in zip(pls.ids.tolist(), pls.scores.tolist(), pls.oracle_wer.tolist())
         ), "score-wer-scatter")
 
 

@@ -9,14 +9,13 @@ counterpart and may only run where ground truth is legitimately available.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .artifacts import NUMBER, read_jsonl, write_jsonl
-from .corpus import BLANK, LabelSequence, checked_labels
+from .corpus import BLANK, LabelSequence, checked_tokens, stacked
 from .ctc import greedy_decode
 from .errors import ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
@@ -29,10 +28,43 @@ _PSEUDOLABEL_FIELDS = {"utterance_id": str, "tokens": list, "score": NUMBER, "or
 
 @dataclass
 class PseudoLabel:
+    """One row of :class:`PseudoLabels`."""
+
     utterance_id: str
     hypothesis: LabelSequence
     score: float
     oracle_wer: float | None = None
+
+
+@dataclass(eq=False)
+class PseudoLabels:
+    """The pseudo-labels of a split as columns; row i is utterance ``ids[i]``.
+
+    ``tokens`` stacks the hypotheses as :func:`greedy_decode` returns them.
+    ``oracle_wer`` is None until every row is annotated. ``pls[idx]`` holds
+    the rows of an index array or boolean mask, in order; iterating yields
+    one :class:`PseudoLabel` per row."""
+
+    ids: np.ndarray  # (N,) object: str
+    tokens: np.ndarray  # int64
+    lengths: np.ndarray  # (N,) int64
+    scores: np.ndarray  # (N,) float64
+    oracle_wer: np.ndarray | None = None  # (N,) float64
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, idx) -> PseudoLabels:
+        lengths, starts = self.lengths[idx], (np.cumsum(self.lengths) - self.lengths)[idx]
+        pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        wer = None if self.oracle_wer is None else self.oracle_wer[idx]
+        return PseudoLabels(self.ids[idx], self.tokens[pos], lengths, self.scores[idx], wer)
+
+    def __iter__(self):
+        tokens, ends = self.tokens.tolist(), np.cumsum(self.lengths).tolist()
+        wers = [None] * len(self) if self.oracle_wer is None else self.oracle_wer.tolist()
+        for uid, a, b, score, wer in zip(self.ids.tolist(), [0, *ends], ends, self.scores.tolist(), wers):
+            yield PseudoLabel(uid, LabelSequence(tokens[a:b]), score, wer)
 
 
 # Utterances per stacked decode block. Stacking a whole split would grow the
@@ -40,105 +72,115 @@ class PseudoLabel:
 DECODE_BLOCK = 128
 
 
-def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) -> Iterator[tuple]:
-    """Yield the greedy hypothesis and scored frame maxima of every utterance, in order.
+def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) -> tuple[np.ndarray, ...]:
+    """Stacked hypotheses and scored frame maxima: ``(tokens, lengths, maxima, counts)``.
 
     Every ``feature_dim`` is checked first. Then each block of at most
     ``DECODE_BLOCK`` utterances is one forward pass over its stacked frames
-    and one batch :func:`greedy_decode`; yielding block by block keeps one
-    block's arrays alive at a time. The scored maxima are every frame's, or
-    with ``exclude_blank`` those of frames whose argmax is a real token
-    (every frame's again when the decode is pure blank). A NaN frame, whose
-    argmax is 0 (blank), is always scored, so its utterance's score is NaN.
+    and one batch :func:`greedy_decode`. An utterance's ``counts`` scored
+    maxima are every frame's, or with ``exclude_blank`` those of frames whose
+    argmax is a real token (every frame's again when the decode is pure
+    blank). A NaN frame, whose argmax is 0 (blank), is always scored.
     """
     utts = list(utterances)
     for fs in utts:
         check_feature_dim(model, fs)
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
     for lo in range(0, len(utts), DECODE_BLOCK):
         block = utts[lo : lo + DECODE_BLOCK]
-        lengths = [fs.num_frames for fs in block]
+        counts = np.array([fs.num_frames for fs in block])
         logp = forward_frames(model, np.concatenate([fs.frames for fs in block]))
-        hyps, fmax = greedy_decode(logp, lengths)
-        cuts = np.cumsum(lengths[:-1])
-        maxima = np.split(fmax, cuts)
+        tokens, lengths, fmax = greedy_decode(logp, counts)
         if exclude_blank:
-            token = np.split((logp.argmax(axis=1) != BLANK) | np.isnan(fmax), cuts)
-            maxima = [m[t] if t.any() else m for m, t in zip(maxima, token)]
-        yield from zip(hyps, maxima)
+            starts = np.cumsum(counts) - counts
+            token = (logp.argmax(axis=1) != BLANK) | np.isnan(fmax)
+            token |= np.repeat(np.add.reduceat(token, starts, dtype=np.int64) == 0, counts)
+            fmax, counts = fmax[token], np.add.reduceat(token, starts, dtype=np.int64)
+        parts.append((tokens, lengths, fmax, counts))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool = False) -> list[PseudoLabel]:
+def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool = False) -> PseudoLabels:
     """Greedy-decode and score every unlabeled utterance; order preserved, no oracle info.
 
-    The score is the mean of the frame maxima :func:`decode_split` pairs
-    with the hypothesis. An utterance whose score is not finite raises
-    :class:`MetricError` naming it, instead of a NaN label that every filter
-    would drop.
+    A score is the mean of the utterance's scored frame maxima. Those with k
+    of them are summed as one (n, k) matrix, each row pairwise as numpy sums
+    a 1-D array, so every score is bit for bit ``ndarray.mean()``'s. A score
+    that is not finite raises :class:`MetricError` naming its utterance.
     """
     utts = list(unlabeled)
-    out = []
-    for fs, (hyp, maxima) in zip(utts, decode_split(model, utts, exclude_blank)):
-        # ndarray.mean()'s own reduction and division, without its per-call overhead
-        score = float(np.add.reduce(maxima)) / maxima.size
-        if not math.isfinite(score):
-            raise MetricError(f"utterance {fs.utterance_id}: non-finite confidence score {score}")
-        out.append(PseudoLabel(utterance_id=fs.utterance_id, hypothesis=hyp, score=score))
-    return out
+    tokens, lengths, maxima, counts = decode_split(model, utts, exclude_blank)
+    starts = np.cumsum(counts) - counts
+    scores = np.empty(counts.size)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma
+        rows = np.flatnonzero(counts == k)
+        scores[rows] = np.add.reduce(maxima[starts[rows, None] + np.arange(k)], axis=1) / k
+    ids = np.array([fs.utterance_id for fs in utts], dtype=object)
+    for i in np.flatnonzero(~np.isfinite(scores))[:1]:
+        raise MetricError(f"utterance {ids[i]}: non-finite confidence score {scores[i]}")
+    return PseudoLabels(ids, tokens, lengths, scores)
 
 
-def score_filter(pseudo_labels, boundary: float) -> list[PseudoLabel]:
-    """Keep exactly the labels with score strictly above the boundary."""
-    return [p for p in pseudo_labels if p.score > boundary]
+def score_filter(pseudo_labels: PseudoLabels, boundary: float) -> np.ndarray:
+    """The rows, in order, of exactly the labels with score strictly above the boundary."""
+    return np.flatnonzero(pseudo_labels.scores > boundary)
 
 
-def annotate_oracle_wer(pseudo_labels, references) -> None:
-    """Fill ``oracle_wer`` on every pseudo-label, all in one batch (oracle-only path).
+def annotate_oracle_wer(pseudo_labels: PseudoLabels, references) -> None:
+    """Fill ``oracle_wer`` of every row, all in one batch (oracle-only path).
 
-    A label without a reference raises :class:`OracleError` before any is filled.
+    A row whose reference is missing or empty (an infinite WER) raises
+    :class:`OracleError` naming it before any row is filled.
     """
-    pls = list(pseudo_labels)
+    ids = pseudo_labels.ids.tolist()
     try:
-        pairs = [(references[p.utterance_id], p.hypothesis) for p in pls]
+        ref_tokens, ref_lengths = stacked(references[uid] for uid in ids)
     except KeyError as e:
         raise OracleError(f"no ground truth for utterance {e.args[0]}") from None
-    for p, w in zip(pls, utterance_wer(pairs)):
-        p.oracle_wer = w
+    for i in np.flatnonzero(ref_lengths == 0)[:1]:
+        raise OracleError(f"utterance {ids[i]}: empty reference transcript")
+    pseudo_labels.oracle_wer = utterance_wer(ref_tokens, pseudo_labels.tokens, ref_lengths,
+                                             pseudo_labels.lengths)
 
 
-def wer_filter(pseudo_labels, references, max_wer: float) -> list[PseudoLabel]:
-    """Oracle filter: keep labels whose per-utterance WER is strictly below max_wer.
-
-    Annotates ``oracle_wer`` on all inputs as a side product for analysis.
-    """
-    pls = list(pseudo_labels)
-    annotate_oracle_wer(pls, references)
-    return [p for p in pls if p.oracle_wer < max_wer]
+def wer_filter(pseudo_labels: PseudoLabels, references, max_wer: float) -> np.ndarray:
+    """Oracle filter: the rows, in order, whose per-utterance WER is strictly below max_wer.
+    Annotates ``oracle_wer`` on every row as a side product for analysis."""
+    annotate_oracle_wer(pseudo_labels, references)
+    return np.flatnonzero(pseudo_labels.oracle_wer < max_wer)
 
 
-def _record(p: PseudoLabel) -> dict:
-    rec = {"utterance_id": p.utterance_id, "tokens": list(p.hypothesis.tokens), "score": p.score}
-    if p.oracle_wer is not None:
-        rec["oracle_wer"] = p.oracle_wer
-    return rec
+def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
+    """One line per row, formatted from the columns as the bytes ``write_jsonl``
+    writes for its record; a non-finite score or WER, not JSON, raises ValueError."""
+    pls = pseudo_labels
+    wers = np.zeros(len(pls)) if pls.oracle_wer is None else pls.oracle_wer
+    if not (np.isfinite(pls.scores).all() and np.isfinite(wers).all()):
+        raise ValueError("pseudo-label scores and oracle WERs must be finite")
+    tokens, ends = pls.tokens.tolist(), np.cumsum(pls.lengths).tolist()
+    ids = map(encode_basestring_ascii, pls.ids.tolist())
+    lines = (f'{{"score": {score!r}, "tokens": {tokens[a:b]}, "utterance_id": {uid}}}\n'
+             for score, a, b, uid in zip(pls.scores.tolist(), [0, *ends], ends, ids))
+    if pls.oracle_wer is not None:
+        lines = (f'{{"oracle_wer": {wer!r}, {line[1:]}' for wer, line in zip(wers.tolist(), lines))
+    write_jsonl(path, lines, PSEUDOLABEL_SCHEMA)
 
 
-def save_pseudolabels(pseudo_labels, path) -> None:
-    write_jsonl(path, (_record(p) for p in pseudo_labels), PSEUDOLABEL_SCHEMA)
-
-
-def load_pseudolabels(path, num_classes: int | None = None) -> list[PseudoLabel]:
-    """Inverse of :func:`save_pseudolabels`; a malformed file raises ManifestError,
-    and so does a token of ``num_classes`` or more when it is given."""
-    out = []
-    for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA):
-        score = float(rec["score"])
-        if not np.isfinite(score):
-            raise ManifestError(f"{where}: non-finite score {score}")
-        oracle_wer = rec.get("oracle_wer")
-        out.append(PseudoLabel(
-            utterance_id=rec["utterance_id"],
-            hypothesis=checked_labels(where, rec["tokens"], num_classes),
-            score=score,
-            oracle_wer=None if oracle_wer is None else float(oracle_wer),
-        ))
-    return out
+def load_pseudolabels(path, num_classes: int | None = None) -> PseudoLabels:
+    """Inverse of :func:`save_pseudolabels`. Records are parsed line by line, then
+    each column is checked in one compare: tokens by :func:`~iplfilter.corpus.checked_tokens`,
+    finite scores, and oracle WERs finite and >= 0 on every record or none. The
+    first bad record raises ManifestError naming its ``path:line``."""
+    rows = [(where, rec["utterance_id"], rec["tokens"], rec["score"], rec.get("oracle_wer"))
+            for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA)]
+    wheres, ids, token_lists, scores, wers = zip(*rows) if rows else [()] * 5
+    tokens, lengths = checked_tokens(wheres, token_lists, num_classes)
+    scores = np.array(scores, dtype=np.float64)
+    for i in np.flatnonzero(~np.isfinite(scores))[:1]:
+        raise ManifestError(f"{wheres[i]}: non-finite score {scores[i]}")
+    has_wer = np.array([wer is not None for wer in wers], dtype=bool)
+    wers = np.array([0.0 if wer is None else wer for wer in wers], dtype=np.float64)
+    for i in np.flatnonzero((has_wer != has_wer.any()) | ~(np.isfinite(wers) & (wers >= 0)))[:1]:
+        raise ManifestError(f"{wheres[i]}: " + (f"oracle_wer must be finite and >= 0, got {wers[i]}"
+                                                if has_wer[i] else "no oracle_wer, unlike other records"))
+    return PseudoLabels(np.array(ids, dtype=object), tokens, lengths, scores, wers if has_wer.any() else None)

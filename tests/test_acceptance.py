@@ -6,7 +6,11 @@ everything is seeded and deterministic.
 """
 
 import math
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +32,7 @@ from iplfilter.pipeline import (
 )
 from iplfilter.pseudolabel import PseudoLabel, score_filter, wer_filter
 from test_ctc import is_feasible
-from test_pseudolabel import score_utterance
+from test_pseudolabel import columns, ids, score_utterance
 
 SEEDS = (0, 1, 2, 3, 4)
 TRAIN = TrainConfig(epochs=30, base_lr=0.15)
@@ -50,46 +54,73 @@ def sign_test_p_value(n_wins, n_trials):
     return tail / 2**n_trials
 
 
-@pytest.fixture(scope="module")
-def mode_runs():
-    """Final dev WER per (seed, mode) on the default corpus, plus timings."""
-    table = {}
+def _mode_runs(seed):
+    """One seed's final dev WER per mode on the default corpus, and each IPL run's time."""
+    splits = generate_corpus(CorpusGenConfig(), seed=seed)
+
+    def cfg(**kw):
+        return IplConfig(iter_max=3, train=TRAIN, seed=seed, **kw)
+
+    teacher = train_teacher(splits, cfg(filter_mode="none"))
+    runs = {
+        "none": cfg(filter_mode="none"),
+        "score": cfg(filter_mode="score", score_threshold=SCORE_THRESHOLD),
+        "wer": cfg(filter_mode="wer", max_wer=MAX_WER),
+    }
+    table = {(seed, "teacher"): teacher.report.dev_wer}
     timings = []
-    for seed in SEEDS:
-        splits = generate_corpus(CorpusGenConfig(), seed=seed)
+    for mode, rc in runs.items():
+        t0 = time.perf_counter()
+        result = run_ipl(splits, rc, teacher=teacher.model)
+        timings.append(time.perf_counter() - t0)
+        table[(seed, mode)] = result.reports[-1].dev_wer
+    return table, timings
 
-        def cfg(**kw):
-            return IplConfig(iter_max=3, train=TRAIN, seed=seed, **kw)
 
-        teacher = train_teacher(splits, cfg(filter_mode="none"))
-        runs = {
-            "none": cfg(filter_mode="none"),
-            "score": cfg(filter_mode="score", score_threshold=SCORE_THRESHOLD),
-            "wer": cfg(filter_mode="wer", max_wer=MAX_WER),
-        }
-        table[(seed, "teacher")] = teacher.report.dev_wer
-        for mode, rc in runs.items():
-            t0 = time.perf_counter()
-            result = run_ipl(splits, rc, teacher=teacher.model)
-            timings.append(time.perf_counter() - t0)
-            table[(seed, mode)] = result.reports[-1].dev_wer
+def _sweep_estimate(seed):
+    """One seed's sweep-selected and probe-estimated thresholds."""
+    splits = generate_corpus(CorpusGenConfig(), seed=seed)
+    cfg = IplConfig(
+        filter_mode="score", score_threshold=SCHEDULE.initial, train=TRAIN, seed=seed
+    )
+    teacher = train_teacher(splits, cfg)
+    sw = sweep_threshold(splits, cfg, SCHEDULE, teacher=teacher.model)
+    est = estimate_threshold(teacher.model, splits.dev, max_wer=MAX_WER)
+    return seed, sw, est
+
+
+@pytest.fixture(scope="module")
+def fixture_jobs():
+    """Both fixtures' ten (fixture, seed) jobs, run in worker processes.
+
+    Every job is fully seeded and shares no state, so the results equal
+    those of running the jobs one after another, in this process. The
+    sweeps, the longest jobs, go first. Spawned workers start from a fresh
+    import, so each turns a numpy RuntimeWarning into an error itself, as
+    the suite's configuration does here.
+    """
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 10),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)) as pool:
+        sweeps = [pool.submit(_sweep_estimate, seed) for seed in SEEDS]
+        modes = [pool.submit(_mode_runs, seed) for seed in SEEDS]
+        return [job.result() for job in modes], [job.result() for job in sweeps]
+
+
+@pytest.fixture(scope="module")
+def mode_runs(fixture_jobs):
+    """Final dev WER per (seed, mode) on the default corpus, plus timings."""
+    table, timings = {}, []
+    for rows, times in fixture_jobs[0]:
+        table.update(rows)
+        timings.extend(times)
     return table, timings
 
 
 @pytest.fixture(scope="module")
-def sweep_estimate_runs():
+def sweep_estimate_runs(fixture_jobs):
     """Sweep-selected vs probe-estimated thresholds per seed."""
-    rows = []
-    for seed in SEEDS:
-        splits = generate_corpus(CorpusGenConfig(), seed=seed)
-        cfg = IplConfig(
-            filter_mode="score", score_threshold=SCHEDULE.initial, train=TRAIN, seed=seed
-        )
-        teacher = train_teacher(splits, cfg)
-        sw = sweep_threshold(splits, cfg, SCHEDULE, teacher=teacher.model)
-        est = estimate_threshold(teacher.model, splits.dev, max_wer=MAX_WER)
-        rows.append((seed, sw, est))
-    return rows
+    return fixture_jobs[1]
 
 
 class TestCriterion1:
@@ -212,27 +243,27 @@ class TestCriterion5:
         # subset anti-monotonicity over >= 1000 random threshold pairs
         for _ in range(1000):
             n = int(rng.integers(0, 25))
-            pls = [
+            pls = columns(
                 PseudoLabel(f"u{i}", LabelSequence((1,)), float(-rng.uniform(0, 3)))
                 for i in range(n)
-            ]
+            )
             b1, b2 = -rng.uniform(0, 3), -rng.uniform(0, 3)
             lo, hi = min(b1, b2), max(b1, b2)
-            kept_hi = {p.utterance_id for p in score_filter(pls, hi)}
-            kept_lo = {p.utterance_id for p in score_filter(pls, lo)}
+            kept_hi = set(ids(pls, score_filter(pls, hi)))
+            kept_lo = set(ids(pls, score_filter(pls, lo)))
             assert kept_hi <= kept_lo
         # wer_filter soundness: kept strictly under the cutoff, rejected at or over
         for trial in range(50):
             refs = {}
-            pls = []
+            rows = []
             for i in range(int(rng.integers(1, 30))):
                 ref = tuple(int(x) for x in rng.integers(1, 5, size=rng.integers(1, 6)))
                 hyp = tuple(int(x) for x in rng.integers(1, 5, size=rng.integers(0, 6)))
                 refs[f"u{i}"] = LabelSequence(ref)
-                pls.append(PseudoLabel(f"u{i}", LabelSequence(hyp), -1.0))
+                rows.append(PseudoLabel(f"u{i}", LabelSequence(hyp), -1.0))
+            pls = columns(rows)
             cutoff = float(rng.uniform(0.05, 1.5))
-            kept = wer_filter(pls, refs, cutoff)
-            kept_ids = {p.utterance_id for p in kept}
+            kept_ids = set(ids(pls, wer_filter(pls, refs, cutoff)))
             for p in pls:
                 assert p.oracle_wer is not None
                 if p.utterance_id in kept_ids:

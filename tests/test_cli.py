@@ -12,6 +12,7 @@ from iplfilter import cli
 from iplfilter.cli import build_parser, main
 from iplfilter.corpus import LabelSequence, load_manifest
 from iplfilter.pseudolabel import PseudoLabel, load_pseudolabels, save_pseudolabels
+from test_pseudolabel import columns
 
 TINY_CORPUS = [
     "--n-labeled", "4", "--n-unlabeled", "8", "--n-dev", "6", "--n-test", "6",
@@ -456,6 +457,11 @@ FRAME_DAMAGES = {name: _edit_record(lambda rec, f=f: rec.update(frames=f(rec)))
 TOKEN_DAMAGES = {name: _edit_record(lambda rec, t=t: rec.update(tokens=[1, t]))
                  for name, t in {"2**40": 2**40, "2**70": 2**70, "99": 99}.items()}
 
+# An empty transcript in a split with labels; an oracle WER no run writes
+EMPTY_TRANSCRIPT = {"empty-transcript": _edit_record(lambda rec: rec.update(tokens=[]))}
+WER_DAMAGES = {name: _edit_record(lambda rec, w=w: rec.update(oracle_wer=w))
+               for name, w in {"nan": float("nan"), "inf": float("inf"), "negative": -0.5}.items()}
+
 # Every other artifact a command reads: (file, line to damage, error, argv in the copied root),
 # damaged in each way DAMAGES names, or in each way of a fifth element
 DAMAGED_INPUTS = {
@@ -487,6 +493,23 @@ DAMAGED_INPUTS = {
                            lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
                                       "--corpus", d / "corpus", "--max-wer", "0.5"],
                            TOKEN_DAMAGES),
+    "labeled-transcript": ("corpus/labeled.jsonl", 1, "ManifestError",
+                           lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"],
+                           EMPTY_TRANSCRIPT),
+    "dev-transcript": ("corpus/dev.jsonl", 1, "ManifestError",
+                       lambda d: ["estimate-threshold", "--corpus", d / "corpus", "--epochs", "0",
+                                  "--min-probe", "5"], EMPTY_TRANSCRIPT),
+    "test-transcript": ("corpus/test.jsonl", 2, "ManifestError",
+                        lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"],
+                        EMPTY_TRANSCRIPT),
+    "pseudo-label-wer-score": ("pl/pseudolabels.jsonl", 2, "ManifestError",
+                               lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                          "--score-threshold", "-0.1"], WER_DAMAGES),
+    "pseudo-label-wer-oracle": ("pl/pseudolabels.jsonl", 2, "ManifestError",
+                                lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl",
+                                           "--corpus", d / "corpus", "--max-wer", "0.5"], WER_DAMAGES),
+    "probe-wer": ("est/probe_pseudolabels.jsonl", 2, "ManifestError",
+                  lambda d: ["report", "--run-dir", d / "est"], WER_DAMAGES),
 }
 DAMAGES = {"invalid-json": lambda line: line[: len(line) // 2], "array": lambda line: "[1, 2]"}
 
@@ -504,7 +527,9 @@ class TestDamagedInput:
         assert main(["train-teacher", "--corpus", str(corpus), "--out-dir", str(teacher),
                      "--epochs", "0"]) == 0
         assert main(["pseudolabel", "--corpus", str(corpus), "--out-dir", str(root / "pl"),
-                     "--model", str(teacher / "teacher_model.json")]) == 0
+                     "--model", str(teacher / "teacher_model.json"), "--annotate-oracle"]) == 0
+        assert main(["estimate-threshold", "--corpus", str(corpus), "--out-dir", str(root / "est"),
+                     "--epochs", "0", "--min-probe", "5"]) == 0
         return root
 
     @pytest.mark.parametrize("case, damage", [(case, damage) for case in sorted(DAMAGED_INPUTS)
@@ -520,6 +545,34 @@ class TestDamagedInput:
         err = usage_error(capsys)
         assert err["error"] == error
         assert str(root / name) in err["message"]
+
+    def test_empty_dev_transcript_is_usage_error_before_any_output(self, world, tmp_path, capsys):
+        # it once trained a teacher, then failed to bin the probe's infinite WERs with exit 1
+        root = tmp_path / "world"
+        shutil.copytree(world, root)
+        dev = root / "corpus" / "dev.jsonl"
+        _set_line(dev, 1, EMPTY_TRANSCRIPT["empty-transcript"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["estimate-threshold", "--corpus", str(root / "corpus"), "--out-dir", str(out),
+                     "--epochs", "0", "--min-probe", "5"]) == 2
+        assert usage_error(capsys) == {
+            "error": "ManifestError", "message": f"{dev}:1: utterance 'dev-0000': empty transcript"}
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("wer, message", [
+        (float("nan"), "oracle_wer must be finite and >= 0, got nan"),
+        (-0.5, "oracle_wer must be finite and >= 0, got -0.5"),
+    ])
+    def test_bad_oracle_wer_names_its_line(self, world, tmp_path, capsys, wer, message):
+        # filter --score-threshold once copied a NaN through and let -0.5 pass
+        pls = tmp_path / "pseudolabels.jsonl"
+        shutil.copy(world / "pl" / "pseudolabels.jsonl", pls)
+        _set_line(pls, 3, _edit_record(lambda rec: rec.update(oracle_wer=wer)))
+        capsys.readouterr()
+        assert main(["filter", "--pseudo-labels", str(pls), "--score-threshold", "-1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert usage_error(capsys) == {"error": "ManifestError", "message": f"{pls}:3: {message}"}
 
     @pytest.mark.parametrize("argv", [
         lambda d: ["ipl", "--corpus", d / "corpus", "--epochs", "0", "--iter-max", "1"],
@@ -628,7 +681,7 @@ class TestOutOfRangeInput:
         assert main(["gen-corpus", "--out-dir", str(root / "corpus"), *TINY_CORPUS]) == 0
         assert main(["estimate-threshold", "--corpus", str(root / "corpus"),
                      "--out-dir", str(root / "est"), "--epochs", "0", "--min-probe", "5"]) == 0
-        save_pseudolabels([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)], root / "stray.jsonl")
+        save_pseudolabels(columns([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)]), root / "stray.jsonl")
         write_snapshot(root / "nan-config.json", "estimate-threshold", {"max_wer": float("nan")})
         shutil.copytree(root / "corpus", root / "no-refs")
         (root / "no-refs" / "unlabeled_refs.jsonl").unlink()

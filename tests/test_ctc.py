@@ -405,17 +405,18 @@ class TestGreedyDecode:
                 logp[lo : lo + lengths[b], BLANK] = 1.0
             elif kind == "same-token-across" and b:  # b - 1 ends on the token b starts with
                 logp[lo - 1 : lo + 1, data.draw(st.integers(1, C - 1))] = 2.0
-        hyps, fmax = greedy_decode(logp, lengths)
-        assert len(hyps) == len(lengths) and fmax.shape == (sum(lengths),)
+        tokens, n_tokens, fmax = greedy_decode(logp, lengths)
+        assert n_tokens.shape == (len(lengths),) and fmax.shape == (sum(lengths),)
+        hyps = np.split(tokens, np.cumsum(n_tokens)[:-1])
         for b, lo in enumerate(starts):
             part = logp[lo : lo + lengths[b]]
-            assert hyps[b] == collapse(part.argmax(axis=1))
+            assert tuple(hyps[b].tolist()) == collapse(part.argmax(axis=1)).tokens
             assert np.array_equal(fmax[lo : lo + lengths[b]], part.max(axis=1))
 
     def test_batch_across_a_boundary_keeps_both_tokens(self):
         logp = np.log(np.array([[0.1, 0.8, 0.1], [0.1, 0.8, 0.1], [0.1, 0.8, 0.1]]))
-        hyps, _ = greedy_decode(logp, [2, 1])
-        assert [h.tokens for h in hyps] == [(1,), (1,)]
+        tokens, n_tokens, _ = greedy_decode(logp, [2, 1])
+        assert tokens.tolist() == [1, 1] and n_tokens.tolist() == [1, 1]
 
     @pytest.mark.parametrize("lengths", [[2], [0, 3], [4, -1], [[3]]])
     def test_batch_rejects_lengths_that_do_not_cover_the_frames(self, lengths):

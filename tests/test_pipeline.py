@@ -485,7 +485,7 @@ class TestWritePlots:
         assert not (tmp_path / "plots").exists()
 
     def test_without_oracle_wer_writes_score_histogram_only(self, pls, tmp_path):
-        pls[0].oracle_wer = None
+        pls.oracle_wer = None
         write_plots(pls, 4, tmp_path / "plots")
         assert [p.name for p in (tmp_path / "plots").iterdir()] == ["score_hist.jsonl"]
         bins = [json.loads(line)

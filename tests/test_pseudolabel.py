@@ -1,20 +1,23 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iplfilter.corpus import BLANK, CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus
-from iplfilter.ctc import greedy_decode
+from iplfilter.artifacts import _dump
+from iplfilter.corpus import BLANK, CorpusGenConfig, FeatureSequence, LabelSequence, generate_corpus, stacked
+from iplfilter.ctc import collapse, greedy_decode
 from iplfilter.errors import ConfigurationError, ManifestError, MetricError, OracleError, ShapeError
 from iplfilter.metrics import wer
-from iplfilter.model import init_model, forward
+from iplfilter.model import init_model, forward, forward_frames
 from iplfilter.pipeline import ThresholdSchedule, evaluate_wer
 from iplfilter.pseudolabel import (
     DECODE_BLOCK,
     PseudoLabel,
+    PseudoLabels,
     annotate_oracle_wer,
     generate_pseudolabels,
     load_pseudolabels,
@@ -46,16 +49,49 @@ def score_utterance(logp, exclude_blank: bool = False) -> float:
     return score
 
 
+def reference_pseudolabels(model, unlabeled, exclude_blank: bool = False) -> list[PseudoLabel]:
+    """The per-utterance loop :func:`generate_pseudolabels` replaced: one forward pass per
+    block of ``DECODE_BLOCK`` utterances, then each utterance collapsed and scored alone."""
+    rows = []
+    for lo in range(0, len(unlabeled), DECODE_BLOCK):
+        block = unlabeled[lo : lo + DECODE_BLOCK]
+        logp = forward_frames(model, np.concatenate([fs.frames for fs in block]))
+        for fs, part in zip(block, np.split(logp, np.cumsum([fs.num_frames for fs in block])[:-1])):
+            maxima = part.max(axis=1)
+            if exclude_blank:
+                token = (part.argmax(axis=1) != BLANK) | np.isnan(maxima)
+                maxima = maxima[token] if token.any() else maxima
+            score = float(np.add.reduce(maxima)) / maxima.size
+            if not math.isfinite(score):
+                raise MetricError(f"utterance {fs.utterance_id}: non-finite confidence score {score}")
+            rows.append(PseudoLabel(fs.utterance_id, collapse(part.argmax(axis=1)), score))
+    return rows
+
+
 def random_logp(rng, T, C):
     logits = rng.standard_normal((T, C))
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
+def columns(rows) -> PseudoLabels:
+    """The columns of :class:`PseudoLabel` rows; ``oracle_wer`` only if every row has one."""
+    rows = list(rows)
+    tokens, lengths = stacked(p.hypothesis for p in rows)
+    wers = [p.oracle_wer for p in rows]
+    return PseudoLabels(np.array([p.utterance_id for p in rows], dtype=object), tokens, lengths,
+                        np.array([p.score for p in rows], dtype=np.float64),
+                        None if not rows or None in wers else np.array(wers, dtype=np.float64))
+
+
+def ids(pls, rows=None) -> list[str]:
+    return (pls.ids if rows is None else pls.ids[rows]).tolist()
+
+
 def make_pls(scores):
-    return [
+    return columns(
         PseudoLabel(utterance_id=f"u{i}", hypothesis=LabelSequence((1,)), score=s)
         for i, s in enumerate(scores)
-    ]
+    )
 
 
 class TestScore:
@@ -131,7 +167,8 @@ class TestGenerate:
 
     def test_empty_input(self):
         model = init_model(3, 2, 0, seed=0)
-        assert generate_pseudolabels(model, []) == []
+        pls = generate_pseudolabels(model, [])
+        assert len(pls) == 0 and list(pls) == [] and pls.tokens.size == 0
 
     def test_noiseless_converged_model_recovers_hidden_truth(self):
         from iplfilter.model import TrainConfig, train
@@ -154,9 +191,9 @@ class TestGenerate:
         pls = generate_pseudolabels(trained, splits.unlabeled)
         annotate_oracle_wer(pls, splits.unlabeled_refs)
         kept = score_filter(pls, -0.08)
-        assert kept
-        mean_kept = np.mean([p.oracle_wer for p in kept])
-        mean_all = np.mean([p.oracle_wer for p in pls])
+        assert kept.size
+        mean_kept = np.mean(pls.oracle_wer[kept])
+        mean_all = np.mean(pls.oracle_wer)
         assert mean_kept <= mean_all
 
     def test_matches_decode_and_score_per_utterance(self):
@@ -226,16 +263,15 @@ class TestGenerate:
 class TestScoreFilter:
     def test_minus_inf_keeps_all(self):
         pls = make_pls([-0.5, -1.0])
-        assert score_filter(pls, float("-inf")) == pls
+        assert score_filter(pls, float("-inf")).tolist() == [0, 1]
 
     def test_strict_comparison(self):
         pls = make_pls([-0.02, -0.04, -0.06])
-        kept = score_filter(pls, -0.05)
-        assert [p.utterance_id for p in kept] == ["u0", "u1"]
-        assert score_filter(pls, -0.04) == pls[:1]  # boundary value excluded
+        assert ids(pls, score_filter(pls, -0.05)) == ["u0", "u1"]
+        assert score_filter(pls, -0.04).tolist() == [0]  # boundary value excluded
 
     def test_zero_boundary_keeps_nothing(self):
-        assert score_filter(make_pls([-0.1, -0.2]), 0.0) == []
+        assert score_filter(make_pls([-0.1, -0.2]), 0.0).size == 0
 
     @given(
         scores=st.lists(st.floats(min_value=-5, max_value=0), max_size=30),
@@ -246,13 +282,11 @@ class TestScoreFilter:
     def test_anti_monotone_in_boundary(self, scores, b1, b2):
         pls = make_pls(scores)
         lo, hi = min(b1, b2), max(b1, b2)
-        kept_hi = {p.utterance_id for p in score_filter(pls, hi)}
-        kept_lo = {p.utterance_id for p in score_filter(pls, lo)}
-        assert kept_hi <= kept_lo
+        assert set(ids(pls, score_filter(pls, hi))) <= set(ids(pls, score_filter(pls, lo)))
 
     def test_order_preserved(self):
         pls = make_pls([-0.3, -0.1, -0.2])
-        assert [p.utterance_id for p in score_filter(pls, -0.25)] == ["u1", "u2"]
+        assert ids(pls, score_filter(pls, -0.25)) == ["u1", "u2"]
 
 
 class TestWerFilter:
@@ -262,27 +296,25 @@ class TestWerFilter:
             "u1": LabelSequence((1, 2)),
             "u2": LabelSequence((3, 1)),
         }
-        pls = [
+        pls = columns([
             PseudoLabel("u0", LabelSequence((1, 2, 3)), -0.1),   # exact
             PseudoLabel("u1", LabelSequence((1, 3)), -0.2),      # 1 sub / 2 -> 0.5
             PseudoLabel("u2", LabelSequence((3,)), -0.3),        # 1 del / 2 -> 0.5
-        ]
+        ])
         return refs, pls
 
     def test_infinite_cutoff_keeps_all_and_annotates(self):
         refs, pls = self._setup()
-        kept = wer_filter(pls, refs, float("inf"))
-        assert kept == pls
-        assert [p.oracle_wer for p in pls] == pytest.approx([0.0, 0.5, 0.5])
+        assert wer_filter(pls, refs, float("inf")).tolist() == [0, 1, 2]
+        assert pls.oracle_wer.tolist() == pytest.approx([0.0, 0.5, 0.5])
 
     def test_exact_hypotheses_always_kept(self):
         refs, pls = self._setup()
-        assert wer_filter(pls[:1], refs, 1e-9) == pls[:1]
+        assert wer_filter(pls[[0]], refs, 1e-9).tolist() == [0]
 
     def test_strictly_below_cutoff(self):
         refs, pls = self._setup()
-        kept = wer_filter(pls, refs, 0.5)
-        assert kept == pls[:1]  # 0.5 is not < 0.5
+        assert wer_filter(pls, refs, 0.5).tolist() == [0]  # 0.5 is not < 0.5
 
     def test_soundness_against_independent_recheck(self):
         from test_metrics import reference_wer
@@ -290,8 +322,7 @@ class TestWerFilter:
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=30, n_dev=2, n_test=2), seed=4)
         model = init_model(splits.feature_dim, 8, 0, seed=2)
         pls = generate_pseudolabels(model, splits.unlabeled)
-        kept = wer_filter(pls, splits.unlabeled_refs, 0.10)
-        kept_ids = {p.utterance_id for p in kept}
+        kept_ids = set(ids(pls, wer_filter(pls, splits.unlabeled_refs, 0.10)))
         for p in pls:
             independent = reference_wer(splits.unlabeled_refs[p.utterance_id], p.hypothesis)
             assert (p.utterance_id in kept_ids) == (independent < 0.10)
@@ -337,17 +368,32 @@ class TestThresholdSchedule:
 
 class TestPseudolabelFiles:
     def test_round_trip(self, tmp_path):
-        pls = [
+        rows = [
             PseudoLabel("a", LabelSequence((1, 2)), -0.125, oracle_wer=0.5),
-            PseudoLabel("b", LabelSequence(()), -1.75, oracle_wer=None),
+            PseudoLabel("b", LabelSequence(()), -1.75, oracle_wer=0.0),
         ]
-        save_pseudolabels(pls, tmp_path / "p.jsonl")
-        assert load_pseudolabels(tmp_path / "p.jsonl") == pls
+        save_pseudolabels(columns(rows), tmp_path / "p.jsonl")
+        assert list(load_pseudolabels(tmp_path / "p.jsonl")) == rows
+
+    def test_round_trip_without_oracle_wer(self, tmp_path):
+        rows = [PseudoLabel("a", LabelSequence((1, 2)), -0.125), PseudoLabel("b", LabelSequence(()), -1.75)]
+        save_pseudolabels(columns(rows), tmp_path / "p.jsonl")
+        assert list(load_pseudolabels(tmp_path / "p.jsonl")) == rows
+        assert '"oracle_wer"' not in (tmp_path / "p.jsonl").read_text()
+
+    def test_oracle_wer_on_some_records_only_names_the_first_without(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_pseudolabels(make_pls([-0.1, -0.2, -0.3]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "oracle_wer": 0.5})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:2: no oracle_wer, unlike other records$"):
+            load_pseudolabels(path)
 
     def test_round_trip_full_precision(self, tmp_path):
-        pls = [PseudoLabel("a", LabelSequence((3,)), -0.1234567890123456789)]
+        pls = make_pls([-0.1234567890123456789])
         save_pseudolabels(pls, tmp_path / "p.jsonl")
-        assert load_pseudolabels(tmp_path / "p.jsonl")[0].score == pls[0].score
+        assert load_pseudolabels(tmp_path / "p.jsonl").scores.tolist() == pls.scores.tolist()
 
     def test_rejects_wrong_schema(self, tmp_path):
         (tmp_path / "x.jsonl").write_text('{"schema": "nope"}\n')
@@ -362,10 +408,12 @@ class TestPseudolabelFiles:
             load_pseudolabels(tmp_path / "p.jsonl")
 
     def test_non_finite_score_names_line(self, tmp_path):
-        # json writes and reads NaN; a boundary could neither keep nor drop it
-        save_pseudolabels(make_pls([-0.1, float("nan")]), tmp_path / "p.jsonl")
+        # json reads NaN; a boundary could neither keep nor drop it
+        path = tmp_path / "p.jsonl"
+        save_pseudolabels(make_pls([-0.1, -0.2]), path)
+        path.write_text(path.read_text().replace("-0.2", "NaN"))
         with pytest.raises(ManifestError, match="p.jsonl:3: non-finite score nan"):
-            load_pseudolabels(tmp_path / "p.jsonl")
+            load_pseudolabels(path)
 
     @pytest.mark.parametrize("edit", [
         {"tokens": [0]}, {"tokens": 2}, {"tokens": ["a"]}, {"score": "-0.1"}, {"oracle_wer": None},
@@ -385,3 +433,120 @@ class TestPseudolabelFiles:
         (tmp_path / "x.jsonl").write_text(text)
         with pytest.raises(ManifestError, match=":1: "):
             load_pseudolabels(tmp_path / "x.jsonl")
+
+
+def _random_split(lengths, seed: int, hidden_dim: int, blank_bias: float):
+    """Utterances of ``lengths`` frames and a model whose blank bias mixes blank and token frames."""
+    rng = np.random.default_rng(seed)
+    unlabeled = [FeatureSequence(f"u{i}", rng.standard_normal((T, 3))) for i, T in enumerate(lengths)]
+    model = init_model(3, 4, hidden_dim, seed=seed)
+    model.params["b" if hidden_dim == 0 else "b2"][BLANK] = blank_bias
+    return model, unlabeled
+
+
+class TestColumnsEqualThePerUtteranceReference:
+    @given(lengths=st.lists(st.integers(1, 50), min_size=1, max_size=40), seed=st.integers(0, 2**16),
+           hidden_dim=st.sampled_from([0, 4]), blank_bias=st.floats(-2, 3), exclude_blank=st.booleans())
+    @example(lengths=[50, 1, 8, 9, 16, 17, 49] * 20, seed=1, hidden_dim=0, blank_bias=0.5, exclude_blank=True)
+    @settings(max_examples=150, deadline=None)
+    def test_generate_equals_the_per_utterance_loop(self, lengths, seed, hidden_dim, blank_bias, exclude_blank):
+        # scored-frame counts of 1 to 50 cross numpy's 8-element pairwise-summation block;
+        # the example's 140 utterances are two decode blocks
+        model, unlabeled = _random_split(lengths, seed, hidden_dim, blank_bias)
+        pls = generate_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+        ref = reference_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+        assert ids(pls) == [p.utterance_id for p in ref]
+        assert pls.lengths.tolist() == [len(p.hypothesis) for p in ref]
+        assert pls.tokens.tolist() == [t for p in ref for t in p.hypothesis]
+        assert pls.scores.view(np.uint64).tolist() == np.array([p.score for p in ref]).view(np.uint64).tolist()
+        assert pls.oracle_wer is None
+
+    @given(lengths=st.lists(st.integers(1, 50), min_size=1, max_size=20), seed=st.integers(0, 2**16),
+           exclude_blank=st.booleans(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_nan_frame_raises_naming_its_utterance(self, lengths, seed, exclude_blank, data):
+        model, unlabeled = _random_split(lengths, seed, 0, 1.0)
+        bad = data.draw(st.integers(0, len(lengths) - 1))
+        frames = unlabeled[bad].frames.copy()
+        frames[data.draw(st.integers(0, lengths[bad] - 1)), 0] = np.nan
+        unlabeled[bad] = FeatureSequence(f"u{bad}", frames)
+        message = f"^utterance u{bad}: non-finite confidence score nan$"
+        with pytest.raises(MetricError, match=message):
+            reference_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+        with pytest.raises(MetricError, match=message):
+            generate_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+
+
+# ids with quotes, backslashes, control and non-ASCII characters; scores at the edges of float64
+_IDS = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃𝄞", "\u2028", '"\\\n\t'])
+_SCORES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, -1e-300, -1.7976931348623157e308, 2.2250738585072014e-308])
+_ROWS = st.lists(st.tuples(_IDS, st.lists(st.integers(1, 2**62), max_size=20), _SCORES,
+                           st.floats(0, 1e300) | st.just(0.0)), max_size=12)
+
+
+class TestColumnWriter:
+    @given(rows=_ROWS, with_wer=st.booleans())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_the_record_encoder_and_read_back_bit_for_bit(self, tmp_path, rows, with_wer):
+        pls = columns(PseudoLabel(uid, LabelSequence(toks), score, wer if with_wer else None)
+                      for uid, toks, score, wer in rows)
+        path = tmp_path / "p.jsonl"
+        save_pseudolabels(pls, path)
+        records = [{"utterance_id": uid, "tokens": toks, "score": score,
+                    **({"oracle_wer": wer} if with_wer else {})} for uid, toks, score, wer in rows]
+        header = _dump({"schema": "pseudo-labels", "version": 1})
+        assert path.read_text(encoding="utf-8") == header + "".join(map(_dump, records))
+        back = load_pseudolabels(path)
+        assert ids(back) == ids(pls) and back.tokens.tolist() == pls.tokens.tolist()
+        assert back.lengths.tolist() == pls.lengths.tolist()
+        assert back.scores.view(np.uint64).tolist() == pls.scores.view(np.uint64).tolist()
+        assert (back.oracle_wer is None) == (not with_wer or not rows)
+        if back.oracle_wer is not None:
+            assert back.oracle_wer.view(np.uint64).tolist() == pls.oracle_wer.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("score, wer", [(float("nan"), 0.0), (-0.1, float("inf"))])
+    def test_non_finite_values_are_not_written(self, tmp_path, score, wer):
+        pls = columns([PseudoLabel("a", LabelSequence((1,)), score, wer)])
+        with pytest.raises(ValueError, match="must be finite"):
+            save_pseudolabels(pls, tmp_path / "p.jsonl")
+        assert not (tmp_path / "p.jsonl").exists()
+
+
+class TestFilterSelections:
+    @given(scores=st.lists(st.floats(-5, 0), max_size=30), boundary=st.floats(-5, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_score_filter_equals_the_comprehension(self, scores, boundary):
+        rows = [PseudoLabel(f"u{i}", LabelSequence((1,)), s) for i, s in enumerate(scores)]
+        pls = columns(rows)
+        assert ids(pls, score_filter(pls, boundary)) == [p.utterance_id for p in rows if p.score > boundary]
+
+    @given(pairs=st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=6),
+                                    st.lists(st.integers(1, 3), max_size=6)), max_size=20),
+           max_wer=st.floats(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_wer_filter_equals_the_comprehension(self, pairs, max_wer):
+        from test_metrics import reference_wer
+
+        rows = [PseudoLabel(f"u{i}", LabelSequence(hyp), -1.0) for i, (_, hyp) in enumerate(pairs)]
+        refs = {p.utterance_id: LabelSequence(ref) for p, (ref, _) in zip(rows, pairs)}
+        pls = columns(rows)
+        assert ids(pls, wer_filter(pls, refs, max_wer)) == [
+            p.utterance_id for p, (ref, hyp) in zip(rows, pairs) if reference_wer(ref, hyp) < max_wer]
+        assert pls.oracle_wer.tolist() == [reference_wer(ref, hyp) for ref, hyp in pairs]
+
+    def test_selection_keeps_every_column_in_index_order(self):
+        pls = columns([PseudoLabel("a", LabelSequence((1, 2)), -0.1, 0.5),
+                       PseudoLabel("b", LabelSequence(()), -0.2, 0.0),
+                       PseudoLabel("c", LabelSequence((3,)), -0.3, 1.0)])
+        assert list(pls[np.array([2, 0])]) == [PseudoLabel("c", LabelSequence((3,)), -0.3, 1.0),
+                                               PseudoLabel("a", LabelSequence((1, 2)), -0.1, 0.5)]
+        assert list(pls[pls.scores > -0.25]) == list(pls)[:2]
+        assert len(pls[np.array([], dtype=np.int64)]) == 0
+
+    def test_empty_reference_raises_naming_the_utterance(self):
+        pls = columns([PseudoLabel("u0", LabelSequence((1,)), -0.1),
+                       PseudoLabel("u1", LabelSequence(()), -0.1)])
+        with pytest.raises(OracleError, match="^utterance u1: empty reference transcript$"):
+            annotate_oracle_wer(pls, {"u0": LabelSequence((1,)), "u1": LabelSequence(())})
+        assert pls.oracle_wer is None
