@@ -8,8 +8,10 @@ are exported (``git archive``) to a temporary directory. Each tree, the base
 and the working tree, then runs the README walk-through at seed 0 with its own
 ``src`` on ``PYTHONPATH``: ``gen-corpus``, ``train-teacher``, ``pseudolabel
 --annotate-oracle``, both ``filter`` modes, ``ipl`` under each filter mode,
-``sweep``, ``estimate-threshold`` and ``report``. ``--epochs`` sets the
-training epochs of every command that trains (default: each command's own).
+``sweep``, ``estimate-threshold`` (training its own teacher, then again with
+``--model`` the ``train-teacher`` checkpoint, into ``estimate-model``) and
+``report``. ``--epochs`` sets the training epochs of every command that
+trains (default: each command's own).
 
 Each walk-through runs in one process, through ``iplfilter.cli.main``, in a
 run root of its own. Both use the same relative paths, so a path recorded in
@@ -65,6 +67,8 @@ def walkthrough(epochs: int | None) -> list[list[str]]:
          "--iters-per-update", "3", *train],
         ["estimate-threshold", "--corpus", "corpus", "--out-dir", "estimate", "--max-wer", "0.10",
          "--probe", "dev", *train],
+        ["estimate-threshold", "--corpus", "corpus", "--out-dir", "estimate-model",
+         "--model", "teacher/teacher_model.json", "--max-wer", "0.10", "--probe", "dev"],
         ["report", "--run-dir", "sweep", "--out-dir", "report"],
     ]
 

@@ -188,26 +188,16 @@ def _checkpoint(cfg: dict):
     return model
 
 
-def _teacher(splits, cfg: dict, out: Path):
-    """Train the teacher on the labeled split and write its artifacts to ``out``."""
-    writer = RunWriter(out)  # its clock times the training
-    result = train_teacher(splits, _ipl_config(cfg))
-    writer.teacher(result.model, result.report)
-    writer.finish([])
-    return result
-
-
 def cmd_gen_corpus(cfg: dict, out: Path) -> None:
     gen = _from_flags(CorpusGenConfig, _GEN_FLAGS, cfg)
     save_manifest(generate_corpus(gen, seed=cfg["seed"]), out)
 
 
 def cmd_train_teacher(cfg: dict, out: Path) -> None:
-    report = _teacher(load_manifest(_corpus(cfg), _TEACHER_SPLITS), cfg, out).report
-    write_text(
-        out / "summary.txt",
-        f"teacher dev_wer {report.dev_wer:.4f} test_wer {report.test_wer:.4f}\n",
-    )
+    splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS)
+    writer = RunWriter(out)  # its clock times the training
+    writer.teacher(train_teacher(splits, _ipl_config(cfg)))
+    writer.finish()
 
 
 def cmd_pseudolabel(cfg: dict, out: Path) -> None:
@@ -253,24 +243,19 @@ def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
     if model is None:
         check_splits(splits)  # the teacher's splits, then the probe, before any training
     check_probe_size(len(probe), cfg["min_probe"])
+    writer = RunWriter(out)  # its clock times the teacher, if one is trained, then the estimate
     if model is None:
-        model = _teacher(splits, cfg, out).model
-    estimate_threshold(
-        model,
-        probe,
-        max_wer=cfg["max_wer"],
-        coverage_frac=cfg["coverage"],
-        min_probe=cfg["min_probe"],
-        exclude_blank=cfg["exclude_blank"],
-        n_bins=n_bins,
-        out_dir=out,
-    )
+        model = writer.teacher(train_teacher(splits, _ipl_config(cfg)))
+    writer.estimate(estimate_threshold(model, probe, max_wer=cfg["max_wer"],
+                                       coverage_frac=cfg["coverage"], min_probe=cfg["min_probe"],
+                                       exclude_blank=cfg["exclude_blank"]), n_bins)
+    writer.finish()
 
 
 def cmd_report(cfg: dict, out: Path) -> None:
     n_bins = _at_least_one(cfg, "bins")
     run = load_run(_require(cfg, "run_dir"))
-    write_text(out / "report_summary.txt", run_summary(run.reports, run.sweep, run.estimate))
+    write_text(out / "report_summary.txt", run_summary(run))
     if run.pseudolabels is not None:
         write_plots(load_pseudolabels(run.pseudolabels), n_bins, out)
 

@@ -34,6 +34,7 @@ from .pseudolabel import (
     annotate_oracle_wer,
     decode_split,
     generate_pseudolabels,
+    row_lines,
     save_pseudolabels,
     score_filter,
     wer_filter,
@@ -250,9 +251,7 @@ def _ipl_loop(
     if splits.unlabeled and not splits.unlabeled_refs and any(c.filter_mode == "wer" for c in schedule):
         raise OracleError("filter mode 'wer' needs the unlabeled transcripts the corpus withholds")
     if teacher is None:
-        tr = train_teacher(splits, schedule[0])
-        teacher = tr.model
-        out.teacher(tr.model, tr.report)
+        teacher = out.teacher(train_teacher(splits, schedule[0]))
 
     model = teacher
     reports: list[IterationReport] = []
@@ -263,7 +262,7 @@ def _ipl_loop(
             base = model if cfg.warm_start else teacher
             model, report, pls = _run_one_iteration(base, splits, cfg, t)
             reports.append(report)
-            out.iteration(t, model, pls)
+            out.iteration(model, report, pls)
         best_per_config.append(min(r.dev_wer for r in reports[-cfg.iter_max:]))
         if select_threshold(enumerate(best_per_config))[1]:
             break
@@ -285,7 +284,7 @@ def run_ipl(
     """
     out = RunWriter(out_dir)
     result, _ = _ipl_loop(splits, [cfg], teacher, out)
-    out.finish(result.reports)
+    out.finish()
     return result
 
 
@@ -329,15 +328,10 @@ def sweep_threshold(
     run, best_per_threshold = _ipl_loop(splits, configs, teacher, out)
     thresholds = boundaries[: len(best_per_threshold)]
     best, declined = select_threshold(zip(thresholds, best_per_threshold))
-    result = SweepResult(
-        best_threshold=best,
-        declined=declined,
-        thresholds=thresholds,
-        best_dev_wer_per_threshold=best_per_threshold,
-        reports=run.reports,
-        model=run.model,
-    )
-    out.finish(run.reports, sweep=_record(result, SWEEP_FIELDS))
+    result = SweepResult(best_threshold=best, declined=declined, thresholds=thresholds,
+                         best_dev_wer_per_threshold=best_per_threshold, reports=run.reports,
+                         model=run.model)
+    out.finish(sweep=result)
     return result
 
 
@@ -362,8 +356,6 @@ def estimate_threshold(
     coverage_frac: float = 0.9,
     min_probe: int = 20,
     exclude_blank: bool = False,
-    n_bins: int = 20,
-    out_dir=None,
 ) -> EstimateResult:
     """Estimate a score boundary from a labeled probe, no sweep required.
 
@@ -397,18 +389,10 @@ def estimate_threshold(
     estimate = float(np.nextafter(ranked[qualifies][-1], -np.inf)) if qualifies.any() else 0.0
 
     score_kept, wer_set = set(score_filter(pls, estimate).tolist()), set(wer_kept.tolist())
-    result = EstimateResult(
-        threshold=estimate,
-        probe_size=len(pairs),
-        wer_kept_count=wer_kept.size,
-        score_kept_count=len(score_kept),
-        overlap_jaccard=overlap_rate(score_kept, wer_set),
-        overlap_min_ratio=overlap_min_ratio(score_kept, wer_set),
-        pseudolabels=pls,
-    )
-    if out_dir is not None:
-        write_estimate(result, n_bins, out_dir)
-    return result
+    return EstimateResult(threshold=estimate, probe_size=len(pairs), wer_kept_count=wer_kept.size,
+                          score_kept_count=len(score_kept), pseudolabels=pls,
+                          overlap_jaccard=overlap_rate(score_kept, wer_set),
+                          overlap_min_ratio=overlap_min_ratio(score_kept, wer_set))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +402,7 @@ def estimate_threshold(
 
 # Field tables of the records (see artifacts), one per dataclass: name -> allowed JSON types
 REPORT_FIELDS = record_fields(IterationReport)
+TEACHER_SCHEMA = "teacher-report"
 TEACHER_FIELDS = record_fields(TeacherReport)
 SWEEP_SCHEMA = "sweep-result"
 SWEEP_FIELDS = record_fields(SweepResult, skip=("reports", "model"))
@@ -436,57 +421,60 @@ def report_record(report: IterationReport) -> dict:
 
 @dataclass
 class RunRecord:
-    """A run directory read back by :func:`load_run`."""
+    """What a run directory holds: kept by :class:`RunWriter`, read back by :func:`load_run`."""
 
-    reports: list[IterationReport]
-    sweep: dict | None
-    estimate: dict | None
-    pseudolabels: Path | None  # the last iteration's pseudo-label file, else the probe's
+    teacher: TeacherReport | None = None
+    reports: list[IterationReport] = field(default_factory=list)
+    sweep: dict | None = None
+    estimate: dict | None = None
+    pseudolabels: Path | None = None  # the last iteration's pseudo-label file, else the probe's
 
 
 def load_run(run_dir) -> RunRecord:
-    """Read back what :class:`RunWriter` and :func:`write_estimate` wrote.
+    """Read back what :class:`RunWriter` wrote.
 
-    A missing directory raises FileNotFoundError. A malformed
-    ``reports.jsonl``, ``sweep.json`` or ``estimate.json``, or a directory
-    holding none of them, raises ConfigurationError naming the file.
+    A missing directory raises FileNotFoundError. A malformed ``teacher_report.jsonl``,
+    ``reports.jsonl``, ``sweep.json`` or ``estimate.json``, a directory holding none of
+    them, or a missing pseudo-label file raises ConfigurationError naming the file.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
-    reports, sweep, estimate = [], None, None
-    path = run_dir / "reports.jsonl"
-    if path.is_file():
-        reports = [IterationReport(**rec) for _, rec in
-                   read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
-        if not reports:
+    run = RunRecord()
+    if (path := run_dir / "teacher_report.jsonl").is_file():
+        recs = [rec for _, rec in read_jsonl(path, ConfigurationError, TEACHER_FIELDS, TEACHER_SCHEMA)]
+        if len(recs) != 1 or not all(type(x) in NUMBER for x in recs[0]["loss_curve"]):
+            raise ConfigurationError(f"{path}: expected one record, its loss_curve a list of numbers")
+        run.teacher = TeacherReport(**recs[0])
+    if (path := run_dir / "reports.jsonl").is_file():
+        run.reports = [IterationReport(**rec) for _, rec in
+                       read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
+        if not run.reports:
             raise ConfigurationError(f"{path}: no iteration records")
-    path = run_dir / "sweep.json"
-    if path.is_file():
-        sweep = read_json(path, ConfigurationError, SWEEP_SCHEMA, SWEEP_FIELDS)
-        thresholds, devs = sweep["thresholds"], sweep["best_dev_wer_per_threshold"]
+    if (path := run_dir / "sweep.json").is_file():
+        run.sweep = read_json(path, ConfigurationError, SWEEP_SCHEMA, SWEEP_FIELDS)
+        thresholds, devs = run.sweep["thresholds"], run.sweep["best_dev_wer_per_threshold"]
         if not (all(type(x) in NUMBER for x in thresholds + devs) and len(thresholds) == len(devs)
-                and sweep["best_threshold"] in thresholds):
+                and run.sweep["best_threshold"] in thresholds):
             raise ConfigurationError(f"{path}:1: thresholds and best_dev_wer_per_threshold must "
                                      "be equally long lists of numbers, with best_threshold "
                                      "among the thresholds")
-    path = run_dir / "estimate.json"
-    if path.is_file():
-        estimate = read_json(path, ConfigurationError, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
-    if not reports and sweep is None and estimate is None:
-        raise ConfigurationError(f"{run_dir}: no reports.jsonl, sweep.json, or estimate.json")
-    # iter-NN is zero-padded to two digits, so iter-100 sorts after iter-99 by length
-    iters = sorted(run_dir.glob("iter-*.pseudolabels.jsonl"), key=lambda p: (len(p.name), p.name))
-    probe = run_dir / "probe_pseudolabels.jsonl"
-    pls = iters[-1] if iters else probe if probe.is_file() else None
-    return RunRecord(reports, sweep, estimate, pls)
+    if (path := run_dir / "estimate.json").is_file():
+        run.estimate = read_json(path, ConfigurationError, ESTIMATE_SCHEMA, ESTIMATE_FIELDS)
+    if run == RunRecord():
+        raise ConfigurationError(
+            f"{run_dir}: no reports.jsonl, sweep.json, estimate.json or teacher_report.jsonl")
+    if run.reports or run.estimate is not None:
+        run.pseudolabels = run_dir / (f"iter-{run.reports[-1].iteration:02d}.pseudolabels.jsonl"
+                                      if run.reports else "probe_pseudolabels.jsonl")
+        if not run.pseudolabels.is_file():
+            raise ConfigurationError(f"{run.pseudolabels}: missing file")
+    return run
 
 
 def _fmt(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, bool):
-        return "yes" if x else "no"
     if isinstance(x, float):
         return f"{x:.4f}"
     return str(x)
@@ -498,44 +486,50 @@ def _table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_summary(reports, sweep: dict | None = None, estimate: dict | None = None) -> str:
+def run_summary(run: RunRecord) -> str:
     """Fixed-width ``summary.txt`` text of a run.
 
-    One row per iteration with the best dev-WER row starred; then, given a
-    ``sweep.json`` record, one row per threshold with the chosen one starred;
-    then, given an ``estimate.json`` record, one line on the estimate.
+    A line on the teacher, when the run trained one; one row per iteration
+    with the best dev-WER row starred; then, given a ``sweep.json`` record,
+    one row per threshold with the chosen one starred; then, given an
+    ``estimate.json`` record, one line on the estimate.
     """
     text = ""
-    if reports:
-        best = min(reports, key=lambda r: r.dev_wer).iteration
+    if run.teacher is not None:
+        text = f"teacher dev_wer {run.teacher.dev_wer:.4f} test_wer {run.teacher.test_wer:.4f}\n"
+    if run.reports:
+        best = min(run.reports, key=lambda r: r.dev_wer).iteration
         rows = [("iter", "threshold", "generated", "kept", "mean_score",
                  "oracle_wer_kept", "dev_wer", "test_wer", "flag")]
-        for r in reports:
+        for r in run.reports:
             rows.append((
                 f"{r.iteration}{'*' if r.iteration == best else ''}", _fmt(r.threshold),
                 _fmt(r.generated), _fmt(r.kept), _fmt(r.mean_score_kept),
                 _fmt(r.oracle_mean_wer_kept), _fmt(r.dev_wer), _fmt(r.test_wer),
                 "labeled-only" if r.trained_on_labeled_only else "",
             ))
-        text = _table(rows)
-    if sweep is not None:
+        text += _table(rows)
+    if run.sweep is not None:
         rows = [("threshold", "best_dev_wer", "")]
-        for thr, dev in zip(sweep["thresholds"], sweep["best_dev_wer_per_threshold"]):
-            rows.append((_fmt(thr), _fmt(dev), "*" if thr == sweep["best_threshold"] else ""))
+        for thr, dev in zip(run.sweep["thresholds"], run.sweep["best_dev_wer_per_threshold"]):
+            rows.append((_fmt(thr), _fmt(dev), "*" if thr == run.sweep["best_threshold"] else ""))
         text += "\n" + _table(rows)
-    if estimate is not None:
+    if run.estimate is not None:
         text += ("estimated threshold {threshold:.4f} (score-kept {score_kept_count}, "
                  "wer-kept {wer_kept_count}, jaccard {overlap_jaccard:.4f}, "
-                 "min-ratio {overlap_min_ratio:.4f})\n").format(**estimate)
+                 "min-ratio {overlap_min_ratio:.4f})\n").format(**run.estimate)
     return text
 
 
 class RunWriter:
-    """Writes run-directory artifacts; a no-op when no directory is given. ``timings.txt``
-    times each stage it writes from the end of the one before (or its creation) to its writes."""
+    """Writes a run directory and keeps its :class:`RunRecord`; a no-op when no
+    directory is given. ``timings.txt`` times each stage it writes from the end of the
+    one before (or its creation) to its writes; ``summary.txt``, written last, renders
+    the record with :func:`run_summary`."""
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir is not None else None
+        self.record = RunRecord()
         self.timings: list[tuple[str, float]] = []
         self._clock = time.perf_counter()
 
@@ -544,32 +538,50 @@ class RunWriter:
         self.timings.append((name, now - self._clock))
         self._clock = now
 
-    def teacher(self, model: AcousticModel, report: TeacherReport) -> None:
+    def teacher(self, result: TeacherResult) -> AcousticModel:
+        """Write the teacher's checkpoint and report; returns its model."""
+        if self.dir is not None:
+            self.record.teacher = result.report
+            save_checkpoint(result.model, self.dir / "teacher_model.json")
+            write_jsonl(self.dir / "teacher_report.jsonl", [_record(result.report, TEACHER_FIELDS)],
+                        TEACHER_SCHEMA)
+            self._stage_done("teacher")
+        return result.model
+
+    def iteration(self, model: AcousticModel, report: IterationReport, pls: PseudoLabels) -> None:
         if self.dir is None:
             return
-        save_checkpoint(model, self.dir / "teacher_model.json")
-        write_jsonl(self.dir / "teacher_report.jsonl", [_record(report, TEACHER_FIELDS)], "teacher-report")
-        self._stage_done("teacher")
+        name = f"iter-{report.iteration:02d}"
+        self.record.reports.append(report)
+        self.record.pseudolabels = self.dir / f"{name}.pseudolabels.jsonl"
+        save_checkpoint(model, self.dir / f"{name}.model.json")
+        save_pseudolabels(pls, self.record.pseudolabels)
+        self._stage_done(name)
 
-    def iteration(self, t: int, model: AcousticModel, pls) -> None:
+    def estimate(self, result: EstimateResult, n_bins: int) -> None:
+        """The probe's labels, their plot data (see :func:`write_plots`) and ``estimate.json``."""
         if self.dir is None:
             return
-        save_checkpoint(model, self.dir / f"iter-{t:02d}.model.json")
-        save_pseudolabels(pls, self.dir / f"iter-{t:02d}.pseudolabels.jsonl")
-        self._stage_done(f"iter-{t:02d}")
+        self.record.estimate = _record(result, ESTIMATE_FIELDS)
+        self.record.pseudolabels = self.dir / "probe_pseudolabels.jsonl"
+        save_pseudolabels(result.pseudolabels, self.record.pseudolabels)
+        write_plots(result.pseudolabels, n_bins, self.dir)
+        write_json(self.dir / "estimate.json", self.record.estimate, ESTIMATE_SCHEMA)
+        self._stage_done("estimate")
 
-    def finish(self, reports, sweep: dict | None = None) -> None:
-        """Write the reports, ``sweep.json`` given a sweep record, the summary and timings."""
+    def finish(self, sweep: SweepResult | None = None) -> None:
+        """Write ``sweep.json`` given a sweep, the reports, the timings, then the summary."""
         if self.dir is None:
             return
         if sweep is not None:
-            write_json(self.dir / "sweep.json", sweep, SWEEP_SCHEMA)
-        if reports:
-            write_jsonl(self.dir / "reports.jsonl", map(report_record, reports), REPORT_SCHEMA)
-            write_text(self.dir / "summary.txt", run_summary(reports, sweep))
-        if self.timings:
-            write_text(self.dir / "timings.txt",
-                       "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
+            self.record.sweep = _record(sweep, SWEEP_FIELDS)
+            write_json(self.dir / "sweep.json", self.record.sweep, SWEEP_SCHEMA)
+        if self.record.reports:
+            write_jsonl(self.dir / "reports.jsonl", map(report_record, self.record.reports),
+                        REPORT_SCHEMA)
+        write_text(self.dir / "timings.txt",
+                   "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
+        write_text(self.dir / "summary.txt", run_summary(self.record))
 
 
 def write_plots(pls, n_bins: int, out_dir) -> None:
@@ -589,14 +601,4 @@ def write_plots(pls, n_bins: int, out_dir) -> None:
             for left, right, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
         ), f"{name}-histogram")
     if "wer" in columns:
-        write_jsonl(out / "scatter.jsonl", (
-            {"utterance_id": uid, "score": score, "oracle_wer": wer}
-            for uid, score, wer in zip(pls.ids.tolist(), pls.scores.tolist(), pls.oracle_wer.tolist())
-        ), "score-wer-scatter")
-
-
-def write_estimate(result: EstimateResult, n_bins: int, out_dir) -> None:
-    out = Path(out_dir)
-    save_pseudolabels(result.pseudolabels, out / "probe_pseudolabels.jsonl")
-    write_plots(result.pseudolabels, n_bins, out)
-    write_json(out / "estimate.json", _record(result, ESTIMATE_FIELDS), ESTIMATE_SCHEMA)
+        write_jsonl(out / "scatter.jsonl", row_lines(pls, tokens=False), "score-wer-scatter")

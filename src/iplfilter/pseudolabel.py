@@ -150,20 +150,27 @@ def wer_filter(pseudo_labels: PseudoLabels, references, max_wer: float) -> np.nd
     return np.flatnonzero(pseudo_labels.oracle_wer < max_wer)
 
 
-def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
-    """One line per row, formatted from the columns as the bytes ``write_jsonl``
-    writes for its record; a non-finite score or WER, not JSON, raises ValueError."""
+def row_lines(pseudo_labels: PseudoLabels, tokens: bool = True):
+    """One JSON line per row, formatted from the columns as ``write_jsonl`` writes the record
+    of its ``oracle_wer`` (if annotated), ``score``, ``tokens`` (unless left out) and
+    ``utterance_id``; a non-finite score or WER, not JSON, raises ValueError."""
     pls = pseudo_labels
     wers = np.zeros(len(pls)) if pls.oracle_wer is None else pls.oracle_wer
     if not (np.isfinite(pls.scores).all() and np.isfinite(wers).all()):
         raise ValueError("pseudo-label scores and oracle WERs must be finite")
-    tokens, ends = pls.tokens.tolist(), np.cumsum(pls.lengths).tolist()
+    toks, ends = pls.tokens.tolist(), np.cumsum(pls.lengths).tolist()
+    parts = (f'"tokens": {toks[a:b]}, ' if tokens else "" for a, b in zip([0, *ends], ends))
     ids = map(encode_basestring_ascii, pls.ids.tolist())
-    lines = (f'{{"score": {score!r}, "tokens": {tokens[a:b]}, "utterance_id": {uid}}}\n'
-             for score, a, b, uid in zip(pls.scores.tolist(), [0, *ends], ends, ids))
+    lines = (f'{{"score": {score!r}, {part}"utterance_id": {uid}}}\n'
+             for score, part, uid in zip(pls.scores.tolist(), parts, ids))
     if pls.oracle_wer is not None:
         lines = (f'{{"oracle_wer": {wer!r}, {line[1:]}' for wer, line in zip(wers.tolist(), lines))
-    write_jsonl(path, lines, PSEUDOLABEL_SCHEMA)
+    return lines
+
+
+def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
+    """One line per row, from :func:`row_lines`."""
+    write_jsonl(path, row_lines(pseudo_labels), PSEUDOLABEL_SCHEMA)
 
 
 def load_pseudolabels(path, num_classes: int | None = None) -> PseudoLabels:

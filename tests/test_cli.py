@@ -332,6 +332,20 @@ class TestTimings:
                      "--epochs", "1"]) == 0
         assert timings(run) == ["teacher"]
 
+    def test_estimate_threshold_times_the_teacher_then_the_estimate(self, corpus_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["estimate-threshold", "--corpus", str(corpus_dir), "--out-dir", str(run),
+                     "--epochs", "1", "--min-probe", "5"]) == 0
+        assert timings(run) == ["teacher", "estimate"]
+
+    def test_estimate_threshold_with_a_model_times_the_estimate_alone(self, corpus_dir, tmp_path):
+        teacher, run = tmp_path / "teacher", tmp_path / "run"
+        assert main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(teacher),
+                     "--epochs", "1"]) == 0
+        assert main(["estimate-threshold", "--corpus", str(corpus_dir), "--out-dir", str(run),
+                     "--model", str(teacher / "teacher_model.json"), "--min-probe", "5"]) == 0
+        assert timings(run) == ["estimate"]
+
 
 class TestSweepAndReport:
     def test_ipl_flags_reach_the_sweep_config(self, corpus_dir, tmp_path, monkeypatch):
@@ -365,6 +379,48 @@ class TestSweepAndReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--run-dir", str(empty), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+# Every kind of run directory: (name, argv in the run root, to which --corpus and --out-dir are added)
+RUN_KINDS = {
+    "teacher": lambda d: ["train-teacher", "--epochs", "2"],
+    "ipl-none": lambda d: ["ipl", "--epochs", "2", "--iter-max", "2"],
+    "ipl-score": lambda d: ["ipl", "--epochs", "2", "--iter-max", "2", "--filter-mode", "score",
+                            "--score-threshold", "-0.5"],
+    "ipl-wer": lambda d: ["ipl", "--epochs", "2", "--iter-max", "2", "--filter-mode", "wer",
+                          "--max-wer", "0.5"],
+    "sweep": lambda d: ["sweep", "--epochs", "2", "--initial", "-0.2", "--step", "0.2",
+                        "--iters-per-update", "1", "--max-updates", "2"],
+    "estimate": lambda d: ["estimate-threshold", "--epochs", "2", "--min-probe", "5"],
+    "estimate-model": lambda d: ["estimate-threshold", "--min-probe", "5",
+                                 "--model", d / "teacher" / "teacher_model.json"],
+}
+
+
+class TestReportOnEveryRunKind:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        corpus = root / "corpus"
+        assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
+        for name, argv in RUN_KINDS.items():
+            assert main([str(a) for a in argv(root)] + ["--corpus", str(corpus),
+                                                        "--out-dir", str(root / name)]) == 0, name
+        return root
+
+    @pytest.mark.parametrize("kind", list(RUN_KINDS))
+    def test_report_summary_is_the_run_summary(self, runs, tmp_path, kind):
+        rep = tmp_path / "report"
+        assert main(["report", "--run-dir", str(runs / kind), "--out-dir", str(rep)]) == 0
+        summary = (runs / kind / "summary.txt").read_text()
+        assert (rep / "report_summary.txt").read_bytes() == (runs / kind / "summary.txt").read_bytes()
+        # every run that trained a teacher starts with it
+        if kind == "estimate-model":
+            assert summary.startswith("estimated threshold ")
+        else:
+            teacher = json.loads((runs / kind / "teacher_report.jsonl").read_text().splitlines()[1])
+            assert summary.splitlines()[0] == (f"teacher dev_wer {teacher['dev_wer']:.4f} "
+                                               f"test_wer {teacher['test_wer']:.4f}")
 
 
 def _set_line(path, lineno, edit):
@@ -415,6 +471,12 @@ MALFORMED_RUNS = {
         lambda rec: rec.update(threshold="x")))),
     "estimate-bool-for-number": ("est/estimate.json", lambda p: _set_line(p, 1, _edit_record(
         lambda rec: rec.update(threshold=True)))),
+    "teacher-bool-for-number": ("sweep/teacher_report.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec.update(test_wer=False)))),
+    "teacher-loss-curve-entry": ("sweep/teacher_report.jsonl", lambda p: _set_line(p, 2, _edit_record(
+        lambda rec: rec["loss_curve"].append("x")))),
+    "teacher-two-records": ("est/teacher_report.jsonl",
+                            lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[1] + "\n")),
 }
 
 

@@ -13,6 +13,7 @@ from iplfilter.errors import ConfigurationError, InsufficientProbeError, OracleE
 from iplfilter.model import TrainConfig, init_model
 from iplfilter.pipeline import (
     IplConfig,
+    RunRecord,
     RunWriter,
     estimate_threshold,
     load_run,
@@ -368,9 +369,8 @@ class TestEstimate:
     def test_report_contents(self, tmp_path):
         splits = generate_corpus(CorpusGenConfig(n_labeled=8, n_unlabeled=10, n_dev=30, n_test=8), seed=1)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=20, seed=0)))
-        result = estimate_threshold(
-            teacher.model, splits.dev, max_wer=0.10, min_probe=10, out_dir=tmp_path
-        )
+        result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
+        RunWriter(tmp_path).estimate(result, 20)
         assert len(result.pseudolabels) == 30
         assert all(p.oracle_wer is not None for p in result.pseudolabels)
         assert 0.0 <= result.overlap_jaccard <= 1.0
@@ -406,8 +406,7 @@ class TestReportSerialization:
 
     def test_reports_write_and_load(self, tmp_path):
         splits = small_splits()
-        result = run_ipl(splits, IplConfig(iter_max=1, filter_mode="none", train=FAST))
-        RunWriter(tmp_path).finish(result.reports)
+        result = run_ipl(splits, IplConfig(iter_max=1, filter_mode="none", train=FAST), out_dir=tmp_path)
         loaded = load_run(tmp_path).reports
         assert loaded[0].generated == result.reports[0].generated
         assert loaded[0].dev_wer == result.reports[0].dev_wer
@@ -420,32 +419,66 @@ class TestLoadRun:
         assert [report_record(r) for r in run.reports] == [report_record(r) for r in result.reports]
         assert run.sweep is None and run.estimate is None
         assert run.pseudolabels == tmp_path / "iter-02.pseudolabels.jsonl"
-        assert run_summary(run.reports) == (tmp_path / "summary.txt").read_text()
+        assert run_summary(run) == (tmp_path / "summary.txt").read_text()
 
     def test_estimate_run_reads_back(self, tmp_path):
         splits = small_splits(n_dev=12)
         result = estimate_threshold(init_model(splits.feature_dim, 8, 0, seed=0), splits.dev,
-                                    max_wer=0.5, min_probe=10, out_dir=tmp_path)
+                                    max_wer=0.5, min_probe=10)
+        writer = RunWriter(tmp_path)
+        writer.estimate(result, 20)
+        writer.finish()
         run = load_run(tmp_path)
-        assert run.reports == [] and run.sweep is None
+        assert run.teacher is None and run.reports == [] and run.sweep is None
         assert run.estimate["threshold"] == result.threshold
         assert run.estimate["score_kept_count"] == result.score_kept_count
         assert run.pseudolabels == tmp_path / "probe_pseudolabels.jsonl"
-        assert "estimated threshold" in run_summary(run.reports, run.sweep, run.estimate)
+        assert "estimated threshold" in run_summary(run)
+        assert run_summary(run) == (tmp_path / "summary.txt").read_text()
 
-    def test_last_pseudolabel_file_is_numerically_last(self, tmp_path):
-        result = run_ipl(small_splits(), IplConfig(iter_max=1, train=FAST))
-        RunWriter(tmp_path).finish(result.reports)
-        for t in (9, 10, 99, 100):
+    def test_teacher_run_reads_back(self, tmp_path):
+        writer = RunWriter(tmp_path)
+        teacher = train_teacher(small_splits(), IplConfig(train=FAST))
+        writer.teacher(teacher)
+        writer.finish()
+        run = load_run(tmp_path)
+        assert run == RunRecord(teacher=teacher.report)
+        report = teacher.report
+        assert run_summary(run) == f"teacher dev_wer {report.dev_wer:.4f} test_wer {report.test_wer:.4f}\n"
+        assert run_summary(run) == (tmp_path / "summary.txt").read_text()
+
+    def test_stale_iteration_file_is_ignored(self, tmp_path):
+        # a 3-iteration run, then a 2-iteration run into the same directory
+        run_ipl(small_splits(), IplConfig(iter_max=3, train=FAST), out_dir=tmp_path)
+        result = run_ipl(small_splits(), IplConfig(iter_max=2, train=FAST), out_dir=tmp_path)
+        assert (tmp_path / "iter-03.pseudolabels.jsonl").is_file()
+        run = load_run(tmp_path)
+        assert [r.iteration for r in run.reports] == [1, 2]
+        assert run.pseudolabels == tmp_path / "iter-02.pseudolabels.jsonl"
+        assert run_summary(run) == (tmp_path / "summary.txt").read_text()
+        assert run_summary(run) == run_summary(RunRecord(run.teacher, result.reports))
+
+    def test_a_report_of_iteration_100_names_iter_100(self, tmp_path):
+        run_ipl(small_splits(), IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
+        reports = tmp_path / "reports.jsonl"
+        header, rec = reports.read_text().splitlines()
+        reports.write_text(header + "\n" + json.dumps({**json.loads(rec), "iteration": 100}) + "\n")
+        for t in (1, 9, 10, 99):
             (tmp_path / f"iter-{t:02d}.pseudolabels.jsonl").touch()
-        assert load_run(tmp_path).pseudolabels == tmp_path / "iter-100.pseudolabels.jsonl"
+        missing = tmp_path / "iter-100.pseudolabels.jsonl"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(missing))}: missing file$"):
+            load_run(tmp_path)
+        missing.touch()
+        assert load_run(tmp_path).pseudolabels == missing
 
     @pytest.mark.parametrize("name, lineno, field", [("reports.jsonl", 2, "dev_wer"),
-                                                     ("estimate.json", 1, "threshold")])
+                                                     ("estimate.json", 1, "threshold"),
+                                                     ("teacher_report.jsonl", 2, "dev_wer")])
     def test_bool_for_a_number_names_line(self, tmp_path, name, lineno, field):
         splits = small_splits(n_dev=12)
         result = run_ipl(splits, IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
-        estimate_threshold(result.model, splits.dev, max_wer=0.5, min_probe=10, out_dir=tmp_path)
+        RunWriter(tmp_path).estimate(estimate_threshold(result.model, splits.dev, max_wer=0.5,
+                                                        min_probe=10), 20)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: True})

@@ -21,6 +21,7 @@ from iplfilter.pseudolabel import (
     annotate_oracle_wer,
     generate_pseudolabels,
     load_pseudolabels,
+    row_lines,
     save_pseudolabels,
     score_filter,
     wer_filter,
@@ -497,6 +498,9 @@ class TestColumnWriter:
                     **({"oracle_wer": wer} if with_wer else {})} for uid, toks, score, wer in rows]
         header = _dump({"schema": "pseudo-labels", "version": 1})
         assert path.read_text(encoding="utf-8") == header + "".join(map(_dump, records))
+        # the scatter.jsonl rows of write_plots: the same lines without the tokens
+        scatter = [{key: rec[key] for key in rec if key != "tokens"} for rec in records]
+        assert "".join(row_lines(pls, tokens=False)) == "".join(map(_dump, scatter))
         back = load_pseudolabels(path)
         assert ids(back) == ids(pls) and back.tokens.tolist() == pls.tokens.tolist()
         assert back.lengths.tolist() == pls.lengths.tolist()
