@@ -254,7 +254,10 @@ def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
 
 def cmd_report(cfg: dict, out: Path) -> None:
     n_bins = _at_least_one(cfg, "bins")
-    run = load_run(_require(cfg, "run_dir"))
+    run_dir = Path(_require(cfg, "run_dir"))
+    run = load_run(run_dir)
+    if not (run_dir / "summary.txt").is_file():
+        raise ConfigurationError(f"{run_dir / 'summary.txt'}: missing file; the run did not finish")
     write_text(out / "report_summary.txt", run_summary(run))
     if run.pseudolabels is not None:
         write_plots(load_pseudolabels(run.pseudolabels), n_bins, out)

@@ -262,7 +262,7 @@ def _ipl_loop(
             base = model if cfg.warm_start else teacher
             model, report, pls = _run_one_iteration(base, splits, cfg, t)
             reports.append(report)
-            out.iteration(model, report, pls)
+            out.iteration(model, reports, pls)
         best_per_config.append(min(r.dev_wer for r in reports[-cfg.iter_max:]))
         if select_threshold(enumerate(best_per_config))[1]:
             break
@@ -421,7 +421,7 @@ def report_record(report: IterationReport) -> dict:
 
 @dataclass
 class RunRecord:
-    """What a run directory holds: kept by :class:`RunWriter`, read back by :func:`load_run`."""
+    """What :func:`load_run` reads back from a run directory; the files are the one copy."""
 
     teacher: TeacherReport | None = None
     reports: list[IterationReport] = field(default_factory=list)
@@ -522,14 +522,17 @@ def run_summary(run: RunRecord) -> str:
 
 
 class RunWriter:
-    """Writes a run directory and keeps its :class:`RunRecord`; a no-op when no
-    directory is given. ``timings.txt`` times each stage it writes from the end of the
-    one before (or its creation) to its writes; ``summary.txt``, written last, renders
-    the record with :func:`run_summary`."""
+    """Writes a run directory; a no-op when no directory is given. Each record is written
+    when its stage ends. ``timings.txt`` times each stage from the end of the one before
+    (or the writer's creation) to its writes; ``summary.txt``, written last, renders
+    :func:`load_run` of the directory with :func:`run_summary`, and so marks a finished run."""
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir is not None else None
-        self.record = RunRecord()
+        if self.dir is not None:  # what an earlier run left of these would misdescribe this one
+            for name in ("teacher_report.jsonl", "reports.jsonl", "sweep.json", "estimate.json",
+                         "timings.txt", "summary.txt"):
+                (self.dir / name).unlink(missing_ok=True)
         self.timings: list[tuple[str, float]] = []
         self._clock = time.perf_counter()
 
@@ -541,47 +544,40 @@ class RunWriter:
     def teacher(self, result: TeacherResult) -> AcousticModel:
         """Write the teacher's checkpoint and report; returns its model."""
         if self.dir is not None:
-            self.record.teacher = result.report
             save_checkpoint(result.model, self.dir / "teacher_model.json")
             write_jsonl(self.dir / "teacher_report.jsonl", [_record(result.report, TEACHER_FIELDS)],
                         TEACHER_SCHEMA)
             self._stage_done("teacher")
         return result.model
 
-    def iteration(self, model: AcousticModel, report: IterationReport, pls: PseudoLabels) -> None:
+    def iteration(self, model: AcousticModel, reports: list[IterationReport], pls: PseudoLabels) -> None:
+        """The last iteration's checkpoint and labels, then ``reports.jsonl`` of every report so far."""
         if self.dir is None:
             return
-        name = f"iter-{report.iteration:02d}"
-        self.record.reports.append(report)
-        self.record.pseudolabels = self.dir / f"{name}.pseudolabels.jsonl"
+        name = f"iter-{reports[-1].iteration:02d}"
         save_checkpoint(model, self.dir / f"{name}.model.json")
-        save_pseudolabels(pls, self.record.pseudolabels)
+        save_pseudolabels(pls, self.dir / f"{name}.pseudolabels.jsonl")
+        write_jsonl(self.dir / "reports.jsonl", map(report_record, reports), REPORT_SCHEMA)
         self._stage_done(name)
 
     def estimate(self, result: EstimateResult, n_bins: int) -> None:
         """The probe's labels, their plot data (see :func:`write_plots`) and ``estimate.json``."""
         if self.dir is None:
             return
-        self.record.estimate = _record(result, ESTIMATE_FIELDS)
-        self.record.pseudolabels = self.dir / "probe_pseudolabels.jsonl"
-        save_pseudolabels(result.pseudolabels, self.record.pseudolabels)
+        save_pseudolabels(result.pseudolabels, self.dir / "probe_pseudolabels.jsonl")
         write_plots(result.pseudolabels, n_bins, self.dir)
-        write_json(self.dir / "estimate.json", self.record.estimate, ESTIMATE_SCHEMA)
+        write_json(self.dir / "estimate.json", _record(result, ESTIMATE_FIELDS), ESTIMATE_SCHEMA)
         self._stage_done("estimate")
 
     def finish(self, sweep: SweepResult | None = None) -> None:
-        """Write ``sweep.json`` given a sweep, the reports, the timings, then the summary."""
+        """Write ``sweep.json`` given a sweep, the timings, then the summary."""
         if self.dir is None:
             return
         if sweep is not None:
-            self.record.sweep = _record(sweep, SWEEP_FIELDS)
-            write_json(self.dir / "sweep.json", self.record.sweep, SWEEP_SCHEMA)
-        if self.record.reports:
-            write_jsonl(self.dir / "reports.jsonl", map(report_record, self.record.reports),
-                        REPORT_SCHEMA)
+            write_json(self.dir / "sweep.json", _record(sweep, SWEEP_FIELDS), SWEEP_SCHEMA)
         write_text(self.dir / "timings.txt",
                    "".join(f"{name}\t{sec:.3f}s\n" for name, sec in self.timings))
-        write_text(self.dir / "summary.txt", run_summary(self.record))
+        write_text(self.dir / "summary.txt", run_summary(load_run(self.dir)))
 
 
 def write_plots(pls, n_bins: int, out_dir) -> None:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iplfilter import cli
+from iplfilter import cli, pipeline
 from iplfilter.cli import build_parser, main
 from iplfilter.corpus import LabelSequence, load_manifest
+from iplfilter.pipeline import load_run
 from iplfilter.pseudolabel import PseudoLabel, load_pseudolabels, save_pseudolabels
 from test_pseudolabel import columns
 
@@ -381,6 +382,68 @@ class TestSweepAndReport:
         assert main(["report", "--run-dir", str(empty), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def _estimate_with_teacher(corpus, out):
+    return main(["estimate-threshold", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--epochs", "1", "--min-probe", "5"])
+
+
+def _ipl_one_iteration(corpus, out):
+    return main(["ipl", "--corpus", str(corpus), "--out-dir", str(out), "--iter-max", "1",
+                 "--epochs", "1"])
+
+
+class TestReusedOutDir:
+    @pytest.mark.parametrize("first", [_estimate_with_teacher, _ipl_one_iteration],
+                             ids=["estimate", "ipl"])
+    def test_estimate_with_a_model_over_an_earlier_run(self, corpus_dir, tmp_path, first):
+        teacher, run, rep = tmp_path / "teacher", tmp_path / "run", tmp_path / "report"
+        assert main(["train-teacher", "--corpus", str(corpus_dir), "--out-dir", str(teacher),
+                     "--epochs", "1"]) == 0
+        assert first(corpus_dir, run) == 0
+        assert main(["estimate-threshold", "--corpus", str(corpus_dir), "--out-dir", str(run),
+                     "--model", str(teacher / "teacher_model.json"), "--min-probe", "5"]) == 0
+        assert main(["report", "--run-dir", str(run), "--out-dir", str(rep)]) == 0
+        summary = (run / "summary.txt").read_text()
+        assert (rep / "report_summary.txt").read_text() == summary
+        assert summary.startswith("estimated threshold ")
+        assert not (run / "teacher_report.jsonl").exists() and not (run / "reports.jsonl").exists()
+
+    def test_a_run_keeps_files_it_does_not_write(self, corpus_dir, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "notes.txt").write_text("kept\n")
+        assert _ipl_one_iteration(corpus_dir, run) == 0
+        assert (run / "notes.txt").read_text() == "kept\n"
+        assert read_config(run)["command"] == "ipl"
+        assert (run / "summary.txt").is_file()
+
+    def test_a_failed_iteration_leaves_the_reports_before_it_and_no_summary(
+            self, corpus_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def one_iteration(*args):
+            calls.append(args[3])
+            if len(calls) == 2:
+                raise RuntimeError("iteration 2 failed")
+            return run_one_iteration(*args)
+
+        run_one_iteration = pipeline._run_one_iteration
+        monkeypatch.setattr(pipeline, "_run_one_iteration", one_iteration)
+        run = tmp_path / "run"
+        assert main(["ipl", "--corpus", str(corpus_dir), "--out-dir", str(run), "--iter-max", "3",
+                     "--epochs", "1"]) == 1
+        assert calls == [1, 2]
+        assert [r.iteration for r in load_run(run).reports] == [1]
+        assert not (run / "summary.txt").exists()
+        capsys.readouterr()
+        rep = tmp_path / "report"
+        assert main(["report", "--run-dir", str(run), "--out-dir", str(rep)]) == 2
+        assert usage_error(capsys) == {
+            "error": "ConfigurationError",
+            "message": f"{run / 'summary.txt'}: missing file; the run did not finish"}
+        assert [p.name for p in rep.iterdir()] == ["config.json"]
+
+
 # Every kind of run directory: (name, argv in the run root, to which --corpus and --out-dir are added)
 RUN_KINDS = {
     "teacher": lambda d: ["train-teacher", "--epochs", "2"],
@@ -477,6 +540,8 @@ MALFORMED_RUNS = {
         lambda rec: rec["loss_curve"].append("x")))),
     "teacher-two-records": ("est/teacher_report.jsonl",
                             lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[1] + "\n")),
+    # written last: a run without it did not finish
+    "summary-missing": ("sweep/summary.txt", lambda p: p.unlink()),
 }
 
 

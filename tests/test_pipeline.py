@@ -475,10 +475,14 @@ class TestLoadRun:
                                                      ("estimate.json", 1, "threshold"),
                                                      ("teacher_report.jsonl", 2, "dev_wer")])
     def test_bool_for_a_number_names_line(self, tmp_path, name, lineno, field):
+        # each file from a run of its own: a run clears the records of an earlier one
         splits = small_splits(n_dev=12)
-        result = run_ipl(splits, IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
-        RunWriter(tmp_path).estimate(estimate_threshold(result.model, splits.dev, max_wer=0.5,
-                                                        min_probe=10), 20)
+        if name == "estimate.json":
+            model = init_model(splits.feature_dim, 8, 0, seed=0)
+            RunWriter(tmp_path).estimate(estimate_threshold(model, splits.dev, max_wer=0.5,
+                                                            min_probe=10), 20)
+        else:
+            run_ipl(splits, IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: True})
