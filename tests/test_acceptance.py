@@ -1,44 +1,28 @@
 """Acceptance suite: one test per numbered criterion, at stated tolerances.
 
 The conftest terminal hook prints one PASS/FAIL line per criterion after the
-run. Criteria 6-8 train real models, so this module takes a couple of minutes;
-everything is seeded and deterministic.
+run. Criteria 6-8 assert on the rows of ``scripts/study.py``'s jobs, which train
+real models; everything is seeded and deterministic.
 """
 
+import argparse
 import math
-import multiprocessing
-import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import study
 from iplfilter.cli import main as cli_main
-from iplfilter.corpus import CorpusGenConfig, LabelSequence, generate_corpus
+from iplfilter.corpus import LabelSequence
 from iplfilter.ctc import brute_force_ctc, ctc_log_prob, greedy_decode
 from iplfilter.metrics import edit_counts, overlap_rate
 from iplfilter.model import TrainConfig, init_model, lr_at, utterance_loss_and_grads
-from iplfilter.pipeline import (
-    IplConfig,
-    ThresholdSchedule,
-    estimate_threshold,
-    run_ipl,
-    select_threshold,
-    sweep_threshold,
-    train_teacher,
-)
+from iplfilter.pipeline import select_threshold
 from iplfilter.pseudolabel import PseudoLabel, score_filter, wer_filter
 from test_ctc import is_feasible
 from test_pseudolabel import columns, ids, score_utterance
-
-SEEDS = (0, 1, 2, 3, 4)
-TRAIN = TrainConfig(epochs=30, base_lr=0.15)
-SCORE_THRESHOLD = -0.08
-MAX_WER = 0.10
-SCHEDULE = ThresholdSchedule(initial=-0.05, step=0.03, iters_per_update=3, max_updates=8)
 
 
 def random_logp(rng, T, C):
@@ -54,73 +38,16 @@ def sign_test_p_value(n_wins, n_trials):
     return tail / 2**n_trials
 
 
-def _mode_runs(seed):
-    """One seed's final dev WER per mode on the default corpus, and each IPL run's time."""
-    splits = generate_corpus(CorpusGenConfig(), seed=seed)
-
-    def cfg(**kw):
-        return IplConfig(iter_max=3, train=TRAIN, seed=seed, **kw)
-
-    teacher = train_teacher(splits, cfg(filter_mode="none"))
-    runs = {
-        "none": cfg(filter_mode="none"),
-        "score": cfg(filter_mode="score", score_threshold=SCORE_THRESHOLD),
-        "wer": cfg(filter_mode="wer", max_wer=MAX_WER),
-    }
-    table = {(seed, "teacher"): teacher.report.dev_wer}
-    timings = []
-    for mode, rc in runs.items():
-        t0 = time.perf_counter()
-        result = run_ipl(splits, rc, teacher=teacher.model)
-        timings.append(time.perf_counter() - t0)
-        table[(seed, mode)] = result.reports[-1].dev_wer
-    return table, timings
-
-
-def _sweep_estimate(seed):
-    """One seed's sweep-selected and probe-estimated thresholds."""
-    splits = generate_corpus(CorpusGenConfig(), seed=seed)
-    cfg = IplConfig(
-        filter_mode="score", score_threshold=SCHEDULE.initial, train=TRAIN, seed=seed
-    )
-    teacher = train_teacher(splits, cfg)
-    sw = sweep_threshold(splits, cfg, SCHEDULE, teacher=teacher.model)
-    est = estimate_threshold(teacher.model, splits.dev, max_wer=MAX_WER)
-    return seed, sw, est
-
-
 @pytest.fixture(scope="module")
-def fixture_jobs():
-    """Both fixtures' ten (fixture, seed) jobs, run in worker processes.
-
-    Every job is fully seeded and shares no state, so the results equal
-    those of running the jobs one after another, in this process. The
-    sweeps, the longest jobs, go first. Spawned workers start from a fresh
-    import, so each turns a numpy RuntimeWarning into an error itself, as
-    the suite's configuration does here.
-    """
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 10),
-                             mp_context=multiprocessing.get_context("spawn"),
-                             initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)) as pool:
-        sweeps = [pool.submit(_sweep_estimate, seed) for seed in SEEDS]
-        modes = [pool.submit(_mode_runs, seed) for seed in SEEDS]
-        return [job.result() for job in modes], [job.result() for job in sweeps]
-
-
-@pytest.fixture(scope="module")
-def mode_runs(fixture_jobs):
-    """Final dev WER per (seed, mode) on the default corpus, plus timings."""
-    table, timings = {}, []
-    for rows, times in fixture_jobs[0]:
-        table.update(rows)
-        timings.extend(times)
-    return table, timings
-
-
-@pytest.fixture(scope="module")
-def sweep_estimate_runs(fixture_jobs):
-    """Sweep-selected vs probe-estimated thresholds per seed."""
-    return fixture_jobs[1]
+def studies():
+    """``scripts/study.py``'s options, compare rows, threshold rows and compare jobs' wall
+    seconds, at its defaults: all ten (study, seed) jobs in one pool, the sweeps first."""
+    opts = argparse.Namespace(**{**vars(study.build_parser().parse_args(["compare"])),
+                                 **vars(study.build_parser().parse_args(["threshold"]))})
+    n = len(opts.seeds)
+    rows, seconds = study.run([(study.threshold, s) for s in opts.seeds]
+                              + [(study.compare, s) for s in opts.seeds], opts)
+    return opts, rows[n:], rows[:n], seconds[n:]
 
 
 class TestCriterion1:
@@ -273,33 +200,34 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_criterion_06_filter_comparison_direction(self, mode_runs):
-        table, timings = mode_runs
-        assert all(t < 300.0 for t in timings), "an IPL run exceeded 5 minutes"
+    def test_criterion_06_filter_comparison_direction(self, studies):
+        _, rows, _, seconds = studies
+        assert all(t < 300.0 for t in seconds), "a compare job (teacher and three IPL runs) exceeded 5 minutes"
         chain = ("wer", "score", "none", "teacher")  # best to worst expected
-        means = {m: np.mean([table[(s, m)] for s in SEEDS]) for m in chain}
+        means = {m: np.mean([r[f"{m}_dev"] for r in rows]) for m in chain}
         for better, worse in zip(chain, chain[1:]):
             assert means[better] <= means[worse] + 1e-12, (
                 f"mean dev WER inverted: {better} {means[better]:.4f} "
                 f"vs {worse} {means[worse]:.4f}"
             )
-            inversions = sum(table[(s, better)] > table[(s, worse)] for s in SEEDS)
-            non_ties = sum(table[(s, better)] != table[(s, worse)] for s in SEEDS)
+            inversions = sum(r[f"{better}_dev"] > r[f"{worse}_dev"] for r in rows)
+            non_ties = sum(r[f"{better}_dev"] != r[f"{worse}_dev"] for r in rows)
             p = sign_test_p_value(inversions, non_ties)
             assert p > 0.05, f"{better} significantly worse than {worse} (p={p:.3f})"
 
 
 class TestCriterion7:
-    def test_criterion_07_sweep_returns_predecessor_at_first_decline(self, sweep_estimate_runs):
+    def test_criterion_07_sweep_returns_predecessor_at_first_decline(self, studies):
+        opts, _, rows, _ = studies
         declined_anywhere = False
-        for seed, sw, _ in sweep_estimate_runs:
-            if not sw.declined:
+        for row in rows:
+            if not row["sweep_declined"]:
                 continue
             declined_anywhere = True
-            wers = sw.best_dev_wer_per_threshold
+            wers = row["best_dev_wer_per_threshold"]
             first_decline = next(k for k in range(1, len(wers)) if wers[k] > wers[k - 1])
-            assert sw.best_threshold == sw.thresholds[first_decline - 1]
-            assert len(sw.reports) == len(sw.thresholds) * SCHEDULE.iters_per_update
+            assert row["sweep_threshold"] == row["thresholds"][first_decline - 1]
+            assert row["sweep_iterations"] == len(row["thresholds"]) * opts.iters_per_update
         assert declined_anywhere, "tuned corpus never produced a dev-WER decline"
 
     def test_criterion_07_literal_tradeoff_sequence(self):
@@ -310,24 +238,21 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_criterion_08_estimate_matches_sweep(self, sweep_estimate_runs):
-        near = 0
-        for seed, sw, est in sweep_estimate_runs:
-            if abs(est.threshold - sw.best_threshold) <= SCHEDULE.step + 1e-12:
-                near += 1
-        assert near >= 3, f"only {near}/5 estimates within one schedule step"
+    def test_criterion_08_estimate_matches_sweep(self, studies):
+        rows = studies[2]
+        near = sum(row["within_one_step"] for row in rows)
+        assert near >= 3, f"only {near}/{len(rows)} estimates within one schedule step"
 
-    def test_criterion_08_overlap_beats_random_subsets(self, sweep_estimate_runs):
+    def test_criterion_08_overlap_beats_random_subsets(self, studies):
         rng = np.random.default_rng(9)
         observed, baseline = [], []
-        for seed, _, est in sweep_estimate_runs:
-            observed.append(est.overlap_jaccard)
-            ids = [p.utterance_id for p in est.pseudolabels]
-            wer_ids = {p.utterance_id for p in est.pseudolabels if p.oracle_wer < MAX_WER}
+        for row in studies[2]:
+            observed.append(row["overlap_jaccard"])
+            wer_kept = set(row["wer_kept_positions"])
             sims = []
             for _ in range(400):
-                subset = set(rng.choice(ids, size=est.score_kept_count, replace=False))
-                sims.append(overlap_rate(subset, wer_ids))
+                subset = set(rng.choice(row["probe_size"], size=row["score_kept"], replace=False).tolist())
+                sims.append(overlap_rate(subset, wer_kept))
             baseline.append(np.mean(sims))
         assert np.mean(observed) >= 2.0 * np.mean(baseline), (
             f"mean jaccard {np.mean(observed):.3f} vs random {np.mean(baseline):.3f}"

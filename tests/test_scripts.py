@@ -1,5 +1,6 @@
 """The scripts run end to end against the current library API."""
 
+import argparse
 import json
 import os
 import shutil
@@ -7,14 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import bench_pair
 import pytest
+import same_outputs
+import study
 
 ROOT = Path(__file__).resolve().parents[1]
 ROW_FIELDS = {
     "compare": {"seed", "teacher_dev", "teacher_test",
                 *(f"{mode}_{x}" for mode in ("none", "score", "wer") for x in ("dev", "test", "kept_last"))},
-    "threshold": {"seed", "sweep_threshold", "sweep_declined", "estimate", "within_one_step",
-                  "wer_kept", "score_kept", "overlap_jaccard", "overlap_min_ratio"},
+    "threshold": {"seed", "sweep_threshold", "sweep_declined", "thresholds", "best_dev_wer_per_threshold",
+                  "sweep_iterations", "estimate", "within_one_step", "probe_size", "wer_kept",
+                  "wer_kept_positions", "score_kept", "overlap_jaccard", "overlap_min_ratio"},
 }
 
 
@@ -37,20 +42,26 @@ def test_study_runs_one_short_seed(mode, tmp_path):
     assert set(rows[0]) == ROW_FIELDS[mode]
 
 
-def _script(name):
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        return __import__(name)
-    finally:
-        sys.path.pop(0)
+def test_study_pool_changes_no_row():
+    opts = argparse.Namespace(**{**vars(study.build_parser().parse_args(["compare", "--epochs", "1"])),
+                                 **vars(study.build_parser().parse_args(["threshold", "--epochs", "1"]))})
+    jobs = [(job, seed) for job in (study.compare, study.threshold) for seed in (0, 1)]
+    rows, _ = study.run(jobs, opts)
+    assert rows == [job(seed, opts) for job, seed in jobs]
 
 
-def _bench_pair():
-    return _script("bench_pair")
+@pytest.mark.parametrize("argv", [["threshold", "--step", "0"], ["compare", "--iter-max", "0"],
+                                  ["compare", "--score-threshold", "nan"], ["threshold", "--coverage", "2"],
+                                  ["compare", "--seeds", "-1"]])
+def test_study_refuses_a_bad_option_before_any_job(argv, monkeypatch, capsys):
+    monkeypatch.setattr(study, "run", lambda *_: pytest.fail("a job started"))
+    with pytest.raises(SystemExit) as exc:
+        study.main([*argv, "--seeds", "0", "--epochs", "1"])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
 def test_bench_pair_summarizes_only_the_named_workloads():
-    bench_pair = _bench_pair()
     run = {"setup_s": 1.0, "run_s": 2.0, "train_utt_per_s": 10.0, "peak_rss_mb": 50.0}
     pairs = [{"workload": "cli-pipeline", "seed": seed, "base": run, "change": {**run, "run_s": 1.5}}
              for seed in (1, 2)]
@@ -62,7 +73,7 @@ def test_bench_pair_summarizes_only_the_named_workloads():
 
 def test_bench_pair_rejects_an_unknown_workload(capsys):
     with pytest.raises(SystemExit) as exc:
-        _bench_pair().main(["--base", "HEAD", "--out", "x.json", "--workloads", "no-such-workload"])
+        bench_pair.main(["--base", "HEAD", "--out", "x.json", "--workloads", "no-such-workload"])
     assert exc.value.code == 2
     assert "no-such-workload" in capsys.readouterr().err
 
@@ -80,7 +91,7 @@ def test_same_outputs_finds_no_difference_against_head():
 
 
 def test_same_outputs_allows_a_named_file_or_directory():
-    allowed = _script("same_outputs").allowed
+    allowed = same_outputs.allowed
     assert allowed("ipl/summary.txt", ["ipl/summary.txt"])
     assert allowed("ipl/summary.txt", ["ipl/"]) and allowed("ipl/summary.txt", ["ipl"])
     assert not allowed("ipl-wer/summary.txt", ["ipl"])
