@@ -32,7 +32,7 @@ import numpy as np
 from iplfilter.artifacts import write_jsonl
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.model import TrainConfig
-from iplfilter.pipeline import (IplConfig, ThresholdSchedule, check_estimate_args, estimate_threshold,
+from iplfilter.pipeline import (EstimateConfig, IplConfig, ThresholdSchedule, estimate_threshold,
                                 run_ipl, sweep_threshold, train_teacher)
 
 
@@ -73,8 +73,8 @@ def threshold(seed, opts) -> dict:
     splits, cfg, teacher = _teacher(seed, opts)
     sched = ThresholdSchedule(**{f.name: getattr(opts, f.name) for f in fields(ThresholdSchedule)})
     sw = sweep_threshold(splits, cfg, sched, teacher=teacher.model)
-    est = estimate_threshold(teacher.model, splits.dev, max_wer=opts.max_wer,
-                             coverage_frac=opts.coverage)
+    est = estimate_threshold(teacher.model, splits.dev,
+                             EstimateConfig(max_wer=opts.max_wer, coverage=opts.coverage))
     return {"seed": seed, "sweep_threshold": sw.best_threshold, "sweep_declined": sw.declined,
             "thresholds": sw.thresholds, "best_dev_wer_per_threshold": sw.best_dev_wer_per_threshold,
             "sweep_iterations": len(sw.reports), "estimate": est.threshold,
@@ -91,7 +91,12 @@ def threshold_summary(rows) -> None:
               f"within one step: {r['within_one_step']}  jaccard {r['overlap_jaccard']:.3f}")
     hits = sum(r["within_one_step"] for r in rows)
     print(f"\nestimate within one step of the sweep on {hits}/{len(rows)} seeds")
-    print(f"mean jaccard overlap {np.mean([r['overlap_jaccard'] for r in rows]):.3f}")
+    # two empty kept sets have Jaccard 1.0, which says nothing of how the filters agree
+    empty = [r["seed"] for r in rows if r["wer_kept"] == r["score_kept"] == 0]
+    if empty:
+        print(f"both filters keep nothing on seeds {empty}; left out of the mean overlap")
+    if overlaps := [r["overlap_jaccard"] for r in rows if r["seed"] not in empty]:
+        print(f"mean jaccard overlap {np.mean(overlaps):.3f}")
 
 
 def _timed(job, seed, opts):
@@ -134,13 +139,13 @@ def _option(parser, build, name, default=None, **given):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The studies' options: library defaults, except the two filters' boundaries and the
-    estimate's coverage, which are the study's own."""
+    """The studies' options: library defaults, except the score filter's boundary, which is
+    the study's own."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seeds", type=_seed, nargs="+", default=[0, 1, 2, 3, 4])
     for build, name in ((CorpusGenConfig, "noise_sigma"), (TrainConfig, "epochs"), (TrainConfig, "base_lr")):
         _option(common, build, name)
-    _option(common, IplConfig, "max_wer", 0.10, filter_mode="wer")
+    _option(common, EstimateConfig, "max_wer")
     common.add_argument("--out", type=Path, help="optional jsonl output for the rows")
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -152,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", parents=[common], help="sweep against estimate")
     for f in fields(ThresholdSchedule):
         _option(p, ThresholdSchedule, f.name)
-    _option(p, lambda coverage: check_estimate_args(coverage, min_probe=1), "coverage", 0.9)
+    _option(p, EstimateConfig, "coverage")
     p.set_defaults(job=threshold, summary=threshold_summary)
     return ap
 

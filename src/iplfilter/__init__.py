@@ -14,6 +14,7 @@ from .ctc import brute_force_ctc, collapse, ctc_log_prob, greedy_decode
 from .metrics import edit_counts, histogram, overlap_rate, wer
 from .model import AcousticModel, FrameLogProbs, TrainConfig, forward, init_model, lr_at, train
 from .pipeline import (
+    EstimateConfig,
     IplConfig,
     ThresholdSchedule,
     estimate_threshold,

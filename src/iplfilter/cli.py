@@ -30,10 +30,10 @@ from .errors import ConfigurationError, InsufficientProbeError, ManifestError, O
 from .model import OPTIMIZERS, TrainConfig, load_checkpoint
 from .pipeline import (
     FILTER_MODES,
+    EstimateConfig,
     IplConfig,
     RunWriter,
     ThresholdSchedule,
-    check_estimate_args,
     check_probe_size,
     check_splits,
     estimate_threshold,
@@ -91,6 +91,7 @@ def _from_flags(cls, flags: dict, cfg: dict, **given):
 
 _GEN_FLAGS = {"seed": (int, 0), **_flags(CorpusGenConfig())}
 _IPL = _flags(IplConfig(), skip=("train",))
+_ESTIMATE = _flags(EstimateConfig())
 # Every training command sets the model's seed and size (TrainConfig's seed is derived
 # from IplConfig's); the rest of IplConfig is the ipl command's
 _TRAIN_FLAGS = {"corpus": (str, None), **{key: _IPL[key] for key in ("seed", "hidden_dim")},
@@ -142,6 +143,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = value
         if flags[key][0] is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigurationError(f"{_flag(key)} must be finite, got {cfg[key]}")
+    if (seed := cfg.get("seed", args.seed)) is not None and seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
     return cfg
 
 
@@ -236,19 +239,17 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 
 def cmd_estimate_threshold(cfg: dict, out: Path) -> None:
     probe_size, n_bins = _at_least_one(cfg, "probe_size"), _at_least_one(cfg, "bins")
-    check_estimate_args(cfg["coverage"], cfg["min_probe"])
+    est = _from_flags(EstimateConfig, _ESTIMATE, cfg)
     model = None if cfg["model"] is None else _checkpoint(cfg)
     splits = load_manifest(_corpus(cfg), _TEACHER_SPLITS if model is None else (cfg["probe"],))
     probe = (splits.dev if cfg["probe"] == "dev" else splits.labeled)[:probe_size]
     if model is None:
         check_splits(splits)  # the teacher's splits, then the probe, before any training
-    check_probe_size(len(probe), cfg["min_probe"])
+    check_probe_size(len(probe), est.min_probe)
     writer = RunWriter(out)  # its clock times the teacher, if one is trained, then the estimate
     if model is None:
         model = writer.teacher(train_teacher(splits, _ipl_config(cfg)))
-    writer.estimate(estimate_threshold(model, probe, max_wer=cfg["max_wer"],
-                                       coverage_frac=cfg["coverage"], min_probe=cfg["min_probe"],
-                                       exclude_blank=cfg["exclude_blank"]), n_bins)
+    writer.estimate(estimate_threshold(model, probe, est), n_bins)
     writer.finish()
 
 
@@ -266,8 +267,8 @@ def cmd_report(cfg: dict, out: Path) -> None:
 # One entry per command: (handler, help, flags). The flag table maps a config
 # key to (flag type, default); the key names the --flag and the config.json
 # entry, and the type is int, float, str, bool (a --flag/--no-flag pair) or a
-# tuple of choices. Every command also takes --seed; the ones whose table has
-# no "seed" accept it and ignore it.
+# tuple of choices. Every command also takes --seed, which must be >= 0; the
+# ones whose table has no "seed" accept it and ignore it.
 COMMANDS = {
     "gen-corpus": (cmd_gen_corpus, "generate a synthetic corpus manifest", _GEN_FLAGS),
     "train-teacher": (cmd_train_teacher, "train the teacher on the labeled split", _TRAIN_FLAGS),
@@ -280,20 +281,16 @@ COMMANDS = {
     "filter": (cmd_filter, "filter a pseudo-label file by score or oracle WER", {
         "pseudo_labels": (str, None),
         "corpus": (str, None),
-        "score_threshold": (float, None),
-        "max_wer": (float, None),
+        **{key: _IPL[key] for key in ("score_threshold", "max_wer")},
     }),
     "ipl": (cmd_ipl, "run the iterative pseudo-labeling loop", _IPL_FLAGS),
     "sweep": (cmd_sweep, "decreasing-threshold sweep with the stopping rule", _SWEEP_FLAGS),
     "estimate-threshold": (cmd_estimate_threshold, "probe-based threshold estimation", {
         **_TRAIN_FLAGS,
         "model": (str, None),
-        "max_wer": (float, 0.10),
-        "coverage": (float, 0.9),
-        "min_probe": (int, 20),
+        **_ESTIMATE,
         "probe": (("dev", "labeled"), "dev"),
         "probe_size": (int, None),
-        "exclude_blank": _IPL["exclude_blank"],
         "bins": (int, 20),
     }),
     "report": (cmd_report, "emit summary table, histograms, and scatter data",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_json, read_jsonl, write_json, write_jsonl
-from .errors import ConfigurationError, ManifestError
+from .errors import ConfigurationError, ManifestError, check_config
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
 BLANK = 0
@@ -187,19 +187,12 @@ class CorpusGenConfig:
     n_test: int = 64
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigurationError("vocab_size must be >= 2")
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be >= 1")
+        check_config(self, vocab_size=2, feature_dim=1, noise_sigma=0, n_labeled=1, n_unlabeled=1,
+                     n_dev=1, n_test=1)
         for name in ("label_len", "frames_per_token"):
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
                 raise ConfigurationError(f"{name} must satisfy 1 <= lo <= hi")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be >= 0")
-        for name in ("n_labeled", "n_unlabeled", "n_dev", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1 (empty split)")
 
 
 def _draw_pairs(rng, cfg: CorpusGenConfig, means: np.ndarray, prefix: str, n: int):

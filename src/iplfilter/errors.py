@@ -1,8 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rule of every config."""
+
+import math
+from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
     """Invalid generation, training, or run configuration."""
+
+
+def check_config(config, **bounds) -> None:
+    """The one range rule of a config dataclass: every float field must be finite, and each
+    field named as ``name=lo`` or ``name=(lo, hi)`` must lie in that closed range. The first
+    field, in field order, that breaks it raises a ConfigurationError naming it."""
+    for f in fields(config):
+        value, bound = getattr(config, f.name), bounds.get(f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        lo, hi = bound if isinstance(bound, tuple) else (bound, math.inf)
+        if lo is not None and not lo <= value <= hi:
+            raise ConfigurationError(f"{f.name} must be >= {lo}, got {value}" if hi == math.inf
+                                     else f"{f.name} must lie in [{lo}, {hi}], got {value}")
 
 
 class ManifestError(ValueError):

@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import read_json, write_json
 from .corpus import FeatureSequence, LabelSequence
 from .ctc import ctc_log_prob, label_plan
-from .errors import ConfigurationError, ShapeError, TrainingError
+from .errors import ConfigurationError, ShapeError, TrainingError, check_config
 
 CHECKPOINT_SCHEMA = "acoustic-model"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -60,16 +60,11 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("epochs must be >= 0 and batch_size >= 1")
-        if not (0.0 <= self.warmup_frac <= 1.0 and 0.0 <= self.hold_frac <= 1.0):
-            raise ConfigurationError("schedule fractions must lie in [0, 1]")
+        check_config(self, epochs=0, batch_size=1, base_lr=0, warmup_frac=(0, 1), hold_frac=(0, 1), seed=0)
         if self.warmup_frac + self.hold_frac > 1.0:
             raise ConfigurationError("warmup_frac + hold_frac must be <= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
-            raise ConfigurationError(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:

@@ -15,7 +15,6 @@ the score/none modes to bit-identical weights.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from .artifacts import NUMBER, read_json, read_jsonl, record_fields, write_json, write_jsonl, write_text
 from .corpus import CorpusSplits, stacked
-from .errors import ConfigurationError, InsufficientProbeError, OracleError
+from .errors import ConfigurationError, InsufficientProbeError, OracleError, check_config
 from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
 # forward and greedy_decode are unused here; they stay because perfbench's traced run wraps them
 from .model import AcousticModel, TrainConfig, forward, init_model, save_checkpoint, train  # noqa: F401
@@ -60,20 +59,13 @@ class IplConfig:
     exclude_blank: bool = False
 
     def __post_init__(self):
-        if self.iter_max < 1:
-            raise ConfigurationError("iter_max must be >= 1")
+        check_config(self, iter_max=1, seed=0, hidden_dim=0, pseudo_weight=0)
         if self.filter_mode not in FILTER_MODES:
             raise ConfigurationError(f"filter_mode must be one of {tuple(FILTER_MODES)}")
         for mode, name in FILTER_MODES.items():
             if name is not None and (getattr(self, name) is None) == (mode == self.filter_mode):
                 raise ConfigurationError(f"{mode} mode needs {name}" if mode == self.filter_mode
                                          else f"{self.filter_mode!r} mode takes no {name}")
-        for name in ("score_threshold", "max_wer", "pseudo_weight"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.pseudo_weight < 0:
-            raise ConfigurationError("pseudo_weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,17 +79,27 @@ class ThresholdSchedule:
     max_updates: int = 8
 
     def __post_init__(self):
-        if not (math.isfinite(self.initial) and math.isfinite(self.step)):
-            raise ConfigurationError("schedule initial and step must be finite")
+        check_config(self, iters_per_update=1, max_updates=1)
         if self.step <= 0:
-            raise ConfigurationError("schedule step must be > 0")
-        for name in ("iters_per_update", "max_updates"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            raise ConfigurationError(f"step must be > 0, got {self.step}")
 
     def boundary(self, u: int) -> float:
         """The decision boundary at update ``u``."""
         return self.initial - u * self.step
+
+
+@dataclass(frozen=True)
+class EstimateConfig:
+    """Every setting of :func:`estimate_threshold`, each named like its ``estimate-threshold``
+    flag and checked when it is built."""
+
+    max_wer: float = 0.10
+    coverage: float = 0.9
+    min_probe: int = 20
+    exclude_blank: bool = False
+
+    def __post_init__(self):
+        check_config(self, coverage=(0, 1), min_probe=1)
 
 
 @dataclass
@@ -335,35 +337,20 @@ def sweep_threshold(
     return result
 
 
-def check_estimate_args(coverage_frac: float, min_probe: int) -> None:
-    """The ranges :func:`estimate_threshold` accepts, checkable before a teacher is trained."""
-    if not 0.0 <= coverage_frac <= 1.0:
-        raise ConfigurationError(f"coverage_frac must lie in [0, 1], got {coverage_frac}")
-    if min_probe < 1:
-        raise ConfigurationError(f"min_probe must be >= 1, got {min_probe}")
-
-
 def check_probe_size(probe_size: int, min_probe: int) -> None:
     """The probe size :func:`estimate_threshold` needs, checkable before a teacher is trained."""
     if probe_size < min_probe:
         raise InsufficientProbeError(f"probe has {probe_size} utterances; need at least {min_probe}")
 
 
-def estimate_threshold(
-    model: AcousticModel,
-    probe,
-    max_wer: float,
-    coverage_frac: float = 0.9,
-    min_probe: int = 20,
-    exclude_blank: bool = False,
-) -> EstimateResult:
+def estimate_threshold(model: AcousticModel, probe, cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:
     """Estimate a score boundary from a labeled probe, no sweep required.
 
-    Predicts the probe, applies the oracle WER filter at ``max_wer``, then
+    Predicts the probe, applies the oracle WER filter at ``cfg.max_wer``, then
     scans candidate boundaries down the sorted score values, growing the
     score-kept set {score >= candidate}. A candidate qualifies when the
     score-kept set is no larger than the WER-kept set and at least
-    ``coverage_frac`` of it lies inside the WER-kept set; the deepest
+    ``cfg.coverage`` of it lies inside the WER-kept set; the deepest
     qualifying candidate wins, i.e. the point where the two filters keep
     nearly the same (and nearly equally many) utterances. The boundary
     returned is the float just below it, so that :func:`score_filter` (which
@@ -372,12 +359,11 @@ def estimate_threshold(
     comes back, which keeps nothing (scores are strictly negative for any
     finite model).
     """
-    check_estimate_args(coverage_frac, min_probe)
     pairs = list(probe)
-    check_probe_size(len(pairs), min_probe)
+    check_probe_size(len(pairs), cfg.min_probe)
     refs = {fs.utterance_id: lab for fs, lab in pairs}
-    pls = generate_pseudolabels(model, [fs for fs, _ in pairs], exclude_blank=exclude_blank)
-    wer_kept = wer_filter(pls, refs, max_wer)
+    pls = generate_pseudolabels(model, [fs for fs, _ in pairs], exclude_blank=cfg.exclude_blank)
+    wer_kept = wer_filter(pls, refs, cfg.max_wer)
 
     # the candidates, down the sorted scores, are each tied run's last; the
     # empty prefix trivially qualifies
@@ -385,7 +371,7 @@ def estimate_threshold(
     ranked, n_kept = pls.scores[order], np.arange(1, len(pls) + 1)
     last = np.append(ranked[1:] != ranked[:-1], True)
     inside = np.cumsum(np.isin(order, wer_kept))
-    qualifies = last & (n_kept <= wer_kept.size) & (inside >= coverage_frac * n_kept)
+    qualifies = last & (n_kept <= wer_kept.size) & (inside >= cfg.coverage * n_kept)
     estimate = float(np.nextafter(ranked[qualifies][-1], -np.inf)) if qualifies.any() else 0.0
 
     score_kept, wer_set = set(score_filter(pls, estimate).tolist()), set(wer_kept.tolist())

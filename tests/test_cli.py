@@ -775,7 +775,8 @@ OUT_OF_RANGE = {
 }
 
 
-# A float flag that is not finite, from the command line or a --config file: (argv, flag)
+# A flag value refused before config.json is written, from the command line or a --config
+# file: a float flag that is not finite, or a negative --seed (argv, flag)
 NON_FINITE = {
     "ipl-pseudo-weight-nan": (lambda d: ["ipl", "--corpus", d / "corpus", "--pseudo-weight", "nan"],
                               "--pseudo-weight"),
@@ -798,6 +799,13 @@ NON_FINITE = {
     "gen-corpus-noise-sigma": (lambda d: ["gen-corpus", "--noise-sigma", "nan"], "--noise-sigma"),
     "config-max-wer": (lambda d: ["estimate-threshold", "--config", d / "nan-config.json",
                                   "--corpus", d / "corpus"], "--max-wer"),
+    "gen-corpus-negative-seed": (lambda d: ["gen-corpus", "--seed", "-1"], "--seed"),
+    "train-teacher-negative-seed": (lambda d: ["train-teacher", "--corpus", d / "corpus",
+                                               "--seed", "-1"], "--seed"),
+    # pseudolabel takes --seed and ignores it, but not a negative one
+    "pseudolabel-negative-seed": (lambda d: ["pseudolabel", "--corpus", d / "corpus",
+                                             "--seed", "-1"], "--seed"),
+    "config-negative-seed": (lambda d: ["gen-corpus", "--config", d / "seed-config.json"], "--seed"),
 }
 
 
@@ -810,6 +818,7 @@ class TestOutOfRangeInput:
                      "--out-dir", str(root / "est"), "--epochs", "0", "--min-probe", "5"]) == 0
         save_pseudolabels(columns([PseudoLabel("stray-0", LabelSequence((1,)), -0.1)]), root / "stray.jsonl")
         write_snapshot(root / "nan-config.json", "estimate-threshold", {"max_wer": float("nan")})
+        write_snapshot(root / "seed-config.json", "gen-corpus", {"seed": -1})
         shutil.copytree(root / "corpus", root / "no-refs")
         (root / "no-refs" / "unlabeled_refs.jsonl").unlink()
         return root
@@ -823,7 +832,8 @@ class TestOutOfRangeInput:
         assert main([str(a) for a in argv(world)] + ["--out-dir", str(out)]) == 2
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
-        assert err["message"].startswith(f"{flag} must be finite, got ")
+        rule = ">= 0" if flag == "--seed" else "finite"
+        assert err["message"].startswith(f"{flag} must be {rule}, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

@@ -1,6 +1,7 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.errors import ConfigurationError, InsufficientProbeError, OracleError
 from iplfilter.model import TrainConfig, init_model
 from iplfilter.pipeline import (
+    EstimateConfig,
     IplConfig,
     RunRecord,
     RunWriter,
@@ -65,6 +67,52 @@ class TestIplConfig:
         name = next(k for k, v in fields.items() if v is None)
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
             IplConfig(**{**fields, name: value}, train=FAST)
+
+
+# The range each config's bounded fields must lie in: name -> lo, or (lo, hi), both inclusive
+BOUNDS = {
+    CorpusGenConfig: {"vocab_size": 2, "feature_dim": 1, "noise_sigma": 0, "n_labeled": 1,
+                      "n_unlabeled": 1, "n_dev": 1, "n_test": 1},
+    TrainConfig: {"epochs": 0, "batch_size": 1, "base_lr": 0, "warmup_frac": (0, 1),
+                  "hold_frac": (0, 1), "seed": 0},
+    IplConfig: {"iter_max": 1, "seed": 0, "hidden_dim": 0, "pseudo_weight": 0},
+    ThresholdSchedule: {"iters_per_update": 1, "max_updates": 1},
+    EstimateConfig: {"coverage": (0, 1), "min_probe": 1},
+}
+
+
+def _non_finite_cases():
+    """Every float field of every config, set to each non-finite value."""
+    for cls in BOUNDS:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if hints[f.name] in (float, float | None):
+                for value in (float("nan"), float("inf"), float("-inf")):
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}-{f.name}-{value}")
+
+
+def _out_of_range_cases():
+    """Every bounded field, set just below its lower bound and just above its upper one."""
+    for cls, bounds in BOUNDS.items():
+        hints = get_type_hints(cls)
+        for name, bound in bounds.items():
+            lo, hi = bound if isinstance(bound, tuple) else (bound, None)
+            for edge, side in ((lo, -1), (hi, 1)):
+                if edge is not None:
+                    value = edge + side if hints[name] is int else np.nextafter(float(edge), side * np.inf)
+                    yield pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value}")
+
+
+class TestConfigRule:
+    @pytest.mark.parametrize("cls, name, value", _non_finite_cases())
+    def test_non_finite_float_field_is_refused_naming_it(self, cls, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, value", _out_of_range_cases())
+    def test_field_outside_its_range_is_refused_naming_it(self, cls, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must "):
+            cls(**{name: value})
 
 
 class TestTeacher:
@@ -334,20 +382,20 @@ class TestOracleWerOnce:
 
 class TestEstimate:
     @pytest.mark.parametrize("kw, named", [
-        ({"coverage_frac": 1.5}, "coverage_frac"), ({"coverage_frac": -0.1}, "coverage_frac"),
+        ({"coverage": 1.5}, "coverage"), ({"coverage": -0.1}, "coverage"),
         ({"min_probe": 0}, "min_probe"),
     ])
     def test_range_checks(self, kw, named):
         splits = small_splits()
         model = init_model(splits.feature_dim, 8, 0, seed=0)
         with pytest.raises(ConfigurationError, match=f"^{named} must"):
-            estimate_threshold(model, splits.dev, max_wer=0.1, **kw)
+            estimate_threshold(model, splits.dev, EstimateConfig(max_wer=0.1, **kw))
 
     def test_perfect_hypotheses_keep_everything(self):
         splits = small_splits(noise_sigma=0.0, n_labeled=8, n_dev=24)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=25, seed=0)))
         assert teacher.report.dev_wer == 0.0  # precondition: probe decodes exactly
-        result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
+        result = estimate_threshold(teacher.model, splits.dev, EstimateConfig(max_wer=0.10, min_probe=10))
         scores = [p.score for p in result.pseudolabels]
         assert result.threshold == np.nextafter(min(scores), -np.inf)
         assert result.score_kept_count == len(splits.dev)
@@ -358,18 +406,18 @@ class TestEstimate:
         splits = small_splits()
         model = init_model(splits.feature_dim, 8, 0, seed=0)
         with pytest.raises(InsufficientProbeError):
-            estimate_threshold(model, splits.dev[:3], max_wer=0.1, min_probe=20)
+            estimate_threshold(model, splits.dev[:3], EstimateConfig(max_wer=0.1, min_probe=20))
 
     def test_empty_probe(self):
         splits = small_splits()
         model = init_model(splits.feature_dim, 8, 0, seed=0)
         with pytest.raises(InsufficientProbeError):
-            estimate_threshold(model, [], max_wer=0.1)
+            estimate_threshold(model, [], EstimateConfig(max_wer=0.1))
 
     def test_report_contents(self, tmp_path):
         splits = generate_corpus(CorpusGenConfig(n_labeled=8, n_unlabeled=10, n_dev=30, n_test=8), seed=1)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=20, seed=0)))
-        result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
+        result = estimate_threshold(teacher.model, splits.dev, EstimateConfig(max_wer=0.10, min_probe=10))
         RunWriter(tmp_path).estimate(result, 20)
         assert len(result.pseudolabels) == 30
         assert all(p.oracle_wer is not None for p in result.pseudolabels)
@@ -385,7 +433,7 @@ class TestEstimate:
     def test_kept_set_respects_wer_cap_and_coverage(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=8, n_unlabeled=10, n_dev=40, n_test=8), seed=2)
         teacher = train_teacher(splits, IplConfig(train=TrainConfig(epochs=20, seed=0)))
-        result = estimate_threshold(teacher.model, splits.dev, max_wer=0.10, min_probe=10)
+        result = estimate_threshold(teacher.model, splits.dev, EstimateConfig(max_wer=0.10, min_probe=10))
         kept = [(p.utterance_id, p.oracle_wer) for p in result.pseudolabels
                 if p.score > result.threshold]
         assert len(kept) == result.score_kept_count
@@ -424,7 +472,7 @@ class TestLoadRun:
     def test_estimate_run_reads_back(self, tmp_path):
         splits = small_splits(n_dev=12)
         result = estimate_threshold(init_model(splits.feature_dim, 8, 0, seed=0), splits.dev,
-                                    max_wer=0.5, min_probe=10)
+                                    EstimateConfig(max_wer=0.5, min_probe=10))
         writer = RunWriter(tmp_path)
         writer.estimate(result, 20)
         writer.finish()
@@ -479,8 +527,8 @@ class TestLoadRun:
         splits = small_splits(n_dev=12)
         if name == "estimate.json":
             model = init_model(splits.feature_dim, 8, 0, seed=0)
-            RunWriter(tmp_path).estimate(estimate_threshold(model, splits.dev, max_wer=0.5,
-                                                            min_probe=10), 20)
+            RunWriter(tmp_path).estimate(estimate_threshold(model, splits.dev,
+                                                            EstimateConfig(max_wer=0.5, min_probe=10)), 20)
         else:
             run_ipl(splits, IplConfig(iter_max=1, train=FAST), out_dir=tmp_path)
         path = tmp_path / name

@@ -52,13 +52,22 @@ def test_study_pool_changes_no_row():
 
 @pytest.mark.parametrize("argv", [["threshold", "--step", "0"], ["compare", "--iter-max", "0"],
                                   ["compare", "--score-threshold", "nan"], ["threshold", "--coverage", "2"],
-                                  ["compare", "--seeds", "-1"]])
+                                  ["compare", "--seeds", "-1"], ["compare", "--noise-sigma", "nan"]])
 def test_study_refuses_a_bad_option_before_any_job(argv, monkeypatch, capsys):
     monkeypatch.setattr(study, "run", lambda *_: pytest.fail("a job started"))
     with pytest.raises(SystemExit) as exc:
         study.main([*argv, "--seeds", "0", "--epochs", "1"])
     assert exc.value.code == 2
     assert f"argument {argv[1]}: " in capsys.readouterr().err
+
+
+def test_threshold_summary_leaves_seeds_keeping_nothing_out_of_the_mean_overlap(capsys):
+    row = {"sweep_threshold": -0.05, "estimate": -0.06, "within_one_step": True}
+    study.threshold_summary([{**row, "seed": 0, "wer_kept": 10, "score_kept": 8, "overlap_jaccard": 0.6},
+                             {**row, "seed": 1, "wer_kept": 0, "score_kept": 0, "overlap_jaccard": 1.0}])
+    lines = capsys.readouterr().out.splitlines()
+    assert "both filters keep nothing on seeds [1]; left out of the mean overlap" in lines
+    assert lines[-1] == "mean jaccard overlap 0.600"
 
 
 def test_bench_pair_summarizes_only_the_named_workloads():
