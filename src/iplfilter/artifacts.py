@@ -9,11 +9,11 @@ newline, so equal content gives equal bytes. Each file is written to
 into place with ``os.replace``, so a failed write leaves the earlier file, or
 none, never part of one.
 
-Readers stream ``.jsonl`` files line by line, require every record to be an
-object, and check the schema and, given a field table, each record's fields
-and exact JSON value types. A violation raises the caller's error type naming
-``path:line``. :func:`record_fields` derives a record's field table from the
-dataclass it serializes.
+Readers stream ``.jsonl`` files line by line, require every record to be an object, and
+check the schema and, given a field table, each record's fields: each value must have
+exactly a JSON type its table lists, and every number in it must be finite (no writer
+writes ``NaN`` or ``Infinity``). A violation raises the caller's error type naming
+``path:line`` and the field. :func:`record_fields` derives a field table from a dataclass.
 """
 
 from __future__ import annotations
@@ -27,12 +27,17 @@ from typing import get_type_hints
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
 
+
+class NumberList:
+    """The field type of a list whose items are all finite numbers."""
+
+
 # The JSON types of each field annotation a record may hold
 _JSON_TYPES = {int: int, bool: bool, str: str, float: NUMBER, float | None: (*NUMBER, type(None)),
-               list[float]: list}
+               list[float]: NumberList}
 
 # json.dumps(..., sort_keys=True) would build a new encoder for every record
-_ENCODER = json.JSONEncoder(sort_keys=True)
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _dump(record: dict) -> str:
@@ -102,14 +107,32 @@ class _Fields:
         self.required = {k for k in table if not k.endswith("?")}
 
     def check(self, where: str, rec: dict, error) -> None:
-        keys = rec.keys()
-        if keys != self.types.keys() and not self.required <= keys <= self.types.keys():
+        types, keys = self.types, rec.keys()
+        if keys != types.keys() and not self.required <= keys <= types.keys():
             raise error(f"{where}: missing fields {sorted(self.required - keys)}, "
-                        f"unknown fields {sorted(keys - self.types.keys())}")
+                        f"unknown fields {sorted(keys - types.keys())}")
         for name, value in rec.items():
-            if type(value) not in self.types[name]:  # exact: true and false are not numbers
-                expected = " or ".join(t.__name__ for t in self.types[name])
-                raise error(f"{where}: field {name!r} is {type(value).__name__}, expected {expected}")
+            kind = type(value)
+            if kind not in types[name]:  # exact: true and false are not numbers
+                self._check_unlisted(where, name, value, error)
+            elif kind is float and value - value:  # nan, not 0.0, for NaN or an infinity
+                raise error(f"{where}: field {name!r} is {json.dumps(value)}, expected a finite number")
+
+    def _check_unlisted(self, where: str, name: str, value, error) -> None:
+        """Refuse a value of an unlisted type, unless a list of finite numbers where NumberList is."""
+        if type(value) is list and NumberList in self.types[name]:
+            for i, item in enumerate(value):
+                if type(item) not in NUMBER or item - item:
+                    raise error(f"{where}: field {name!r} item {i} is {json.dumps(item)}, "
+                                "expected a finite number")
+            return
+        expected = " or ".join("list" if t is NumberList else t.__name__ for t in self.types[name])
+        raise error(f"{where}: field {name!r} is {type(value).__name__}, expected {expected}")
+
+
+def check_fields(where: str, rec: dict, table: dict, error) -> None:
+    """The readers' field check of a record read otherwise; ``where`` starts each message."""
+    _Fields(table).check(where, rec, error)
 
 
 def read_json(path, error, schema: str, fields: dict | None = None) -> dict:

@@ -6,7 +6,8 @@ the ``--config`` file, then explicit flags), writes it as ``config.json`` into
 the out-dir before the command reads any input, and only then runs the
 command's handler. So every run directory, finished or not, records its
 configuration, and ``--config <run>/config.json`` re-launches the run
-byte-identically. A ``--config`` value must have its flag's type.
+byte-identically. A ``--config`` value must have its flag's JSON type, and a number
+there, as in every file a command reads, must be finite.
 
 Exit codes: 0 success, 2 usage/validation problems (unknown flags, missing
 paths, bad config), 1 runtime failure. Failures print one machine-parseable
@@ -23,7 +24,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .artifacts import read_json, write_json, write_text
+from .artifacts import NUMBER, check_fields, read_json, write_json, write_text
 from .corpus import (CorpusGenConfig, generate_corpus, load_manifest, load_refs, read_meta,
                      save_manifest)
 from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
@@ -103,18 +104,11 @@ _SWEEP_FLAGS = {**_TRAIN_FLAGS,
                 **_flags(ThresholdSchedule())}
 
 
-def _expected(kind, default) -> str:
-    name = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
-    return name + (" or null" if default is None else "")
-
-
-def _valid(kind, default, value) -> bool:
-    """Whether a config value fits its flag (json reads 1 as int, 1.0 as float)."""
-    if value is None:
-        return default is None
-    if isinstance(kind, tuple):
-        return value in kind
-    return type(value) in ((int, float) if kind is float else (kind,))
+def _config_fields(flags: dict) -> dict:
+    """A snapshot's ``config`` table: any flag, of its JSON type; null where the default is None."""
+    return {key + "?": (NUMBER if kind is float else (str,) if isinstance(kind, tuple) else (kind,))
+                       + ((type(None),) if default is None else ())
+            for key, (kind, default) in flags.items()}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -127,22 +121,18 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigurationError(
                 f"{path}: snapshot is for command {snap['command']!r}, not {args.command!r}"
             )
-        for key, value in snap["config"].items():
-            if key not in cfg:
-                raise ConfigurationError(f"{path}: unknown config key {key!r}")
-            kind, default = flags[key]
-            if not _valid(kind, default, value):
-                raise ConfigurationError(
-                    f"{path}:1: config key {key!r} is {json.dumps(value)}, "
-                    f"expected {_expected(kind, default)}"
-                )
-            cfg[key] = value
+        check_fields(f"{path}:1: config", snap["config"], _config_fields(flags), ConfigurationError)
+        for key, value in snap["config"].items():  # probe's choices belong to no config dataclass
+            if isinstance(flags[key][0], tuple) and value not in flags[key][0]:
+                raise ConfigurationError(f"{path}:1: config: field {key!r} is {json.dumps(value)}, "
+                                         f"expected one of {list(flags[key][0])}")
+        cfg |= snap["config"]
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
+            if flags[key][0] is float and not math.isfinite(value):
+                raise ConfigurationError(f"{_flag(key)} must be finite, got {value}")
             cfg[key] = value
-        if flags[key][0] is float and cfg[key] is not None and not math.isfinite(cfg[key]):
-            raise ConfigurationError(f"{_flag(key)} must be finite, got {cfg[key]}")
     if (seed := cfg.get("seed", args.seed)) is not None and seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {seed}")
     return cfg
@@ -215,14 +205,16 @@ def cmd_pseudolabel(cfg: dict, out: Path) -> None:
 def cmd_filter(cfg: dict, out: Path) -> None:
     if (cfg["score_threshold"] is None) == (cfg["max_wer"] is None):
         raise ConfigurationError("filter: exactly one of --score-threshold / --max-wer")
-    if cfg["score_threshold"] is not None:
+    mode = "score" if cfg["max_wer"] is None else "wer"
+    ipl = _from_flags(IplConfig, COMMANDS["filter"][2], cfg, filter_mode=mode)  # checks the boundary
+    if mode == "score":
         pls = load_pseudolabels(_require(cfg, "pseudo_labels"))
-        kept = score_filter(pls, cfg["score_threshold"])
+        kept = score_filter(pls, ipl.score_threshold)
     else:
         corpus = _corpus(cfg)
         # a token outside the corpus's vocabulary has no place in an edit distance against its refs
         pls = load_pseudolabels(_require(cfg, "pseudo_labels"), read_meta(corpus)[0].num_classes)
-        kept = wer_filter(pls, load_refs(corpus), cfg["max_wer"])
+        kept = wer_filter(pls, load_refs(corpus), ipl.max_wer)
         save_pseudolabels(pls, out / "annotated.jsonl")  # oracle_wer now filled on all
     save_pseudolabels(pls[kept], out / "filtered.jsonl")
 

@@ -9,17 +9,17 @@ class ConfigurationError(ValueError):
 
 
 def check_config(config, **bounds) -> None:
-    """The one range rule of a config dataclass: every float field must be finite, and each
-    field named as ``name=lo`` or ``name=(lo, hi)`` must lie in that closed range. The first
-    field, in field order, that breaks it raises a ConfigurationError naming it."""
+    """The one range rule of a config dataclass: every float field must be finite, and each field
+    named as ``name=lo`` or ``name=(lo, hi)`` must lie in that closed range, or as ``name=(lo, None)``
+    be above ``lo``; None passes. The first field that breaks it raises a ConfigurationError naming it."""
     for f in fields(config):
         value, bound = getattr(config, f.name), bounds.get(f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
         lo, hi = bound if isinstance(bound, tuple) else (bound, math.inf)
-        if lo is not None and not lo <= value <= hi:
-            raise ConfigurationError(f"{f.name} must be >= {lo}, got {value}" if hi == math.inf
-                                     else f"{f.name} must lie in [{lo}, {hi}], got {value}")
+        if lo is not None and value is not None and not (value > lo if hi is None else lo <= value <= hi):
+            rule = f"be > {lo}" if hi is None else f"be >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+            raise ConfigurationError(f"{f.name} must {rule}, got {value}")
 
 
 class ManifestError(ValueError):

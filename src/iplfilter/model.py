@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import NumberList, check_fields, read_json, record_fields, write_json
 from .corpus import FeatureSequence, LabelSequence
 from .ctc import ctc_log_prob, label_plan
 from .errors import ConfigurationError, ShapeError, TrainingError, check_config
@@ -67,8 +67,10 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
 
 
-def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Parameter names and shapes, in initialization order."""
+def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int, where: str = "") -> dict:
+    """Parameter names and shapes, in initialization order; ``where`` starts a range error."""
+    if feature_dim < 1 or vocab_size < 1 or hidden_dim < 0:
+        raise ConfigurationError(f"{where}feature_dim, vocab_size >= 1 and hidden_dim >= 0 required")
     C = vocab_size + 1
     if hidden_dim == 0:
         return {"W": (feature_dim, C), "b": (C,)}
@@ -77,13 +79,10 @@ def _param_shapes(feature_dim: int, vocab_size: int, hidden_dim: int) -> dict[st
 
 def init_model(feature_dim: int, vocab_size: int, hidden_dim: int = 0, seed: int = 0) -> AcousticModel:
     """Deterministic initialization; weights scale with 1/sqrt(fan-in)."""
-    if feature_dim < 1 or vocab_size < 1 or hidden_dim < 0:
-        raise ConfigurationError("feature_dim, vocab_size >= 1 and hidden_dim >= 0 required")
+    shapes = _param_shapes(feature_dim, vocab_size, hidden_dim)
     rng = np.random.default_rng(seed)
-    params = {
-        k: rng.standard_normal(shape) / math.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
-        for k, shape in _param_shapes(feature_dim, vocab_size, hidden_dim).items()
-    }
+    params = {k: rng.standard_normal(shape) / math.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
+              for k, shape in shapes.items()}
     return AcousticModel(
         feature_dim=feature_dim,
         vocab_size=vocab_size,
@@ -293,50 +292,35 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
     return TrainResult(model=out, loss_curve=curve)
 
 
+_CHECKPOINT_FIELDS = {**record_fields(AcousticModel, skip=("params",)), "params": dict}
+
+
 def save_checkpoint(model: AcousticModel, path) -> None:
-    rec = {
-        "feature_dim": model.feature_dim,
-        "vocab_size": model.vocab_size,
-        "hidden_dim": model.hidden_dim,
-        "seed": model.seed,
-        "params": {k: v.tolist() for k, v in sorted(model.params.items())},
-    }
+    rec = {name: getattr(model, name) for name in _CHECKPOINT_FIELDS}
+    rec["params"] = {k: v.tolist() for k, v in sorted(model.params.items())}
     write_json(path, rec, CHECKPOINT_SCHEMA)
 
 
 def load_checkpoint(path) -> AcousticModel:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Anything else raises :class:`ConfigurationError`: invalid JSON, another
-    schema or version, a missing or non-integer dimension, or parameters that
-    are not finite or whose names or shapes do not follow from the dimensions.
+    Anything else raises :class:`ConfigurationError` naming the file: invalid JSON, another
+    schema, a field missing, unknown or mistyped, dimensions out of range, or parameters whose
+    names or shapes do not follow from them or whose items are not all finite JSON numbers.
     """
-    rec = read_json(path, ConfigurationError, CHECKPOINT_SCHEMA)
-    dims = {k: rec.get(k) for k in ("feature_dim", "vocab_size", "hidden_dim", "seed")}
-    if not all(type(v) is int for v in dims.values()) or not isinstance(rec.get("params"), dict):
-        raise ConfigurationError(
-            f"{path}: checkpoint needs integer feature_dim, vocab_size, hidden_dim and seed, and params"
-        )
-    if dims["feature_dim"] < 1 or dims["vocab_size"] < 1 or dims["hidden_dim"] < 0:
-        raise ConfigurationError(f"{path}: feature_dim, vocab_size >= 1 and hidden_dim >= 0 required")
-    shapes = _param_shapes(dims["feature_dim"], dims["vocab_size"], dims["hidden_dim"])
+    rec = read_json(path, ConfigurationError, CHECKPOINT_SCHEMA, _CHECKPOINT_FIELDS)
+    shapes = _param_shapes(rec["feature_dim"], rec["vocab_size"], rec["hidden_dim"], f"{path}: ")
     if sorted(rec["params"]) != sorted(shapes):
-        raise ConfigurationError(
-            f"{path}: parameters {sorted(rec['params'])}, expected {sorted(shapes)} "
-            f"for hidden_dim {dims['hidden_dim']}"
-        )
-    params = {}
+        raise ConfigurationError(f"{path}: parameters {sorted(rec['params'])}, expected {sorted(shapes)} "
+                                 f"for hidden_dim {rec['hidden_dim']}")
+    items = {}
     for k, shape in shapes.items():
-        try:
-            params[k] = np.asarray(rec["params"][k], dtype=np.float64)
-        except (TypeError, ValueError) as e:  # ragged or non-numeric lists
-            raise ConfigurationError(f"{path}: parameter {k}: {e}") from e
-        if params[k].shape != shape:
+        param = np.asarray(rec["params"][k], dtype=object)  # a ragged list gives the wrong shape
+        if param.shape != shape:
             raise ConfigurationError(
-                f"{path}: parameter {k} has shape {params[k].shape}, expected {shape} from "
-                f"feature_dim {dims['feature_dim']}, vocab_size {dims['vocab_size']}, "
-                f"hidden_dim {dims['hidden_dim']}"
-            )
-        if not np.isfinite(params[k]).all():
-            raise ConfigurationError(f"{path}: parameter {k} has non-finite entries")
-    return AcousticModel(params=params, **dims)
+                f"{path}: parameter {k} has shape {param.shape}, expected {shape} from feature_dim "
+                f"{rec['feature_dim']}, vocab_size {rec['vocab_size']}, hidden_dim {rec['hidden_dim']}")
+        items[k] = param.ravel().tolist()
+    check_fields(f"{path}: params", items, dict.fromkeys(shapes, NumberList), ConfigurationError)
+    params = {k: np.array(v, np.float64).reshape(shapes[k]) for k, v in items.items()}
+    return AcousticModel(rec["feature_dim"], rec["vocab_size"], rec["hidden_dim"], rec["seed"], params)

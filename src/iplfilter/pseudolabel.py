@@ -174,20 +174,18 @@ def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
 
 
 def load_pseudolabels(path, num_classes: int | None = None) -> PseudoLabels:
-    """Inverse of :func:`save_pseudolabels`. Records are parsed line by line, then
-    each column is checked in one compare: tokens by :func:`~iplfilter.corpus.checked_tokens`,
-    finite scores, and oracle WERs finite and >= 0 on every record or none. The
-    first bad record raises ManifestError naming its ``path:line``."""
+    """Inverse of :func:`save_pseudolabels`. Records are parsed and their fields checked
+    line by line (a score or oracle WER must be a finite number), then each column in one
+    compare: tokens by :func:`~iplfilter.corpus.checked_tokens`, and oracle WERs >= 0 on
+    every record or none. The first bad record raises ManifestError naming its ``path:line``."""
     rows = [(where, rec["utterance_id"], rec["tokens"], rec["score"], rec.get("oracle_wer"))
             for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA)]
     wheres, ids, token_lists, scores, wers = zip(*rows) if rows else [()] * 5
     tokens, lengths = checked_tokens(wheres, token_lists, num_classes)
     scores = np.array(scores, dtype=np.float64)
-    for i in np.flatnonzero(~np.isfinite(scores))[:1]:
-        raise ManifestError(f"{wheres[i]}: non-finite score {scores[i]}")
     has_wer = np.array([wer is not None for wer in wers], dtype=bool)
     wers = np.array([0.0 if wer is None else wer for wer in wers], dtype=np.float64)
-    for i in np.flatnonzero((has_wer != has_wer.any()) | ~(np.isfinite(wers) & (wers >= 0)))[:1]:
-        raise ManifestError(f"{wheres[i]}: " + (f"oracle_wer must be finite and >= 0, got {wers[i]}"
+    for i in np.flatnonzero((has_wer != has_wer.any()) | (wers < 0))[:1]:
+        raise ManifestError(f"{wheres[i]}: " + (f"oracle_wer must be >= 0, got {wers[i]}"
                                                 if has_wer[i] else "no oracle_wer, unlike other records"))
     return PseudoLabels(np.array(ids, dtype=object), tokens, lengths, scores, wers if has_wer.any() else None)

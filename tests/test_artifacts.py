@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from iplfilter.artifacts import NUMBER, read_json, read_jsonl, write_json, write_jsonl
+from iplfilter.artifacts import NUMBER, NumberList, check_fields, read_json, read_jsonl, write_json, write_jsonl
 
 
 class Bad(ValueError):
@@ -38,9 +38,18 @@ class TestAtomicWrite:
         write_json(tmp_path / "r.json", {"version": 1, "schema": "demo"})
         assert (tmp_path / "r.json").read_text() == '{"schema": "demo", "version": 1}\n'
 
+    @pytest.mark.parametrize("write", [
+        lambda path: write_json(path, {"x": float("nan")}, "demo"),
+        lambda path: write_jsonl(path, [{"x": 1.0}, {"x": [0.5, float("inf")]}], "demo"),
+    ], ids=["json", "jsonl"])
+    def test_non_finite_number_is_refused_and_nothing_written(self, tmp_path, write):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReaders:
-    FIELDS = {"n": int, "x": NUMBER, "note?": str}
+    FIELDS = {"n": int, "x": NUMBER, "note?": str, "xs?": NumberList}
 
     def write_lines(self, path, *lines):
         path.write_text("".join(line + "\n" for line in lines))
@@ -67,12 +76,27 @@ class TestReaders:
          r":2: field 'x' is str, expected int or float"),
         (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "note": null}'],
          r":2: field 'note' is NoneType, expected str"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": NaN}'],
+         r":2: field 'x' is NaN, expected a finite number"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": -1e999}'],
+         r":2: field 'x' is -Infinity, expected a finite number"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "xs": 0.5}'],
+         r":2: field 'xs' is float, expected list"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "xs": [1, 0.5, true]}'],
+         r":2: field 'xs' item 2 is true, expected a finite number"),
+        (['{"schema": "demo", "version": 1}', '{"n": 1, "x": 1, "xs": [Infinity]}'],
+         r":2: field 'xs' item 0 is Infinity, expected a finite number"),
     ])
     def test_rejects_and_names_line(self, tmp_path, lines, message):
         path = self.write_lines(tmp_path / "r.jsonl", *lines)
         with pytest.raises(Bad, match=message) as info:
             list(read_jsonl(path, Bad, self.FIELDS, "demo"))
         assert str(info.value).startswith(f"{path}:")
+
+    def test_check_fields_checks_a_record_by_the_same_rule(self):
+        check_fields("here", {"n": 1, "x": 0.5, "xs": [1, -2.5]}, self.FIELDS, Bad)
+        with pytest.raises(Bad, match=r"^here: field 'xs' item 1 is \"1\", expected a finite number$"):
+            check_fields("here", {"n": 1, "x": 0.5, "xs": [1, "1"]}, self.FIELDS, Bad)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(Bad, match="missing file"):

@@ -258,7 +258,7 @@ class TestPseudolabelAndFilter:
         assert rc == 2
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
-        assert err["message"] == f"{bad}: parameter W has non-finite entries"
+        assert err["message"] == f"{bad}: params: field 'W' item 1 is NaN, expected a finite number"
 
     def test_score_filter_file(self, labeled_run, tmp_path):
         out = tmp_path / "f1"
@@ -688,8 +688,7 @@ class TestDamagedInput:
         assert [p.name for p in out.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("wer, message", [
-        (float("nan"), "oracle_wer must be finite and >= 0, got nan"),
-        (-0.5, "oracle_wer must be finite and >= 0, got -0.5"),
+        (-0.5, "oracle_wer must be >= 0, got -0.5"),
     ])
     def test_bad_oracle_wer_names_its_line(self, world, tmp_path, capsys, wer, message):
         # filter --score-threshold once copied a NaN through and let -0.5 pass
@@ -731,6 +730,88 @@ class TestDamagedInput:
         assert err["message"].startswith(f"{snapshot}:1: field 'config' is list")
 
 
+def _with_token(line, put, token):
+    """A record line with one value, placed by ``put(rec, value)``, written as the JSON text ``token``."""
+    rec = json.loads(line)
+    put(rec, "\0")
+    return json.dumps(rec).replace(json.dumps("\0"), token)
+
+
+def _set(*keys):
+    """``put(rec, value)`` that sets ``rec[k1][k2]...`` to the value."""
+    def put(rec, value):
+        for key in keys[:-1]:
+            rec = rec[key]
+        rec[keys[-1]] = value
+    return put
+
+
+# One rule for every JSON value a command reads: exactly a type its field table lists, every
+# number finite. A number in each file, set to each of RULE_VALUES and of its RULE_EXTRAS:
+# (file, its line or None, what the message names, where the value goes, error, argv in the root)
+RULE_VALUES = ["true", '"0.5"', "NaN", "Infinity", "-Infinity", "1e999"]
+RULE_EXTRAS = {"config-int": ["null"], "config-float": ["null"]}
+_TEACHER = lambda d: ["pseudolabel", "--corpus", d / "corpus", "--model", d / "teacher" / "teacher_model.json"]
+_FILTER = lambda d: ["filter", "--pseudo-labels", d / "pl" / "pseudolabels.jsonl", "--score-threshold", "-1"]
+_REPORT = lambda d: ["report", "--run-dir", d / "sweep"]
+_CONFIG = lambda d: ["train-teacher", "--config", d / "teacher" / "config.json"]
+RULE_INPUTS = {
+    "meta": ("corpus/meta.json", 1, "field 'feature_dim'", _set("feature_dim"), "ManifestError",
+             lambda d: ["train-teacher", "--corpus", d / "corpus", "--epochs", "0"]),
+    "pseudo-label-score": ("pl/pseudolabels.jsonl", 3, "field 'score'", _set("score"), "ManifestError", _FILTER),
+    "pseudo-label-oracle-wer": ("pl/pseudolabels.jsonl", 3, "field 'oracle_wer'", _set("oracle_wer"),
+                                "ManifestError", _FILTER),
+    "checkpoint-dimension": ("teacher/teacher_model.json", 1, "field 'feature_dim'", _set("feature_dim"),
+                             "ConfigurationError", _TEACHER),
+    "checkpoint-parameter": ("teacher/teacher_model.json", None, "params: field 'b' item 0",
+                             _set("params", "b", 0), "ConfigurationError", _TEACHER),
+    "config-int": ("teacher/config.json", 1, "config: field 'epochs'", _set("config", "epochs"),
+                   "ConfigurationError", _CONFIG),
+    "config-float": ("teacher/config.json", 1, "config: field 'base_lr'", _set("config", "base_lr"),
+                     "ConfigurationError", _CONFIG),
+    "teacher-report": ("sweep/teacher_report.jsonl", 2, "field 'test_wer'", _set("test_wer"),
+                       "ConfigurationError", _REPORT),
+    "iteration-report": ("sweep/reports.jsonl", 2, "field 'dev_wer'", _set("dev_wer"), "ConfigurationError",
+                         _REPORT),
+    "sweep-threshold": ("sweep/sweep.json", 1, "field 'thresholds' item 0", _set("thresholds", 0),
+                        "ConfigurationError", _REPORT),
+    "estimate": ("est/estimate.json", 1, "field 'threshold'", _set("threshold"), "ConfigurationError",
+                 lambda d: ["report", "--run-dir", d / "est"]),
+}
+
+
+class TestValueRule:
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rule")
+        corpus, teacher = root / "corpus", root / "teacher"
+        assert main(["gen-corpus", "--out-dir", str(corpus), *TINY_CORPUS]) == 0
+        assert main(["train-teacher", "--corpus", str(corpus), "--out-dir", str(teacher),
+                     "--epochs", "0"]) == 0
+        assert main(["pseudolabel", "--corpus", str(corpus), "--out-dir", str(root / "pl"),
+                     "--model", str(teacher / "teacher_model.json"), "--annotate-oracle"]) == 0
+        assert main(["sweep", "--corpus", str(corpus), "--out-dir", str(root / "sweep"),
+                     "--epochs", "0", "--iters-per-update", "1", "--max-updates", "1"]) == 0
+        assert main(["estimate-threshold", "--corpus", str(corpus), "--out-dir", str(root / "est"),
+                     "--epochs", "0", "--min-probe", "5"]) == 0
+        return root
+
+    @pytest.mark.parametrize("case, token", [(case, token) for case in RULE_INPUTS
+                                             for token in RULE_VALUES + RULE_EXTRAS.get(case, [])])
+    def test_value_outside_the_rule_is_usage_error_naming_file_and_field(self, world, tmp_path, capsys,
+                                                                        case, token):
+        name, lineno, named, put, error, argv = RULE_INPUTS[case]
+        root = tmp_path / "world"
+        shutil.copytree(world, root)
+        _set_line(root / name, lineno or 1, lambda line: _with_token(line, put, token))
+        capsys.readouterr()
+        assert main([str(a) for a in argv(root)] + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = usage_error(capsys)
+        assert err["error"] == error
+        assert err["message"].startswith(f"{root / name}:{lineno}: {named} " if lineno
+                                         else f"{root / name}: {named} ")
+
+
 # Out-of-range flag values and unknown utterance ids: (argv in the world, text the error names)
 OUT_OF_RANGE = {
     "negative-base-lr": (lambda d: ["ipl", "--corpus", d / "corpus", "--epochs", "1",
@@ -768,6 +849,20 @@ OUT_OF_RANGE = {
                                     "ConfigurationError", "iters_per_update"),
     "sweep-zero-max-updates": (lambda d: ["sweep", "--corpus", d / "corpus", "--max-updates", "0"],
                                "ConfigurationError", "max_updates"),
+    # the wer filter keeps WER strictly below max_wer, so max_wer <= 0 keeps nothing; filter
+    # refuses it before it opens the (here missing) pseudo-label file
+    "filter-zero-max-wer": (lambda d: ["filter", "--pseudo-labels", d / "missing.jsonl",
+                                       "--corpus", d / "corpus", "--max-wer", "0"],
+                            "ConfigurationError", "max_wer must be > 0, got 0.0"),
+    "filter-negative-max-wer": (lambda d: ["filter", "--pseudo-labels", d / "missing.jsonl",
+                                           "--corpus", d / "corpus", "--max-wer", "-1"],
+                                "ConfigurationError", "max_wer must be > 0, got -1.0"),
+    "ipl-negative-max-wer": (lambda d: ["ipl", "--corpus", d / "corpus", "--filter-mode", "wer",
+                                        "--max-wer", "-1", "--epochs", "1"],
+                             "ConfigurationError", "max_wer must be > 0, got -1.0"),
+    "estimate-zero-max-wer": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
+                                         "--epochs", "0", "--min-probe", "5", "--max-wer", "0"],
+                              "ConfigurationError", "max_wer must be > 0, got 0.0"),
     # the corpus withholds the truth the wer filter needs: checked before a teacher is trained
     "wer-mode-without-truth": (lambda d: ["ipl", "--corpus", d / "no-refs", "--filter-mode", "wer",
                                           "--max-wer", "0.1", "--epochs", "1"],
@@ -797,8 +892,11 @@ NON_FINITE = {
     "estimate-coverage": (lambda d: ["estimate-threshold", "--corpus", d / "corpus",
                                      "--coverage=-inf"], "--coverage"),
     "gen-corpus-noise-sigma": (lambda d: ["gen-corpus", "--noise-sigma", "nan"], "--noise-sigma"),
+    # a --config file is read by the file rule, which names the file and the key
     "config-max-wer": (lambda d: ["estimate-threshold", "--config", d / "nan-config.json",
-                                  "--corpus", d / "corpus"], "--max-wer"),
+                                  "--corpus", d / "corpus"],
+                       lambda d: f"{d / 'nan-config.json'}:1: config: field 'max_wer' is NaN, "
+                                 "expected a finite number"),
     "gen-corpus-negative-seed": (lambda d: ["gen-corpus", "--seed", "-1"], "--seed"),
     "train-teacher-negative-seed": (lambda d: ["train-teacher", "--corpus", d / "corpus",
                                                "--seed", "-1"], "--seed"),
@@ -833,7 +931,7 @@ class TestOutOfRangeInput:
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
         rule = ">= 0" if flag == "--seed" else "finite"
-        assert err["message"].startswith(f"{flag} must be {rule}, got ")
+        assert err["message"].startswith(flag(world) if callable(flag) else f"{flag} must be {rule}, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
@@ -986,11 +1084,8 @@ def write_snapshot(path, command, config):
 
 class TestTypedConfig:
     @pytest.mark.parametrize("key, value, expected", [
-        ("epochs", "x", 'is "x", expected int'),
-        ("epochs", True, "is true, expected int"),
-        ("epochs", None, "is null, expected int"),
         ("probe", "test", "is \"test\", expected one of ['dev', 'labeled']"),
-    ], ids=["string-int", "bool-int", "null-int", "bad-choice"])
+    ], ids=["bad-choice"])
     def test_mistyped_value_is_usage_error(self, corpus_dir, tmp_path, capsys, key, value, expected):
         snap = write_snapshot(tmp_path / "config.json", "estimate-threshold", {key: value})
         out = tmp_path / "out"
@@ -999,7 +1094,7 @@ class TestTypedConfig:
         assert rc == 2
         err = usage_error(capsys)
         assert err["error"] == "ConfigurationError"
-        assert err["message"] == f"{snap}:1: config key {key!r} {expected}"
+        assert err["message"] == f"{snap}:1: config: field {key!r} {expected}"
         assert not out.exists()
 
     def test_int_for_float_and_null_for_none_default_accepted(self, corpus_dir, tmp_path):

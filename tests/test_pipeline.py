@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iplfilter import metrics, pipeline
-from iplfilter.artifacts import NUMBER
+from iplfilter.artifacts import NUMBER, NumberList
 from iplfilter.corpus import CorpusGenConfig, generate_corpus
 from iplfilter.errors import ConfigurationError, InsufficientProbeError, OracleError
 from iplfilter.model import TrainConfig, init_model
@@ -69,15 +69,16 @@ class TestIplConfig:
             IplConfig(**{**fields, name: value}, train=FAST)
 
 
-# The range each config's bounded fields must lie in: name -> lo, or (lo, hi), both inclusive
+# The range each config's bounded fields must lie in: name -> lo, or (lo, hi), both inclusive,
+# or (lo, None), above lo
 BOUNDS = {
     CorpusGenConfig: {"vocab_size": 2, "feature_dim": 1, "noise_sigma": 0, "n_labeled": 1,
                       "n_unlabeled": 1, "n_dev": 1, "n_test": 1},
     TrainConfig: {"epochs": 0, "batch_size": 1, "base_lr": 0, "warmup_frac": (0, 1),
                   "hold_frac": (0, 1), "seed": 0},
-    IplConfig: {"iter_max": 1, "seed": 0, "hidden_dim": 0, "pseudo_weight": 0},
-    ThresholdSchedule: {"iters_per_update": 1, "max_updates": 1},
-    EstimateConfig: {"coverage": (0, 1), "min_probe": 1},
+    IplConfig: {"iter_max": 1, "seed": 0, "hidden_dim": 0, "max_wer": (0, None), "pseudo_weight": 0},
+    ThresholdSchedule: {"step": (0, None), "iters_per_update": 1, "max_updates": 1},
+    EstimateConfig: {"max_wer": (0, None), "coverage": (0, 1), "min_probe": 1},
 }
 
 
@@ -92,7 +93,8 @@ def _non_finite_cases():
 
 
 def _out_of_range_cases():
-    """Every bounded field, set just below its lower bound and just above its upper one."""
+    """Every bounded field, set just below its lower bound and just above its upper one, and
+    an open lower bound's field set to the bound itself."""
     for cls, bounds in BOUNDS.items():
         hints = get_type_hints(cls)
         for name, bound in bounds.items():
@@ -101,6 +103,8 @@ def _out_of_range_cases():
                 if edge is not None:
                     value = edge + side if hints[name] is int else np.nextafter(float(edge), side * np.inf)
                     yield pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value}")
+            if isinstance(bound, tuple) and hi is None:
+                yield pytest.param(cls, name, float(lo), id=f"{cls.__name__}-{name}-{float(lo)}")
 
 
 class TestConfigRule:
@@ -589,9 +593,9 @@ RECORD_TABLES = {
         "oracle_mean_wer_rejected": _OPTIONAL, "dev_wer": NUMBER, "test_wer": NUMBER,
         "trained_on_labeled_only": bool,
     },
-    "TEACHER_FIELDS": {"dev_wer": NUMBER, "test_wer": NUMBER, "loss_curve": list},
-    "SWEEP_FIELDS": {"best_threshold": NUMBER, "declined": bool, "thresholds": list,
-                     "best_dev_wer_per_threshold": list},
+    "TEACHER_FIELDS": {"dev_wer": NUMBER, "test_wer": NUMBER, "loss_curve": NumberList},
+    "SWEEP_FIELDS": {"best_threshold": NUMBER, "declined": bool, "thresholds": NumberList,
+                     "best_dev_wer_per_threshold": NumberList},
     "ESTIMATE_FIELDS": {"threshold": NUMBER, "probe_size": int, "wer_kept_count": int,
                         "score_kept_count": int, "overlap_jaccard": NUMBER,
                         "overlap_min_ratio": NUMBER},
