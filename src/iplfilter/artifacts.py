@@ -11,9 +11,9 @@ none, never part of one.
 
 Readers stream ``.jsonl`` files line by line, require every record to be an object, and
 check the schema and, given a field table, each record's fields: each value must have
-exactly a JSON type its table lists, and every number in it must be finite (no writer
-writes ``NaN`` or ``Infinity``). A violation raises the caller's error type naming
-``path:line`` and the field. :func:`record_fields` derives a field table from a dataclass.
+exactly a JSON type its table lists, and every number in it must be finite (no writer writes
+``NaN``, ``Infinity`` or an integer too large for a float). A violation raises the caller's
+error type naming ``path:line`` and the field. :func:`record_fields` derives a field table.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import get_type_hints
 
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
+_FLOAT_LIMIT = 2**1024 - 2**970  # float() of an int at least this large overflows
 
 
 class NumberList:
@@ -84,10 +85,10 @@ def write_jsonl(path, records, schema: str | None = None) -> None:
 def _parse(path, lineno: int, text: str, error) -> dict:
     try:
         rec = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal past int()'s digit limit
         # text starts at line ``lineno``; an error past its final newline is on its last line
-        line = lineno + min(e.lineno, len(text.splitlines()) or 1) - 1
-        raise error(f"{path}:{line}: invalid JSON: {e.msg}") from e
+        line = lineno + min(getattr(e, "lineno", 1), len(text.splitlines()) or 1) - 1
+        raise error(f"{path}:{line}: invalid JSON: {getattr(e, 'msg', e)}") from e
     if not isinstance(rec, dict):
         raise error(f"{path}:{lineno}: record is not an object")
     return rec
@@ -117,14 +118,17 @@ class _Fields:
                 self._check_unlisted(where, name, value, error)
             elif kind is float and value - value:  # nan, not 0.0, for NaN or an infinity
                 raise error(f"{where}: field {name!r} is {json.dumps(value)}, expected a finite number")
+            elif kind is int and abs(value) >= _FLOAT_LIMIT and float in types[name]:
+                raise error(f"{where}: field {name!r} is an integer beyond the float range, "
+                            "expected a finite number")
 
     def _check_unlisted(self, where: str, name: str, value, error) -> None:
         """Refuse a value of an unlisted type, unless a list of finite numbers where NumberList is."""
         if type(value) is list and NumberList in self.types[name]:
             for i, item in enumerate(value):
-                if type(item) not in NUMBER or item - item:
-                    raise error(f"{where}: field {name!r} item {i} is {json.dumps(item)}, "
-                                "expected a finite number")
+                if type(item) not in NUMBER or item - item or abs(item) >= _FLOAT_LIMIT:
+                    shown = "an integer beyond the float range" if type(item) is int else json.dumps(item)
+                    raise error(f"{where}: field {name!r} item {i} is {shown}, expected a finite number")
             return
         expected = " or ".join("list" if t is NumberList else t.__name__ for t in self.types[name])
         raise error(f"{where}: field {name!r} is {type(value).__name__}, expected {expected}")

@@ -7,11 +7,12 @@ the out-dir before the command reads any input, and only then runs the
 command's handler. So every run directory, finished or not, records its
 configuration, and ``--config <run>/config.json`` re-launches the run
 byte-identically. A ``--config`` value must have its flag's JSON type, and a number
-there, as in every file a command reads, must be finite.
+there, as in every file a command reads, must be finite; in a float field, an integer
+too large for a float is refused too.
 
 Exit codes: 0 success, 2 usage/validation problems (unknown flags, missing
-paths, bad config), 1 runtime failure. Failures print one machine-parseable
-JSON record to stderr.
+paths, bad config), 1 runtime failure. Every failure, a flag-parsing error
+among them, prints one machine-parseable JSON record to stderr.
 """
 
 from __future__ import annotations
@@ -251,9 +252,10 @@ def cmd_report(cfg: dict, out: Path) -> None:
     run = load_run(run_dir)
     if not (run_dir / "summary.txt").is_file():
         raise ConfigurationError(f"{run_dir / 'summary.txt'}: missing file; the run did not finish")
-    write_text(out / "report_summary.txt", run_summary(run))
-    if run.pseudolabels is not None:
-        write_plots(load_pseudolabels(run.pseudolabels), n_bins, out)
+    pls = None if run.pseudolabels is None else load_pseudolabels(run.pseudolabels)
+    write_text(out / "report_summary.txt", run_summary(run))  # only once every file is read
+    if pls is not None:
+        write_plots(pls, n_bins, out)
 
 
 # One entry per command: (handler, help, flags). The flag table maps a config
@@ -290,8 +292,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a flag-parsing error reaches main as any other usage error
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iplfilter",
         description="Confidence-filtered iterative pseudo-labeling on a synthetic CTC corpus",
     )
@@ -314,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Resolve the configuration, snapshot it, then run the command's handler."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # the subparsers are _Parser too
         cfg = _resolve(args)
         out = Path(args.out_dir)
         write_json(out / "config.json", {"command": args.command, "config": cfg}, CONFIG_SCHEMA)
