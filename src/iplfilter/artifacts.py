@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
-_FLOAT_LIMIT = 2**1024 - 2**970  # float() of an int at least this large overflows
+FLOAT_LIMIT = 2**1024 - 2**970  # float() of an int at least this large overflows
 
 
 class NumberList:
@@ -39,6 +39,7 @@ _JSON_TYPES = {int: int, bool: bool, str: str, float: NUMBER, float | None: (*NU
 
 # json.dumps(..., sort_keys=True) would build a new encoder for every record
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_DECODER = json.JSONDecoder()
 
 
 def _dump(record: dict) -> str:
@@ -118,7 +119,7 @@ class _Fields:
                 self._check_unlisted(where, name, value, error)
             elif kind is float and value - value:  # nan, not 0.0, for NaN or an infinity
                 raise error(f"{where}: field {name!r} is {json.dumps(value)}, expected a finite number")
-            elif kind is int and abs(value) >= _FLOAT_LIMIT and float in types[name]:
+            elif kind is int and abs(value) >= FLOAT_LIMIT:  # in any field, so no message prints it
                 raise error(f"{where}: field {name!r} is an integer beyond the float range, "
                             "expected a finite number")
 
@@ -126,7 +127,7 @@ class _Fields:
         """Refuse a value of an unlisted type, unless a list of finite numbers where NumberList is."""
         if type(value) is list and NumberList in self.types[name]:
             for i, item in enumerate(value):
-                if type(item) not in NUMBER or item - item or abs(item) >= _FLOAT_LIMIT:
+                if type(item) not in NUMBER or item - item or abs(item) >= FLOAT_LIMIT:
                     shown = "an integer beyond the float range" if type(item) is int else json.dumps(item)
                     raise error(f"{where}: field {name!r} item {i} is {shown}, expected a finite number")
             return
@@ -163,6 +164,11 @@ def read_jsonl(path, error, fields: dict, schema: str | None = None):
         name = str(path)
         for lineno, line in enumerate(fh, start=1 if schema is None else 2):
             where = f"{name}:{lineno}"
-            rec = _parse(name, lineno, line, error)
+            try:  # one decoder call for a line that is one object and its newline
+                rec, end = _DECODER.raw_decode(line)
+            except ValueError:
+                rec = end = None
+            if type(rec) is not dict or line[end:] not in ("\n", ""):
+                rec = _parse(name, lineno, line, error)  # json.loads' whitespace, results and errors
             table.check(where, rec, error)
             yield where, rec

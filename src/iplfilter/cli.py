@@ -7,8 +7,8 @@ the out-dir before the command reads any input, and only then runs the
 command's handler. So every run directory, finished or not, records its
 configuration, and ``--config <run>/config.json`` re-launches the run
 byte-identically. A ``--config`` value must have its flag's JSON type, and a number
-there, as in every file a command reads, must be finite; in a float field, an integer
-too large for a float is refused too.
+there, as in every file a command reads, must be finite; an integer too large for a
+float is refused in any field, and as any flag's value.
 
 Exit codes: 0 success, 2 usage/validation problems (unknown flags, missing
 paths, bad config), 1 runtime failure. Every failure, a flag-parsing error
@@ -25,7 +25,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .artifacts import NUMBER, check_fields, read_json, write_json, write_text
+from .artifacts import FLOAT_LIMIT, NUMBER, check_fields, read_json, write_json, write_text
 from .corpus import (CorpusGenConfig, generate_corpus, load_manifest, load_refs, read_meta,
                      save_manifest)
 from .errors import ConfigurationError, InsufficientProbeError, ManifestError, OracleError
@@ -114,6 +114,9 @@ def _config_fields(flags: dict) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     flags = COMMANDS[args.command][2]
+    for key, value in vars(args).items():  # as in a file, and no message prints the digits
+        if type(value) is int and abs(value) >= FLOAT_LIMIT:
+            raise ConfigurationError(f"{_flag(key)} is an integer beyond the float range")
     cfg = {key: default for key, (_, default) in flags.items()}
     if args.config:
         path = Path(args.config)
@@ -297,13 +300,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named ``commands``; each subparser built costs milliseconds."""
     parser = _Parser(
         prog="iplfilter",
         description="Confidence-filtered iterative pseudo-labeling on a synthetic CTC corpus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, flags) in COMMANDS.items():
+    for command in commands:
+        _, help_text, flags = COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="config snapshot to start from")
         p.add_argument("--out-dir", required=True, help="directory for run artifacts")
@@ -322,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Resolve the configuration, snapshot it, then run the command's handler."""
     try:
-        args = build_parser().parse_args(argv)  # the subparsers are _Parser too
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # a named command needs only its own subparser; help and "invalid choice" need them all
+        named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+        args = build_parser(named).parse_args(argv)  # the subparsers are _Parser too
         cfg = _resolve(args)
         out = Path(args.out_dir)
         write_json(out / "config.json", {"command": args.command, "config": cfg}, CONFIG_SCHEMA)

@@ -19,6 +19,7 @@ import base64
 import string
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -239,16 +240,12 @@ def generate_corpus(gen_config: CorpusGenConfig, seed: int) -> CorpusSplits:
     )
 
 
-def _utterance_record(fs: FeatureSequence, labels: LabelSequence | None) -> dict:
-    rec = {
-        "utterance_id": fs.utterance_id,
-        "num_frames": fs.num_frames,
-        "feature_dim": fs.feature_dim,
-        "frames": base64.b64encode(fs.frames.astype(_FRAME_DTYPE, copy=False).tobytes()).decode(),
-    }
-    if labels is not None:
-        rec["tokens"] = list(labels.tokens)
-    return rec
+def _utterance_line(fs: FeatureSequence, labels: LabelSequence | None) -> str:
+    """The manifest line of one utterance, formatted as ``write_jsonl`` writes its record."""
+    frames = base64.b64encode(fs.frames.astype(_FRAME_DTYPE, copy=False).tobytes()).decode()
+    tokens = "" if labels is None else f'"tokens": {list(labels.tokens)}, '
+    return (f'{{"feature_dim": {fs.feature_dim}, "frames": "{frames}", "num_frames": {fs.num_frames}, '
+            f'{tokens}"utterance_id": {encode_basestring_ascii(fs.utterance_id)}}}\n')
 
 
 def save_manifest(splits: CorpusSplits, out_dir) -> None:
@@ -267,7 +264,7 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     write_json(out / _META_FILE, meta, MANIFEST_SCHEMA)
     for name in SPLITS:
         write_jsonl(out / _SPLIT_FILES[name],
-                    (_utterance_record(fs, lab) for fs, lab in splits.pairs(name)))
+                    (_utterance_line(fs, lab) for fs, lab in splits.pairs(name)))
     refs = [
         {"utterance_id": uid, "tokens": list(lab.tokens)}
         for uid, lab in ((fs.utterance_id, splits.unlabeled_refs[fs.utterance_id]) for fs in splits.unlabeled)
@@ -275,32 +272,48 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     write_jsonl(out / _REFS_FILE, refs)
 
 
+# Utterances whose frames are finite-checked at once, as one concatenation
+_FINITE_BLOCK = 256
+
+
+def _check_finite(utts: list, wheres: list) -> None:
+    """Refuse the first of ``utts`` holding a non-finite frame value, naming where it was read."""
+    if utts and not np.isfinite(np.concatenate([fs.frames for fs in utts])).all():
+        # the bytes can hold NaN and infinities; training on them fails far from the file
+        i = next(i for i, fs in enumerate(utts) if not np.isfinite(fs.frames).all())
+        raise ManifestError(f"{wheres[i]}: utterance {utts[i].utterance_id}: non-finite frame value")
+
+
 def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_labels: bool):
     out, wheres, tokens = [], [], []
+    block = []  # where the last len(block) of out are; any refusal checks them first, naming the first fault
     fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
-    for where, rec in read_jsonl(path, ManifestError, fields):
-        uid, T, D = rec["utterance_id"], rec["num_frames"], rec["feature_dim"]
-        if D != feature_dim:
-            raise ManifestError(f"{where}: utterance {uid}: feature_dim {D} != manifest {feature_dim}")
-        try:
-            raw = base64.b64decode(rec["frames"], validate=True)
-        except ValueError as e:  # binascii.Error, or text that is not ASCII
-            raise ManifestError(f"{where}: utterance {uid}: frames are not base64: {e}") from e
-        size = T * D * _FRAME_DTYPE.itemsize
-        if len(raw) != size:
-            raise ManifestError(
-                f"{where}: frames hold {len(raw)} bytes != num_frames*feature_dim*8 {size}")
-        try:
-            fs = FeatureSequence(uid, np.frombuffer(raw, _FRAME_DTYPE).reshape(T, D))
-        except ValueError as e:
-            raise ManifestError(f"{where}: utterance {uid}: {e}") from e
-        if not np.isfinite(fs.frames).all():
-            # the bytes can hold NaN and infinities; training on them fails far from the file
-            raise ManifestError(f"{where}: utterance {uid}: non-finite frame value")
-        out.append(fs)
-        if with_labels:
-            wheres.append(where)
-            tokens.append(rec["tokens"])
+    try:
+        for where, rec in read_jsonl(path, ManifestError, fields):
+            uid, T, D = rec["utterance_id"], rec["num_frames"], rec["feature_dim"]
+            if D != feature_dim:
+                raise ManifestError(f"{where}: utterance {uid}: feature_dim {D} != manifest {feature_dim}")
+            try:
+                raw = base64.b64decode(rec["frames"], validate=True)
+            except ValueError as e:  # binascii.Error, or text that is not ASCII
+                raise ManifestError(f"{where}: utterance {uid}: frames are not base64: {e}") from e
+            size = T * D * _FRAME_DTYPE.itemsize
+            if len(raw) != size:
+                raise ManifestError(
+                    f"{where}: frames hold {len(raw)} bytes != num_frames*feature_dim*8 {size}")
+            try:
+                out.append(FeatureSequence(uid, np.frombuffer(raw, _FRAME_DTYPE).reshape(T, D)))
+            except ValueError as e:
+                raise ManifestError(f"{where}: utterance {uid}: {e}") from e
+            block.append(where)
+            if with_labels:
+                wheres.append(where)
+                tokens.append(rec["tokens"])
+            if len(block) == _FINITE_BLOCK:
+                _check_finite(out[-_FINITE_BLOCK:], block)
+                block.clear()
+    finally:
+        _check_finite(out[len(out) - len(block):], block)
     if not with_labels:
         return out
     checked_tokens(wheres, tokens, vocab.num_classes, [fs.utterance_id for fs in out])

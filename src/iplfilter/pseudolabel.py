@@ -159,13 +159,10 @@ def row_lines(pseudo_labels: PseudoLabels, tokens: bool = True):
     if not (np.isfinite(pls.scores).all() and np.isfinite(wers).all()):
         raise ValueError("pseudo-label scores and oracle WERs must be finite")
     toks, ends = pls.tokens.tolist(), np.cumsum(pls.lengths).tolist()
-    parts = (f'"tokens": {toks[a:b]}, ' if tokens else "" for a, b in zip([0, *ends], ends))
-    ids = map(encode_basestring_ascii, pls.ids.tolist())
-    lines = (f'{{"score": {score!r}, {part}"utterance_id": {uid}}}\n'
-             for score, part, uid in zip(pls.scores.tolist(), parts, ids))
-    if pls.oracle_wer is not None:
-        lines = (f'{{"oracle_wer": {wer!r}, {line[1:]}' for wer, line in zip(wers.tolist(), lines))
-    return lines
+    heads = ["{"] * len(pls) if pls.oracle_wer is None else [f'{{"oracle_wer": {w!r}, ' for w in wers.tolist()]
+    parts = [f'"tokens": {toks[a:b]}, ' for a, b in zip([0, *ends], ends)] if tokens else [""] * len(pls)
+    return (f'{head}"score": {score!r}, {part}"utterance_id": {encode_basestring_ascii(uid)}}}\n'
+            for head, part, uid, score in zip(heads, parts, pls.ids.tolist(), pls.scores.tolist()))
 
 
 def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:

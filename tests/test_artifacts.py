@@ -1,8 +1,10 @@
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from iplfilter.artifacts import NUMBER, NumberList, check_fields, read_json, read_jsonl, write_json, write_jsonl
+from iplfilter.artifacts import (NUMBER, NumberList, _check_schema, _Fields, _parse, check_fields, read_json,
+                                 read_jsonl, write_json, write_jsonl)
 
 
 class Bad(ValueError):
@@ -115,3 +117,59 @@ class TestReaders:
         path.write_text('{"schema": "demo", "version": 1, "n": 1}\n')
         with pytest.raises(Bad, match=r":1: missing fields \['x'\]"):
             read_json(path, Bad, "demo", self.FIELDS)
+
+
+def reference_read_jsonl(path, error, fields, schema=None):
+    """The reader as it was before its one-call parse: every line through ``json.loads``."""
+    table = _Fields(fields)
+    with path.open("r", encoding="utf-8") as fh:
+        if schema is not None:
+            _check_schema(f"{path}:1", _parse(path, 1, fh.readline(), error), schema, error)
+        for lineno, line in enumerate(fh, start=1 if schema is None else 2):
+            rec = _parse(str(path), lineno, line, error)
+            table.check(f"{path}:{lineno}", rec, error)
+            yield f"{path}:{lineno}", rec
+
+
+def _outcome(records):
+    """The records a reader yields, then the message of its refusal, if any."""
+    out = []
+    try:
+        out.extend(records)
+    except Bad as e:
+        out.append(str(e))
+    return out
+
+
+# Lines a reader may meet: a record padded or not, blank lines, two values on one line, an
+# object split over two lines, values that are not objects, NaN, a 5000-digit integer, junk and
+# whitespace that JSON does not count as whitespace
+_RECORD = st.builds(lambda n, x: f'{{"n": {n}, "x": {x!r}}}', st.integers(-5, 5),
+                    st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**70, 2**70))
+_PAD = st.sampled_from(["", " ", "\t", "  \t "])
+_LINES = st.one_of(
+    _RECORD,
+    st.builds(lambda a, rec, b: a + rec + b, _PAD, _RECORD, _PAD),
+    st.sampled_from(["", "   ", '{"n": 1, "x": 1} {"n": 2, "x": 2}', '{"n": 1,\n"x": 2}', "[1]", "1",
+                     '"s"', "null", '{"n": 1, "x": NaN}', '{"n": 1, "x": 1}x', '{"n": 1, "x": 1}}',
+                     '{"n": 1, "x": 1}\u00a0', '{"n": 1, "x": 1}\x0c', '\u3000{"n": 1, "x": 1}',
+                     '{"n": 1, "x": 1, "note": "\u00e9\\"\u2028"}', '{"n": true, "x": 1}',
+                     '{"n": 1, "x": ' + "1" * 5000 + "}", '{"n": 1' + "0" * 4999 + ', "x": 1}']),
+)
+
+
+@given(lines=st.lists(_LINES, max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=6, max_size=6),
+       last=st.booleans(), schema=st.sampled_from([None, "demo"]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_jsonl_equals_the_json_loads_reader(tmp_path, lines, ends, last, schema):
+    """Records, their order and every refusal message are those of ``json.loads`` line by line."""
+    header = ['{"schema": "demo", "version": 1}'] if schema else []
+    text = "".join(line + end for line, end in zip(header + lines, ends + ends))
+    if last and text:  # no newline after the last line
+        text = text.rstrip("\r\n")
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    fields = {"n": int, "x": NUMBER, "note?": str}
+    assert _outcome(read_jsonl(path, Bad, fields, schema)) == _outcome(
+        reference_read_jsonl(path, Bad, fields, schema))

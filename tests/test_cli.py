@@ -614,6 +614,7 @@ _MISSING = lambda d: ["filter", "--pseudo-labels", d / "missing.jsonl", "--corpu
 _REPORT = lambda d: ["report", "--run-dir", d / "sweep"]
 _CONFIG = lambda d: ["train-teacher", "--config", d / "teacher" / "config.json"]
 _ONE_OF = "filter: exactly one of --score-threshold / --max-wer"
+BIG = "1" + "0" * 400  # JSON reads 10**400 as an int, which float() cannot hold
 
 # Flag-parsing errors and --config snapshots, refused before anything is written
 _ARGV_ROWS = {
@@ -663,6 +664,13 @@ _ARGV_ROWS = {
     **{f"{command}-negative-seed": Refusal(lambda d, command=command: [command, "--seed", "-1"],
                                            "ConfigurationError", "--seed must be >= 0, got -1", out=ABSENT)
        for command in cli.COMMANDS},
+    # as in a file, an integer flag's value beyond the float range, whose digits are not printed
+    "seed-10**400": Refusal(lambda d: ["gen-corpus", "--seed", BIG], "ConfigurationError",
+                            "--seed is an integer beyond the float range", out=ABSENT),
+    "epochs-10**400": Refusal(_on("ipl", "--epochs", BIG), "ConfigurationError",
+                              "--epochs is an integer beyond the float range", out=ABSENT),
+    "ignored-seed--10**400": Refusal(lambda d: ["report", "--seed", "-" + BIG], "ConfigurationError",
+                                     "--seed is an integer beyond the float range", out=ABSENT),
 }
 
 # Values out of range, and inputs that parse but cannot make a run, refused after config.json
@@ -866,10 +874,9 @@ MALFORMED_RUNS = {
 }
 
 # One rule for every JSON value a command reads: exactly a type its field table lists, every
-# number finite, an integer in a float field within the float range. A number in each file, set
+# number finite, an integer within the float range. A number in each file, set
 # to each of RULE_VALUES and of its RULE_EXTRAS: (file, its line or None, what the message
 # names, where the value goes, error, argv in the world copy)
-BIG = "1" + "0" * 400  # JSON reads 10**400 as an int, which float() cannot hold
 RULE_VALUES = ["true", '"0.5"', "NaN", "Infinity", "-Infinity", "1e999"]
 RULE_INPUTS = {
     "meta": ("corpus/meta.json", 1, "field 'feature_dim'", _set("feature_dim"), "ManifestError", _TRAIN),
@@ -894,10 +901,10 @@ RULE_INPUTS = {
     "estimate": ("est/estimate.json", 1, "field 'threshold'", _set("threshold"), "ConfigurationError",
                  lambda d: ["report", "--run-dir", d / "est"]),
 }
-# null where no default is None; an integer beyond the float range in every float field
-RULE_EXTRAS = {"config-int": ["null"], "config-float": ["null", BIG],
-               **dict.fromkeys(["pseudo-label-score", "pseudo-label-oracle-wer", "checkpoint-parameter",
-                                "teacher-report", "iteration-report", "sweep-threshold", "estimate"], [BIG])}
+# null where no default is None; an integer beyond the float range in every field, whose digits
+# no message prints
+RULE_EXTRAS = {**dict.fromkeys(RULE_INPUTS, [BIG]),
+               "config-int": ["null", BIG], "config-float": ["null", BIG]}
 
 
 def _where(file, lineno) -> str:
@@ -918,6 +925,10 @@ REFUSALS = {
         **_damaged(file, lineno or 1, lambda line, put=put, token=token: _with_token(line, put, token)))
        for case, (file, lineno, named, put, error, argv) in RULE_INPUTS.items()
        for token in RULE_VALUES + RULE_EXTRAS.get(case, [])},
+    "checkpoint-hidden-dim-10**400": Refusal(
+        _TEACHER, "ConfigurationError", "{d}/teacher/teacher_model.json:1: field 'hidden_dim' is an integer "
+        "beyond the float range, expected a finite number",
+        **_damaged("teacher/teacher_model.json", 1, lambda line: _with_token(line, _set("hidden_dim"), BIG))),
     # an integer literal longer than int() reads
     "meta-5000-digit-feature-dim": Refusal(
         _TRAIN, "ManifestError", "{d}/corpus/meta.json:1: invalid JSON: Exceeds the limit (4300...",
@@ -960,6 +971,7 @@ def test_refused_input_exits_2_with_one_json_record(world, tmp_path, capsys, cas
     err = json.loads(lines[0])
     assert isinstance(err, dict) and sorted(err) == ["error", "message"]
     assert err["error"] == row.error, err
+    assert not re.search(r"\d{20}", err["message"])  # no message prints a huge integer's digits
     pin = row.pin.replace("{d}", str(root))
     if pin.endswith("..."):
         assert err["message"].startswith(pin[:-3]), (err["message"], pin)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from iplfilter.artifacts import _dump
 from iplfilter.corpus import (
     CorpusGenConfig,
     CorpusSplits,
@@ -22,6 +23,7 @@ from iplfilter.corpus import (
     save_manifest,
 )
 from iplfilter.errors import ConfigurationError, ManifestError
+from test_pseudolabel import _IDS
 
 SMALL = CorpusGenConfig(n_labeled=3, n_unlabeled=4, n_dev=2, n_test=2)
 # Signed zero, the smallest subnormals, a subnormal and the largest finite magnitudes
@@ -32,6 +34,15 @@ def manifest_bytes(tmp_path, splits, name):
     d = tmp_path / name
     save_manifest(splits, d)
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def _utterance_record(fs, labels):
+    """The record of one manifest line, whose encoding ``save_manifest`` must write."""
+    rec = {"utterance_id": fs.utterance_id, "num_frames": fs.num_frames, "feature_dim": fs.feature_dim,
+           "frames": base64.b64encode(fs.frames.astype("<f8").tobytes()).decode()}
+    if labels is not None:
+        rec["tokens"] = list(labels.tokens)
+    return rec
 
 
 def _edit_frames(path, lineno, edit):
@@ -187,6 +198,21 @@ class TestManifestRoundTrip:
             assert loaded.frames.shape == fs.frames.shape
             assert np.array_equal(loaded.frames.view(np.uint64), fs.frames.view(np.uint64))
 
+    @given(rows=st.lists(st.tuples(_IDS, st.lists(st.integers(1, 3), min_size=1, max_size=6),
+                                   arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)))),
+                         min_size=1, max_size=8, unique_by=lambda row: row[0]),
+           n_labeled=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_lines_equal_the_record_encoder(self, tmp_path, rows, n_labeled):
+        # save_manifest formats each line itself: the bytes must be the encoded record's
+        pairs = [(FeatureSequence(uid, frames), LabelSequence(toks)) for uid, toks, frames in rows]
+        splits = CorpusSplits(vocabulary=default_vocabulary(3), labeled=pairs[:n_labeled],
+                              unlabeled=[fs for fs, _ in pairs[n_labeled:]])
+        save_manifest(splits, tmp_path / "m")
+        for name in ("labeled", "unlabeled"):
+            assert (tmp_path / "m" / f"{name}.jsonl").read_text(encoding="utf-8") == "".join(
+                _dump(_utterance_record(fs, lab)) for fs, lab in splits.pairs(name))
+
     def test_truncated_record_names_line(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")
@@ -236,6 +262,35 @@ class TestManifestRoundTrip:
         target = tmp_path / "m" / "unlabeled.jsonl"
         _edit_frames(target, 2, lambda raw: raw[:8] + np.float64(value).tobytes() + raw[16:])
         expected = f"{target}:2: utterance unl-0001: non-finite frame value"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
+
+    @pytest.mark.parametrize("index", [0, 255, 256, 599])
+    def test_non_finite_frame_in_any_block_names_its_line(self, tmp_path, index):
+        # frames are finite-checked 256 utterances at a time; the fault's own line is named
+        save_manifest(generate_corpus(dataclasses.replace(SMALL, n_unlabeled=600), seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "unlabeled.jsonl"
+        _edit_frames(target, index + 1, lambda raw: raw[:8] + np.float64("nan").tobytes() + raw[16:])
+        expected = f"{target}:{index + 1}: utterance unl-{index:04d}: non-finite frame value"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: {**rec, "frames": "1.5"},
+        lambda rec: {**rec, "feature_dim": rec["feature_dim"] + 1},
+        lambda rec: {**rec, "num_frames": "1"},
+        lambda rec: None,
+    ], ids=["base64", "feature-dim", "field-type", "invalid-json"])
+    def test_non_finite_frame_before_another_fault_is_named_first(self, tmp_path, edit):
+        # a later fault in the same block is found before the block's frame check runs
+        save_manifest(generate_corpus(dataclasses.replace(SMALL, n_labeled=8), seed=2), tmp_path / "m")
+        target = tmp_path / "m" / "labeled.jsonl"
+        _edit_frames(target, 3, lambda raw: raw[:8] + np.float64("nan").tobytes() + raw[16:])
+        lines = target.read_text().splitlines()
+        rec = edit(json.loads(lines[6]))
+        lines[6] = lines[6][:-5] if rec is None else json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        expected = f"{target}:3: utterance lab-0002: non-finite frame value"
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
