@@ -248,6 +248,11 @@ def _utterance_line(fs: FeatureSequence, labels: LabelSequence | None) -> str:
             f'{tokens}"utterance_id": {encode_basestring_ascii(fs.utterance_id)}}}\n')
 
 
+def _refs_line(uid: str, labels: LabelSequence) -> str:
+    """The refs file line of one transcript, formatted as ``write_jsonl`` writes its record."""
+    return f'{{"tokens": {list(labels.tokens)}, "utterance_id": {encode_basestring_ascii(uid)}}}\n'
+
+
 def save_manifest(splits: CorpusSplits, out_dir) -> None:
     """Write one directory per corpus: meta + one jsonl file per split.
 
@@ -265,11 +270,9 @@ def save_manifest(splits: CorpusSplits, out_dir) -> None:
     for name in SPLITS:
         write_jsonl(out / _SPLIT_FILES[name],
                     (_utterance_line(fs, lab) for fs, lab in splits.pairs(name)))
-    refs = [
-        {"utterance_id": uid, "tokens": list(lab.tokens)}
-        for uid, lab in ((fs.utterance_id, splits.unlabeled_refs[fs.utterance_id]) for fs in splits.unlabeled)
-    ] if splits.unlabeled_refs else []
-    write_jsonl(out / _REFS_FILE, refs)
+    refs = splits.unlabeled_refs
+    lines = (_refs_line(fs.utterance_id, refs[fs.utterance_id]) for fs in splits.unlabeled) if refs else ()
+    write_jsonl(out / _REFS_FILE, lines)
 
 
 # Utterances whose frames are finite-checked at once, as one concatenation
@@ -317,7 +320,18 @@ def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_label
     if not with_labels:
         return out
     checked_tokens(wheres, tokens, vocab.num_classes, [fs.utterance_id for fs in out])
-    return list(zip(out, map(LabelSequence, tokens)))
+    return list(zip(out, _checked_labels(tokens)))
+
+
+def _checked_labels(token_lists) -> list[LabelSequence]:
+    """The labels of token lists that :func:`checked_tokens` has checked, built
+    without ``LabelSequence``'s per-token conversion and range check."""
+    labels = []
+    for tokens in token_lists:
+        label = object.__new__(LabelSequence)
+        object.__setattr__(label, "tokens", tuple(tokens))
+        labels.append(label)
+    return labels
 
 
 def stacked(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -377,8 +391,9 @@ def _read_refs(root: Path, vocab: Vocabulary) -> dict[str, LabelSequence]:
             raise ManifestError(f"{where}: duplicate utterance_id {rec['utterance_id']!r}")
         refs[rec["utterance_id"]] = rec["tokens"]
         wheres.append(where)
-    checked_tokens(wheres, list(refs.values()), vocab.num_classes, list(refs))
-    return {uid: LabelSequence(tokens) for uid, tokens in refs.items()}
+    token_lists = list(refs.values())
+    checked_tokens(wheres, token_lists, vocab.num_classes, list(refs))
+    return dict(zip(refs, _checked_labels(token_lists)))
 
 
 def load_manifest(in_dir, splits=SPLITS) -> CorpusSplits:

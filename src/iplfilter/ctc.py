@@ -291,7 +291,9 @@ def greedy_decode(logp, lengths=None):
     emit[1:] = alignment[1:] != alignment[:-1]
     emit[starts] = True
     emit &= alignment != BLANK
-    return alignment[emit], np.add.reduceat(emit, starts, dtype=np.int64), arr.max(axis=1)
+    # a row's first maximum is its maximum, NaN included
+    frame_max = arr[np.arange(alignment.size), alignment]
+    return alignment[emit], np.add.reduceat(emit, starts, dtype=np.int64), frame_max
 
 
 def brute_force_ctc(logp, labels) -> float:

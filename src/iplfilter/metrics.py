@@ -36,6 +36,10 @@ class Histogram:
     counts: tuple[int, ...]
 
 
+# Moves of the edit-distance backtrace; 0 marks the origin
+_HIT, _SUBSTITUTION, _DELETION, _INSERTION = 1, 2, 3, 4
+
+
 def edit_counts(ref, hyp, ref_lengths=None, hyp_lengths=None) -> EditCounts:
     """Counts of a minimal-cost alignment under unit costs, for one pair or a batch.
 
@@ -45,14 +49,15 @@ def edit_counts(ref, hyp, ref_lengths=None, hyp_lengths=None) -> EditCounts:
     ``hyp_lengths[b]`` of each), and every count is a (B,) int array. A
     single pair is the batch of one, with int counts.
 
-    One padded ``(n + 1, m + 1, B)`` table, n and m the longest reference
-    and hypothesis, holds every pair's dynamic program, one row of numpy ops
-    per reference position; a row's insertion chain is
-    ``j + minimum.accumulate(x - j)``. A pair's cells never read the padding
-    beyond its own lengths. The backtrace runs over all pairs at once, its
-    ties preferring hit > substitution > deletion > insertion, so the count
-    decomposition is deterministic even when several alignments share the
-    minimal distance.
+    The dynamic program runs one row of numpy ops per reference position
+    over all pairs at once, on ``(m + 1, B)`` rows padded to n and m, the
+    longest reference and hypothesis; a row's insertion chains are a
+    running minimum of ``row - j``, one column at a time. A pair's cells
+    never read the padding beyond its own lengths. Each row also stores the
+    move into each of its cells, preferring hit > substitution > deletion >
+    insertion, so the count decomposition is deterministic even when
+    several alignments share the minimal distance. Every pair then follows
+    its moves back to the origin, where a finished pair stays.
     """
     if (ref_lengths is None) != (hyp_lengths is None):
         raise ValueError("a batch needs both ref_lengths and hyp_lengths")
@@ -71,43 +76,34 @@ def edit_counts(ref, hyp, ref_lengths=None, hyp_lengths=None) -> EditCounts:
     R, H = _padded(r_tok, r_len, n), _padded(h_tok, h_len, m)  # token i of pair b at [i, b]
     # the smallest signed type that holds every cell, cell + 1 and cell - m
     col = np.arange(m + 1, dtype=np.min_scalar_type(-(n + m + 2)))[:, None]
-    table = np.empty((n + 1, m + 1, B), dtype=col.dtype)
-    table[0] = col
+    prev, row = np.repeat(col, B, axis=1), np.empty((m + 1, B), dtype=col.dtype)
+    moves = np.empty((n + 1, m + 1, B), dtype=np.uint8)  # the move into cell [i, j] of pair b
+    moves[0], moves[1:, 0], moves[0, 0] = _INSERTION, _DELETION, 0
     for i in range(1, n + 1):
-        prev, row = table[i - 1], table[i]
-        np.add(prev[:-1], R[i] != H[1:], out=row[1:])  # hit or substitution
-        np.minimum(row[1:], prev[1:] + 1, out=row[1:])  # deletion
+        diff = R[i] != H[1:]
+        diag, up = prev[:-1] + diff, prev[1:] + 1  # hit or substitution; deletion
+        np.minimum(diag, up, out=row[1:])
         row[0] = i
-        np.subtract(row, col, out=row)
-        np.minimum.accumulate(row, axis=0, out=row)  # insertion chains
+        row -= col
+        for j in range(1, m + 1):  # insertion chains
+            np.minimum(row[j], row[j - 1], out=row[j])
         row += col
+        cur, code = row[1:], moves[i, 1:]
+        np.subtract(_INSERTION, up == cur, out=code, dtype=np.uint8)  # or a deletion
+        code -= (diag == cur) * (code - _HIT - diff)  # or a hit or substitution
+        prev, row = row, prev
 
-    # Backtrace on flat indices into the table: one step back in i is
+    # Backtrace on flat indices into the moves: one step back in i is
     # ``step`` cells, one in j is B. Only hits and substitutions are
     # counted; deletions and insertions are what the lengths leave over.
-    step, pair = (m + 1) * B, np.arange(B)
-    flat = table.reshape(-1)
-    i, j = r_len.copy(), h_len.copy()
-    at = i * step + j * B + pair
-    hits, subs = np.zeros((2, B), dtype=np.int64)
-    while True:
-        live_i, live_j = i > 0, j > 0
-        live = live_i | live_j
-        if not live.any():
-            break
-        cur = flat[at]
-        diag, up = flat.take(at - step - B, mode="clip"), flat.take(at - step, mode="clip")
-        both = live_i & live_j
-        hit = both & (R[i, pair] == H[j, pair]) & (diag == cur)
-        sub = both & ~hit & (diag + 1 == cur)
-        dele = live_i & ~(hit | sub) & (up + 1 == cur)
-        back_j = live & ~dele
-        back_i = hit | sub | dele
-        hits += hit
-        subs += sub
-        i -= back_i
-        j -= back_j
-        at -= back_i * step + back_j * B
+    step = (m + 1) * B
+    back = np.array([0, step + B, step + B, step, B])  # cells back, by move
+    at = r_len * step + h_len * B + np.arange(B)
+    flat, path = moves.reshape(-1), np.empty((n + m, B), dtype=np.uint8)
+    for s in range(n + m):
+        flat.take(at, out=path[s])
+        at -= back.take(path[s])
+    hits, subs = (path == _HIT).sum(axis=0), (path == _SUBSTITUTION).sum(axis=0)
     counts = (subs, r_len - hits - subs, h_len - hits - subs, hits)  # S, D, I, H
     return EditCounts(*(int(x[0]) for x in counts) if single else counts)
 

@@ -159,7 +159,8 @@ def evaluate_wer(model: AcousticModel, pairs) -> float:
     """Pooled greedy-decode WER of a model over (features, reference) pairs."""
     pairs = list(pairs)
     tokens, lengths, _, _ = decode_split(model, [fs for fs, _ in pairs])
-    return wer(zip([ref for _, ref in pairs], np.split(tokens, np.cumsum(lengths)[:-1])))
+    toks, ends = tokens.tolist(), np.cumsum(lengths).tolist()
+    return wer(zip([ref for _, ref in pairs], [toks[a:b] for a, b in zip([0, *ends], ends)]))
 
 
 def check_splits(splits: CorpusSplits) -> None:

@@ -83,13 +83,15 @@ def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) 
     blank). A NaN frame, whose argmax is 0 (blank), is always scored.
     """
     utts = list(utterances)
-    for fs in utts:
-        check_feature_dim(model, fs)
+    frames = [fs.frames for fs in utts]
+    if any(f.shape[1] != model.feature_dim for f in frames):
+        for fs in utts:  # names the first utterance that does not fit
+            check_feature_dim(model, fs)
+    all_counts = np.fromiter(map(len, frames), np.int64, len(frames))
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
     for lo in range(0, len(utts), DECODE_BLOCK):
-        block = utts[lo : lo + DECODE_BLOCK]
-        counts = np.array([fs.num_frames for fs in block])
-        logp = forward_frames(model, np.concatenate([fs.frames for fs in block]))
+        counts = all_counts[lo : lo + DECODE_BLOCK]
+        logp = forward_frames(model, np.concatenate(frames[lo : lo + DECODE_BLOCK]))
         tokens, lengths, fmax = greedy_decode(logp, counts)
         if exclude_blank:
             starts = np.cumsum(counts) - counts

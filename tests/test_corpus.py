@@ -207,11 +207,24 @@ class TestManifestRoundTrip:
         # save_manifest formats each line itself: the bytes must be the encoded record's
         pairs = [(FeatureSequence(uid, frames), LabelSequence(toks)) for uid, toks, frames in rows]
         splits = CorpusSplits(vocabulary=default_vocabulary(3), labeled=pairs[:n_labeled],
-                              unlabeled=[fs for fs, _ in pairs[n_labeled:]])
+                              unlabeled=[fs for fs, _ in pairs[n_labeled:]],
+                              unlabeled_refs={fs.utterance_id: lab for fs, lab in pairs[n_labeled:]})
         save_manifest(splits, tmp_path / "m")
         for name in ("labeled", "unlabeled"):
             assert (tmp_path / "m" / f"{name}.jsonl").read_text(encoding="utf-8") == "".join(
                 _dump(_utterance_record(fs, lab)) for fs, lab in splits.pairs(name))
+        assert (tmp_path / "m" / "unlabeled_refs.jsonl").read_text(encoding="utf-8") == "".join(
+            _dump({"tokens": list(lab.tokens), "utterance_id": fs.utterance_id})
+            for fs, lab in pairs[n_labeled:])
+
+    def test_read_labels_are_label_sequences_of_ints(self, tmp_path):
+        # labels read from a file are built without LabelSequence's own conversion
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        back = load_manifest(tmp_path / "m")
+        labels = [*load_refs(tmp_path / "m").values(), *back.unlabeled_refs.values(),
+                  *(lab for name in ("labeled", "dev", "test") for _, lab in getattr(back, name))]
+        assert labels and all(type(lab) is LabelSequence and type(lab.tokens) is tuple
+                              and {type(t) for t in lab.tokens} == {int} for lab in labels)
 
     def test_truncated_record_names_line(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)

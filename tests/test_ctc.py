@@ -413,6 +413,17 @@ class TestGreedyDecode:
             assert tuple(hyps[b].tolist()) == collapse(part.argmax(axis=1)).tokens
             assert np.array_equal(fmax[lo : lo + lengths[b]], part.max(axis=1))
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_frame_maxima_equal_the_row_maxima(self, data):
+        # the maxima are read at the argmax: rows of NaN, of -inf alone, and of ties
+        C = data.draw(st.integers(2, 5))
+        cell = st.sampled_from([np.nan, -np.inf, -1.0, 0.0])
+        logp = np.array(data.draw(st.lists(st.lists(cell, min_size=C, max_size=C), min_size=1, max_size=12)))
+        logp[data.draw(st.integers(0, len(logp) - 1))] = -np.inf
+        _, _, fmax = greedy_decode(logp, [len(logp)])
+        assert np.array_equal(fmax, logp.max(axis=1), equal_nan=True)
+
     def test_batch_across_a_boundary_keeps_both_tokens(self):
         logp = np.log(np.array([[0.1, 0.8, 0.1], [0.1, 0.8, 0.1], [0.1, 0.8, 0.1]]))
         tokens, n_tokens, _ = greedy_decode(logp, [2, 1])

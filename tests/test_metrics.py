@@ -151,6 +151,20 @@ class TestEditCountsBatch:
         assert all(type(x) is int for x in astuple(single))
         assert astuple(single) == tuple(int(x[0]) for x in astuple(c))
 
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=80),
+                              st.lists(st.integers(1, 3), max_size=80)), max_size=4))
+    @example([([(7 * i) % 3 + 1 for i in range(63)], [(5 * i) % 3 + 1 for i in range(63)])])
+    @example([([(7 * i) % 3 + 1 for i in range(64)], [(5 * i) % 3 + 1 for i in range(64)]), ([], [1])])
+    @example([([(7 * i) % 3 + 1 for i in range(70)], [(i // 2) % 3 + 1 for i in range(80)]), ([2], [])])
+    @example([([(7 * i) % 3 + 1 for i in range(130)], [1, 2])])
+    @settings(max_examples=30, deadline=None)
+    def test_wide_tables_match_the_reference(self, pairs):
+        # from n + m + 2 = 130 on the table's cells are int16, not int8: (63, 63) is the
+        # last int8 case, and a distance of 130 would not fit in an int8 cell
+        c = edit_counts(*stacked(pairs))
+        got = list(zip(c.substitutions.tolist(), c.deletions.tolist(), c.insertions.tolist(), c.hits.tolist()))
+        assert got == [astuple(reference_edit_counts(r, h)) for r, h in pairs]
+
     @given(ragged_pairs)
     @settings(max_examples=200, deadline=None)
     def test_wers_equal_the_per_pair_reference_bit_for_bit(self, pairs):
