@@ -3,11 +3,11 @@
 A ``.json`` file holds one JSON object, whose ``schema`` and ``version`` keys
 name its schema; a ``.jsonl`` file holds one object per line, after a
 ``{"schema": ..., "version": 1}`` header line when it has a schema; summaries
-and timings are plain text. Objects are written with sorted keys and a
-newline, so equal content gives equal bytes. Each file is written to
-``<name>.tmp`` beside its target, creating the directory if needed, and moved
-into place with ``os.replace``, so a failed write leaves the earlier file, or
-none, never part of one.
+and timings are plain text; a ``.npy`` file holds one array. Objects are written with
+sorted keys and a newline, arrays with ``np.save``'s fixed header, so equal content gives
+equal bytes. Each file is written to ``<name>.tmp`` beside its target, creating the
+directory if needed, and moved into place with ``os.replace``, so a failed write leaves
+the earlier file, or none, never part of one.
 
 Readers stream ``.jsonl`` files line by line, require every record to be an object, and
 check the schema and, given a field table, each record's fields: each value must have
@@ -23,6 +23,8 @@ import os
 from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
+
+import numpy as np
 
 VERSION = 1  # every schema is at version 1; readers reject any other
 NUMBER = (int, float)  # json reads an integral value such as -1 back as an int
@@ -54,12 +56,12 @@ def record_fields(cls, skip=()) -> dict:
     return {name: _JSON_TYPES[hint] for name, hint in hints.items()}
 
 
-def _replace(path, write) -> None:
+def _replace(path, write, binary: bool = False) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -81,6 +83,25 @@ def write_jsonl(path, records, schema: str | None = None) -> None:
     header = [] if schema is None else [{"schema": schema, "version": VERSION}]
     lines = (rec if isinstance(rec, str) else _dump(rec) for rec in chain(header, records))
     _replace(path, lambda fh: fh.writelines(lines))
+
+
+def write_npy(path, array: np.ndarray) -> None:
+    _replace(path, lambda fh: np.save(fh, array, allow_pickle=False), binary=True)
+
+
+def read_npy(path, error) -> np.ndarray:
+    """The one array of a ``.npy`` file: no pickled object, and no byte after its data."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{path}: missing file")
+    with path.open("rb") as fh:
+        try:  # the .npy format alone: np.load would also open a zip (.npz) or pickle file
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as e:  # an empty file, a cut or bad header, cut data, or pickled objects
+            raise error(f"{path}: not a .npy array: {e}") from e
+        if fh.read(1):
+            raise error(f"{path}: bytes after the array's data")
+    return array
 
 
 def _parse(path, lineno: int, text: str, error) -> dict:

@@ -15,16 +15,15 @@ repeat-free labels only require at least one frame per token.
 
 from __future__ import annotations
 
-import base64
 import string
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import read_json, read_jsonl, read_npy, write_json, write_jsonl, write_npy
 from .errors import ConfigurationError, ManifestError, check_config
 
 # Class index reserved for the CTC blank. Label tokens use indices >= 1.
@@ -32,15 +31,16 @@ BLANK = 0
 
 MANIFEST_SCHEMA = "corpus-manifest"
 _META_FIELDS = {"tokens": list, "feature_dim": int}
-_UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int, "feature_dim": int, "frames": str}
+_UTTERANCE_FIELDS = {"utterance_id": str, "num_frames": int}
 _LABELED_FIELDS = {**_UTTERANCE_FIELDS, "tokens": list}
 _REFS_FIELDS = {"utterance_id": str, "tokens": list}
-# A record's frames: the base64 text of the (T, D) matrix's row-major bytes in this type
+# A split's frames: its (T, D) matrices stacked in line order, one C-order array of this type
 _FRAME_DTYPE = np.dtype("<f8")
 
 SPLITS = ("labeled", "unlabeled", "dev", "test")
 _ID_PREFIXES = {"labeled": "lab", "unlabeled": "unl", "dev": "dev", "test": "tst"}
 _SPLIT_FILES = {name: f"{name}.jsonl" for name in SPLITS}
+_FRAME_FILES = {name: f"{name}.frames.npy" for name in SPLITS}
 _REFS_FILE = "unlabeled_refs.jsonl"
 _META_FILE = "meta.json"
 
@@ -97,8 +97,8 @@ class LabelSequence:
 class FeatureSequence:
     """A (T, D) frame matrix for one utterance.
 
-    Frames read from a manifest are read-only views of the decoded bytes;
-    nothing writes frames in place.
+    Frames read from a manifest are read-only row views of the array loaded
+    from their split's ``.frames.npy`` file; nothing writes frames in place.
     """
 
     utterance_id: str
@@ -242,10 +242,9 @@ def generate_corpus(gen_config: CorpusGenConfig, seed: int) -> CorpusSplits:
 
 def _utterance_line(fs: FeatureSequence, labels: LabelSequence | None) -> str:
     """The manifest line of one utterance, formatted as ``write_jsonl`` writes its record."""
-    frames = base64.b64encode(fs.frames.astype(_FRAME_DTYPE, copy=False).tobytes()).decode()
     tokens = "" if labels is None else f'"tokens": {list(labels.tokens)}, '
-    return (f'{{"feature_dim": {fs.feature_dim}, "frames": "{frames}", "num_frames": {fs.num_frames}, '
-            f'{tokens}"utterance_id": {encode_basestring_ascii(fs.utterance_id)}}}\n')
+    uid = encode_basestring_ascii(fs.utterance_id)
+    return f'{{"num_frames": {fs.num_frames}, {tokens}"utterance_id": {uid}}}\n'
 
 
 def _refs_line(uid: str, labels: LabelSequence) -> str:
@@ -254,73 +253,54 @@ def _refs_line(uid: str, labels: LabelSequence) -> str:
 
 
 def save_manifest(splits: CorpusSplits, out_dir) -> None:
-    """Write one directory per corpus: meta + one jsonl file per split.
+    """Write one directory per corpus: meta, and per split a jsonl file and a frames file.
 
-    Each utterance's ``frames`` field is the base64 text of its row-major
-    little-endian float64 (``<f8``) bytes, so the round trip is exact to the bit.
-    The unlabeled split's public file carries no transcripts; the hidden truth
-    goes to a separate refs file read only by oracle paths.
+    A split's ``<split>.frames.npy`` stacks its frame matrices in line order,
+    one little-endian float64 (``<f8``) array in C order, so the round trip is
+    exact to the bit; each line holds ``utterance_id``, ``num_frames`` and, in
+    a labeled split, ``tokens``. The hidden truth of the unlabeled split goes
+    to a separate refs file read only by oracle paths.
     """
-    out = Path(out_dir)
-    meta = {
-        "tokens": list(splits.vocabulary.tokens),
-        "feature_dim": splits.feature_dim,
-    }
-    write_json(out / _META_FILE, meta, MANIFEST_SCHEMA)
+    out, dim = Path(out_dir), splits.feature_dim
+    write_json(out / _META_FILE, {"tokens": list(splits.vocabulary.tokens), "feature_dim": dim}, MANIFEST_SCHEMA)
     for name in SPLITS:
-        write_jsonl(out / _SPLIT_FILES[name],
-                    (_utterance_line(fs, lab) for fs, lab in splits.pairs(name)))
+        pairs = splits.pairs(name)
+        frames = np.concatenate([np.empty((0, dim), _FRAME_DTYPE), *(fs.frames for fs, _ in pairs)])
+        write_npy(out / _FRAME_FILES[name], frames.astype(_FRAME_DTYPE, copy=False))
+        write_jsonl(out / _SPLIT_FILES[name], (_utterance_line(fs, lab) for fs, lab in pairs))
     refs = splits.unlabeled_refs
     lines = (_refs_line(fs.utterance_id, refs[fs.utterance_id]) for fs in splits.unlabeled) if refs else ()
     write_jsonl(out / _REFS_FILE, lines)
 
 
-# Utterances whose frames are finite-checked at once, as one concatenation
-_FINITE_BLOCK = 256
-
-
-def _check_finite(utts: list, wheres: list) -> None:
-    """Refuse the first of ``utts`` holding a non-finite frame value, naming where it was read."""
-    if utts and not np.isfinite(np.concatenate([fs.frames for fs in utts])).all():
-        # the bytes can hold NaN and infinities; training on them fails far from the file
-        i = next(i for i, fs in enumerate(utts) if not np.isfinite(fs.frames).all())
-        raise ManifestError(f"{wheres[i]}: utterance {utts[i].utterance_id}: non-finite frame value")
-
-
-def _read_utterances(path: Path, vocab: Vocabulary, feature_dim: int, with_labels: bool):
-    out, wheres, tokens = [], [], []
-    block = []  # where the last len(block) of out are; any refusal checks them first, naming the first fault
-    fields = _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS
-    try:
-        for where, rec in read_jsonl(path, ManifestError, fields):
-            uid, T, D = rec["utterance_id"], rec["num_frames"], rec["feature_dim"]
-            if D != feature_dim:
-                raise ManifestError(f"{where}: utterance {uid}: feature_dim {D} != manifest {feature_dim}")
-            try:
-                raw = base64.b64decode(rec["frames"], validate=True)
-            except ValueError as e:  # binascii.Error, or text that is not ASCII
-                raise ManifestError(f"{where}: utterance {uid}: frames are not base64: {e}") from e
-            size = T * D * _FRAME_DTYPE.itemsize
-            if len(raw) != size:
-                raise ManifestError(
-                    f"{where}: frames hold {len(raw)} bytes != num_frames*feature_dim*8 {size}")
-            try:
-                out.append(FeatureSequence(uid, np.frombuffer(raw, _FRAME_DTYPE).reshape(T, D)))
-            except ValueError as e:
-                raise ManifestError(f"{where}: utterance {uid}: {e}") from e
-            block.append(where)
-            if with_labels:
-                wheres.append(where)
-                tokens.append(rec["tokens"])
-            if len(block) == _FINITE_BLOCK:
-                _check_finite(out[-_FINITE_BLOCK:], block)
-                block.clear()
-    finally:
-        _check_finite(out[len(out) - len(block):], block)
-    if not with_labels:
-        return out
-    checked_tokens(wheres, tokens, vocab.num_classes, [fs.utterance_id for fs in out])
-    return list(zip(out, _checked_labels(tokens)))
+def _read_utterances(root: Path, name: str, vocab: Vocabulary, feature_dim: int):
+    """Split ``name``: its frames file read, then its lines, then the frames checked against them."""
+    npy, path, with_labels = root / _FRAME_FILES[name], root / _SPLIT_FILES[name], name != "unlabeled"
+    frames = read_npy(npy, ManifestError)
+    rows = list(read_jsonl(path, ManifestError, _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS))
+    wheres = [where for where, _ in rows]
+    uids, counts = [rec["utterance_id"] for _, rec in rows], [rec["num_frames"] for _, rec in rows]
+    tokens = [rec["tokens"] for _, rec in rows] if with_labels else []
+    if min(counts, default=1) < 1:
+        i = next(i for i, T in enumerate(counts) if T < 1)
+        raise ManifestError(f"{wheres[i]}: utterance {uids[i]}: num_frames must be >= 1, got {counts[i]}")
+    if with_labels:
+        checked_tokens(wheres, tokens, vocab.num_classes, uids)
+    if frames.dtype != _FRAME_DTYPE:
+        raise ManifestError(f"{npy}: dtype {frames.dtype.str}, expected {_FRAME_DTYPE.str}")
+    if frames.ndim != 2 or frames.shape[1] != feature_dim:
+        raise ManifestError(f"{npy}: shape {frames.shape}, expected (rows, {feature_dim}) by meta.json")
+    if not frames.flags.c_contiguous:
+        raise ManifestError(f"{npy}: frames in Fortran order, expected C order")
+    if sum(counts) != len(frames):
+        raise ManifestError(f"{npy}: {len(frames)} rows != {sum(counts)}, the num_frames total of {path}")
+    ends = list(accumulate(counts))
+    if not np.isfinite(frames).all():  # training on a NaN or an infinity fails far from the file
+        i = int(np.searchsorted(ends, np.argmin(np.isfinite(frames).all(axis=1)), side="right"))
+        raise ManifestError(f"{npy}: utterance {uids[i]} ({wheres[i]}): non-finite frame value")
+    frames.flags.writeable = False
+    out = [FeatureSequence(uid, frames[end - T:end]) for uid, T, end in zip(uids, counts, ends)]
+    return list(zip(out, _checked_labels(tokens))) if with_labels else out
 
 
 def _checked_labels(token_lists) -> list[LabelSequence]:
@@ -399,20 +379,18 @@ def _read_refs(root: Path, vocab: Vocabulary) -> dict[str, LabelSequence]:
 def load_manifest(in_dir, splits=SPLITS) -> CorpusSplits:
     """Inverse of :func:`save_manifest`; load(save(x)) == x.
 
-    Only ``meta.json`` and the files of the named ``splits`` are opened,
+    Only ``meta.json`` and the two files of each named split are opened,
     plus the refs file with the unlabeled split; a split not named is
-    returned empty, and so are the refs without the unlabeled split.
+    returned empty, and so are the refs without the unlabeled split. After
+    the lines, a frames array is checked one call per rule: ``<f8``, 2-D,
+    ``meta.json``'s columns, C order, rows = sum of ``num_frames``, finite.
     """
     unknown = set(splits) - set(SPLITS)
     if unknown:
         raise ValueError(f"unknown split(s) {sorted(unknown)}; splits are {SPLITS}")
     root = Path(in_dir)
     vocab, dim = read_meta(root)
-    read = {
-        name: _read_utterances(root / _SPLIT_FILES[name], vocab, dim, with_labels=name != "unlabeled")
-        if name in splits else []
-        for name in SPLITS
-    }
+    read = {name: _read_utterances(root, name, vocab, dim) if name in splits else [] for name in SPLITS}
     refs = _read_refs(root, vocab) if "unlabeled" in splits else {}
     return CorpusSplits(vocabulary=vocab, unlabeled_refs=refs, **read)
 

@@ -136,7 +136,7 @@ def annotate_oracle_wer(pseudo_labels: PseudoLabels, references) -> None:
     """
     ids = pseudo_labels.ids.tolist()
     try:
-        ref_tokens, ref_lengths = stacked(references[uid] for uid in ids)
+        ref_tokens, ref_lengths = stacked(references[uid].tokens for uid in ids)
     except KeyError as e:
         raise OracleError(f"no ground truth for utterance {e.args[0]}") from None
     for i in np.flatnonzero(ref_lengths == 0)[:1]:

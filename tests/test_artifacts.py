@@ -1,10 +1,13 @@
+import io
+import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iplfilter.artifacts import (NUMBER, NumberList, _check_schema, _Fields, _parse, check_fields, read_json,
-                                 read_jsonl, write_json, write_jsonl)
+                                 read_jsonl, read_npy, write_json, write_jsonl, write_npy)
 
 
 class Bad(ValueError):
@@ -15,6 +18,12 @@ def records_then_failure(n):
     for i in range(n):
         yield {"i": i}
     raise RuntimeError("interrupted")
+
+
+def _npz() -> bytes:
+    out = io.BytesIO()
+    np.savez(out, frames=np.zeros((2, 2)))
+    return out.getvalue()
 
 
 class TestAtomicWrite:
@@ -47,6 +56,18 @@ class TestAtomicWrite:
     def test_non_finite_number_is_refused_and_nothing_written(self, tmp_path, write):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write(tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_npy_bytes_are_np_save_s(self, tmp_path):
+        frames = np.arange(6.0).reshape(3, 2)
+        write_npy(tmp_path / "a.npy", frames)
+        np.save(tmp_path / "b.npy", frames)
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+        assert np.array_equal(read_npy(tmp_path / "a.npy", Bad), frames)
+
+    def test_object_array_is_refused_and_nothing_written(self, tmp_path):
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            write_npy(tmp_path / "a.npy", np.array([1, "a"], dtype=object))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -105,6 +126,17 @@ class TestReaders:
             list(read_jsonl(tmp_path / "nope.jsonl", Bad, {}))
         with pytest.raises(Bad, match="missing file"):
             read_json(tmp_path / "nope.json", Bad, "demo")
+        with pytest.raises(Bad, match="missing file"):
+            read_npy(tmp_path / "nope.npy", Bad)
+
+    @pytest.mark.parametrize("raw", [_npz(), pickle.dumps(np.zeros((2, 2))), b"1.5\n"],
+                             ids=["npz-archive", "pickle", "text"])
+    def test_npy_reader_reads_the_npy_format_alone(self, tmp_path, raw):
+        # np.load would open an .npz archive, and a pickle with allow_pickle=True
+        path = tmp_path / "r.npy"
+        path.write_bytes(raw)
+        with pytest.raises(Bad, match=f"^{re.escape(str(path))}: not a .npy array: "):
+            read_npy(path, Bad)
 
     def test_json_object(self, tmp_path):
         path = tmp_path / "r.json"

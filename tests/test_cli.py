@@ -1,5 +1,5 @@
 import argparse
-import base64
+import io
 import json
 import os
 import re
@@ -28,16 +28,6 @@ def corpus_dir(tmp_path):
     d = tmp_path / "corpus"
     assert main(["gen-corpus", "--out-dir", str(d), "--seed", "3", *TINY_CORPUS]) == 0
     return d
-
-
-def _frame_values(rec) -> list:
-    """A manifest record's frame values, as a flat list."""
-    return np.frombuffer(base64.b64decode(rec["frames"]), "<f8").tolist()
-
-
-def _frames_text(values) -> str:
-    """Flat frame values as a manifest record's ``frames`` text."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
 def read_config(run_dir):
@@ -475,8 +465,9 @@ class TestSnapshotRelaunch:
         clone = tmp_path / "clone"
         rc = main(["gen-corpus", "--config", str(corpus_dir / "config.json"), "--out-dir", str(clone)])
         assert rc == 0
-        for name in ("meta.json", "labeled.jsonl", "unlabeled.jsonl", "dev.jsonl",
-                     "test.jsonl", "unlabeled_refs.jsonl", "config.json"):
+        for name in ("meta.json", "labeled.jsonl", "unlabeled.jsonl", "dev.jsonl", "test.jsonl",
+                     "labeled.frames.npy", "unlabeled.frames.npy", "dev.frames.npy", "test.frames.npy",
+                     "unlabeled_refs.jsonl", "config.json"):
             assert (clone / name).read_bytes() == (corpus_dir / name).read_bytes(), name
 
     @pytest.mark.parametrize("argv", [
@@ -523,8 +514,9 @@ def world(tmp_path_factory):
                   "--epochs", "0"]]
     for argv in runs:
         assert main([str(a) for a in argv]) == 0, argv
-    for name, removed in (("no-refs", ["unlabeled_refs.jsonl"]), ("refs-only", ["unlabeled.jsonl"]),
-                          ("no-unlabeled", ["unlabeled.jsonl", "unlabeled_refs.jsonl"])):
+    unlabeled = ["unlabeled.jsonl", "unlabeled.frames.npy"]
+    for name, removed in (("no-refs", ["unlabeled_refs.jsonl"]), ("refs-only", unlabeled),
+                          ("no-unlabeled", [*unlabeled, "unlabeled_refs.jsonl"])):
         shutil.copytree(corpus, root / name)
         for f in removed:
             (root / name / f).unlink()
@@ -563,6 +555,7 @@ class TestCorpusFilesRead:
         shutil.copytree(world / "corpus", corpus)
         for name in ("unlabeled.jsonl", "unlabeled_refs.jsonl"):
             (corpus / name).write_text("")
+        np.save(corpus / "unlabeled.frames.npy", np.zeros((0, 8)))
         run, rep = tmp_path / "run", tmp_path / "report"
         assert main(["ipl", "--corpus", str(corpus), "--out-dir", str(run), "--epochs", "0",
                      "--iter-max", "1"]) == 0
@@ -577,8 +570,8 @@ class TestCorpusFilesRead:
 #   argv    the command in the world copy ``d``, to which ``--out-dir`` is added;
 #   error   the error class;
 #   pin     the message, ``{d}`` standing for the copy; a trailing ``...`` pins a prefix;
-#   damage  None, or (file in the world, its line or None for its whole text, edit); an edit of
-#           the whole text that returns None deletes the file;
+#   damage  None, or (file in the world, its line or None for its whole text, edit) triples; an
+#           edit of the whole text (of a .npy file, its bytes) that returns None deletes the file;
 #   out     what the out-dir holds afterwards.
 SNAPSHOT, ABSENT, UNGIVEN = "config.json", "absent", "no --out-dir given"
 
@@ -591,9 +584,11 @@ class Refusal(NamedTuple):
     out: str = SNAPSHOT
 
 
-def _damaged(file, lineno, edit) -> dict:
-    """A row's damage and out-dir state: a --config snapshot is read before one is written."""
-    return {"damage": (file, lineno, edit), "out": ABSENT if file.endswith("config.json") else SNAPSHOT}
+def _damaged(file, lineno, edit, *more) -> dict:
+    """A row's damage, that triple and ``more`` of them, and its out-dir state: a --config snapshot
+    is read before one is written."""
+    return {"damage": ((file, lineno, edit), *more),
+            "out": ABSENT if file.endswith("config.json") else SNAPSHOT}
 
 
 def _on(command, *flags, corpus="corpus"):
@@ -733,12 +728,14 @@ _RANGE_ROWS = {
                                       "filter mode 'wer' needs the unlabeled transcripts the corpus "
                                       "withholds"),
     **{f"{argv[0]}-no-unlabeled-file": Refusal(_on(*argv, corpus="no-unlabeled"), "ManifestError",
-                                               "{d}/no-unlabeled/unlabeled.jsonl: missing file")
+                                               "{d}/no-unlabeled/unlabeled.frames.npy: missing file")
        for argv in [("pseudolabel", _MODEL), ("ipl", "--epochs", "0", "--iter-max", "1"),
                     ("sweep", "--epochs", "0", "--iters-per-update", "1", "--max-updates", "1")]},
     **{f"{command}-empty-{split}-split": Refusal(_on(command, "--epochs", "1"), "ConfigurationError",
                                                  f"{split} split is empty",
-                                                 **_damaged(f"corpus/{split}.jsonl", None, lambda text: ""))
+                                                 **_damaged(f"corpus/{split}.jsonl", None, lambda text: "",
+                                                            (f"corpus/{split}.frames.npy", None,
+                                                             lambda raw: _npy(np.zeros((0, 8))))))
        for command in ("train-teacher", "ipl", "estimate-threshold", "sweep") for split in ("dev", "test")},
     **{f"{argv[0]}-checkpoint-of-{other}": Refusal(
         _on(*argv, lambda d, other=other: ["--model", d / other / "teacher_model.json"]),
@@ -751,15 +748,58 @@ _RANGE_ROWS = {
 # Damages of one record line: name -> (edit of the line, message after "path:line: ")
 DAMAGES = {"invalid-json": (lambda line: line[: len(line) // 2], "invalid JSON: ..."),
            "array": (lambda line: "[1, 2]", "record is not an object")}
-# A frames field that is not base64 text (the text-float list format among them), or whose
-# bytes hold a NaN
-FRAME_DAMAGES = {name: (_edit_record(lambda rec, f=f: rec.update(frames=f(rec))), pin) for name, (f, pin) in {
-    "bool": (lambda rec: True, "field 'frames' is bool, expected str"),
-    "null": (lambda rec: None, "field 'frames' is NoneType, expected str"),
-    "list": (_frame_values, "field 'frames' is list, expected str"),
-    "string": (lambda rec: "1.5", "utterance unl-0001: frames are not base64: ..."),
-    "nan": (lambda rec: _frames_text([np.nan, *_frame_values(rec)[1:]]),
-            "utterance unl-0001: non-finite frame value")}.items()}
+
+
+def _npy(array, allow_pickle=False) -> bytes:
+    """The bytes of ``array`` as ``np.save`` writes them."""
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
+
+
+def _frames_edit(edit):
+    """An edit of a frames file's bytes: its array replaced by ``edit(array)``."""
+    return lambda raw: _npy(edit(np.load(io.BytesIO(raw))))
+
+
+def _nan_row(row):
+    """An edit of a frames array: a NaN in its row ``row``."""
+    def edit(frames):
+        frames[row, 3] = np.nan
+        return frames
+    return edit
+
+
+# The world's unlabeled frames: 81 rows of 8, unl-0000's 12 rows first, so unl-0001's from row 12.
+# Damages of the frames file: (edit of its bytes, message after its path); a message of numpy's
+# own, which numpy versions word differently, is pinned by its start
+FRAME_DAMAGES = {
+    "missing": (lambda raw: None, "missing file"),  # as a corpus written with base64 frames in its lines
+    "empty": (lambda raw: b"", "not a .npy array: EOF: reading magic string, expected 8 bytes got 0"),
+    "cut-header": (lambda raw: raw[:40], "not a .npy array: EOF: reading array header, ..."),
+    "cut-data": (lambda raw: raw[:-8], "not a .npy array: ..."),
+    "trailing-bytes": (lambda raw: raw + bytes(8), "bytes after the array's data"),
+    "f4": (_frames_edit(lambda frames: frames.astype("<f4")), "dtype <f4, expected <f8"),
+    "big-endian": (_frames_edit(lambda frames: frames.astype(">f8")), "dtype >f8, expected <f8"),
+    "object": (lambda raw: _npy(np.load(io.BytesIO(raw)).astype(object), allow_pickle=True),
+               "not a .npy array: Object arrays cannot be loaded when allow_pickle=False"),
+    "1-d": (_frames_edit(np.ravel), "shape (648,), expected (rows, 8) by meta.json"),
+    "3-d": (_frames_edit(lambda frames: frames.reshape(81, 2, 4)),
+            "shape (81, 2, 4), expected (rows, 8) by meta.json"),
+    "7-columns": (_frames_edit(lambda frames: frames[:, :7]),
+                  "shape (81, 7), expected (rows, 8) by meta.json"),
+    "fortran-order": (_frames_edit(np.asfortranarray), "frames in Fortran order, expected C order"),
+    "nan": (_frames_edit(_nan_row(12)),
+            "utterance unl-0001 ({d}/corpus/unlabeled.jsonl:2): non-finite frame value")}
+# A line's num_frames below 1, or one that makes the lines' total more or fewer than the frames
+# file's rows (unl-0001 has 12 frames): (num_frames, message)
+NUM_FRAMES_DAMAGES = {
+    "0": (0, "{d}/corpus/unlabeled.jsonl:2: utterance unl-0001: num_frames must be >= 1, got 0"),
+    "-1": (-1, "{d}/corpus/unlabeled.jsonl:2: utterance unl-0001: num_frames must be >= 1, got -1"),
+    "13": (13, "{d}/corpus/unlabeled.frames.npy: 81 rows != 82, the num_frames total of "
+               "{d}/corpus/unlabeled.jsonl"),
+    "11": (11, "{d}/corpus/unlabeled.frames.npy: 81 rows != 80, the num_frames total of "
+               "{d}/corpus/unlabeled.jsonl")}
 # A pseudo-label token outside the corpus's vocabulary, too large for the edit distance's int32
 # or for a C long among them
 TOKEN_DAMAGES = {name: (_edit_record(lambda rec, t=t: rec.update(tokens=[1, t])),
@@ -781,8 +821,8 @@ def _empty_transcript(uid):
                                  f"utterance {uid!r}: empty transcript")}
 
 
-# Every artifact a command reads: (file, line to damage or None for the whole text, error, argv
-# in the world copy, damages)
+# Every artifact a command reads: (file, line to damage or None for the whole text, or a .npy
+# file's bytes, error, argv in the world copy, damages)
 DAMAGED_INPUTS = {
     "meta": ("corpus/meta.json", 1, "ManifestError", _TRAIN, DAMAGES),
     "split-line": ("corpus/labeled.jsonl", 2, "ManifestError", _TRAIN, DAMAGES),
@@ -792,9 +832,10 @@ DAMAGED_INPUTS = {
     "pseudo-label-line": ("pl/pseudolabels.jsonl", 2, "ManifestError", _FILTER, DAMAGES),
     "checkpoint": ("teacher/teacher_model.json", 1, "ConfigurationError", _TEACHER, DAMAGES),
     "config": ("teacher/config.json", 1, "ConfigurationError", _CONFIG, DAMAGES),
-    "frame-value": ("corpus/unlabeled.jsonl", 2, "ManifestError", _TEACHER, FRAME_DAMAGES),
-    "labeled-frame-value": ("corpus/labeled.jsonl", 1, "ManifestError", _TRAIN,
-                            {"nan": (FRAME_DAMAGES["nan"][0], "utterance lab-0000: non-finite frame value")}),
+    "frames": ("corpus/unlabeled.frames.npy", None, "ManifestError", _TEACHER, FRAME_DAMAGES),
+    "labeled-frames": ("corpus/labeled.frames.npy", None, "ManifestError", _TRAIN,
+                       {"nan": (_frames_edit(_nan_row(0)),
+                                "utterance lab-0000 ({d}/corpus/labeled.jsonl:1): non-finite frame value")}),
     "pseudo-label-token": ("pl/pseudolabels.jsonl", 2, "ManifestError", _WER_FILTER, TOKEN_DAMAGES),
     "labeled-transcript": ("corpus/labeled.jsonl", 1, "ManifestError", _TRAIN, _empty_transcript("lab-0000")),
     "dev-transcript": ("corpus/dev.jsonl", 1, "ManifestError", _ESTIMATE, _empty_transcript("dev-0000")),
@@ -916,6 +957,9 @@ REFUSALS = {
     **{f"{case}-{damage}": Refusal(argv, error, _where(file, lineno) + pin, **_damaged(file, lineno, edit))
        for case, (file, lineno, error, argv, damages) in DAMAGED_INPUTS.items()
        for damage, (edit, pin) in damages.items()},
+    **{f"num-frames-{name}": Refusal(_TEACHER, "ManifestError", pin, **_damaged(
+        "corpus/unlabeled.jsonl", 2, _edit_record(lambda rec, n=n: rec.update(num_frames=n))))
+       for name, (n, pin) in NUM_FRAMES_DAMAGES.items()},
     **{f"report-{case}": Refusal(lambda d, run=file.split("/")[0]: ["report", "--run-dir", d / run],
                                  "ConfigurationError", f"{{d}}/{file}{pin}", **_damaged(file, lineno, edit))
        for case, (file, lineno, edit, pin) in MALFORMED_RUNS.items()},
@@ -940,22 +984,22 @@ def _world_copy(world, root, damage):
     """``root`` as a copy of the world: the damaged entry copied and damaged, every other one a
     symbolic link to the world's."""
     root.mkdir()
-    damaged = damage and damage[0].split("/")[0]
+    damaged = {file.split("/")[0] for file, _, _ in damage or ()}
     for entry in world.iterdir():
-        if entry.name != damaged:
+        if entry.name not in damaged:
             (root / entry.name).symlink_to(entry)
         elif entry.is_dir():
             shutil.copytree(entry, root / entry.name)
         else:
             shutil.copy(entry, root / entry.name)
-    if damage:
-        file, lineno, edit = damage
+    for file, lineno, edit in damage or ():
+        path, binary = root / file, file.endswith(".npy")
         if lineno is not None:
-            _set_line(root / file, lineno, edit)
-        elif (text := edit((root / file).read_text())) is None:
-            (root / file).unlink()
+            _set_line(path, lineno, edit)
+        elif (data := edit(path.read_bytes() if binary else path.read_text())) is None:
+            path.unlink()
         else:
-            (root / file).write_text(text)
+            path.write_bytes(data) if binary else path.write_text(data)
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))

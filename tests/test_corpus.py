@@ -1,11 +1,10 @@
-import base64
 import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from iplfilter.artifacts import _dump
@@ -38,20 +37,23 @@ def manifest_bytes(tmp_path, splits, name):
 
 def _utterance_record(fs, labels):
     """The record of one manifest line, whose encoding ``save_manifest`` must write."""
-    rec = {"utterance_id": fs.utterance_id, "num_frames": fs.num_frames, "feature_dim": fs.feature_dim,
-           "frames": base64.b64encode(fs.frames.astype("<f8").tobytes()).decode()}
+    rec = {"utterance_id": fs.utterance_id, "num_frames": fs.num_frames}
     if labels is not None:
         rec["tokens"] = list(labels.tokens)
     return rec
 
 
-def _edit_frames(path, lineno, edit):
-    """Replace line ``lineno``'s frame bytes by ``edit(bytes)``, base64-encoded again."""
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[lineno - 1])
-    rec["frames"] = base64.b64encode(edit(base64.b64decode(rec["frames"]))).decode()
-    lines[lineno - 1] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+def _edit_frames(path, edit):
+    """Replace the array of frames file ``path`` by ``edit(array)``, saved by ``np.save``."""
+    np.save(path, edit(np.load(path)))
+
+
+def _set_row(row, value):
+    """An edit of a frames array: its row ``row`` set to ``value``."""
+    def edit(frames):
+        frames[row] = value
+        return frames
+    return edit
 
 
 class TestTypes:
@@ -103,6 +105,7 @@ class TestGeneration:
         a = manifest_bytes(tmp_path, generate_corpus(SMALL, seed=5), "a")
         b = manifest_bytes(tmp_path, generate_corpus(SMALL, seed=5), "b")
         assert a == b
+        assert {f"{name}.frames.npy" for name in SPLITS} < set(a)
 
     def test_noiseless_frames_are_exact_token_means(self):
         cfg = CorpusGenConfig(noise_sigma=0.0, n_labeled=4, n_unlabeled=2, n_dev=2, n_test=2)
@@ -198,6 +201,38 @@ class TestManifestRoundTrip:
             assert loaded.frames.shape == fs.frames.shape
             assert np.array_equal(loaded.frames.view(np.uint64), fs.frames.view(np.uint64))
 
+    @given(counts=st.lists(st.lists(st.integers(1, 6), max_size=5), min_size=4, max_size=4),
+           dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ragged_splits_round_trip(self, tmp_path, counts, dim, data):
+        # any number of utterances per split, empty splits among them, each of its own length
+        assume(counts[0] or counts[1])
+        frames = data.draw(arrays(np.float64, (sum(map(sum, counts)), dim),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                                  | st.sampled_from(EDGE_FLOATS)))
+        rows = iter(np.split(frames, np.cumsum([T for split in counts for T in split])[:-1]))
+        drawn = {name: [FeatureSequence(f"{name}-{i}", next(rows)) for i in range(len(split))]
+                 for name, split in zip(SPLITS, counts)}
+        unlabeled = drawn.pop("unlabeled")
+        labeled = {name: [(fs, LabelSequence((1, 2))) for fs in utts] for name, utts in drawn.items()}
+        splits = CorpusSplits(vocabulary=default_vocabulary(2), unlabeled=unlabeled, **labeled)
+        save_manifest(splits, tmp_path / "m")
+        back = load_manifest(tmp_path / "m")
+        assert back == splits  # ids, and each utterance's frame shape and values
+        ends = np.cumsum([0, *map(sum, counts)])
+        for name, lo, hi in zip(SPLITS, ends, ends[1:]):
+            loaded = [fs.frames for fs, _ in back.pairs(name)]
+            assert not any(f.flags.writeable for f in loaded)
+            # bit for bit, signed zeros and subnormals included
+            assert np.array_equal(np.concatenate([np.empty((0, dim)), *loaded]).view(np.uint64),
+                                  frames[lo:hi].view(np.uint64))
+
+    def test_hand_written_zero_utterance_split_loads_empty(self, tmp_path):
+        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
+        (tmp_path / "m" / "dev.jsonl").write_text("")
+        np.save(tmp_path / "m" / "dev.frames.npy", np.zeros((0, SMALL.feature_dim)))
+        assert load_manifest(tmp_path / "m").dev == []
+
     @given(rows=st.lists(st.tuples(_IDS, st.lists(st.integers(1, 3), min_size=1, max_size=6),
                                    arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)))),
                          min_size=1, max_size=8, unique_by=lambda row: row[0]),
@@ -256,7 +291,7 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=r"test\.jsonl:1"):
             load_manifest(tmp_path / "m")
 
-    @pytest.mark.parametrize("field", ["num_frames", "feature_dim"])
+    @pytest.mark.parametrize("field", ["num_frames"])
     def test_bool_for_a_number_names_line(self, tmp_path, field):
         # json's true is not the number 1
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
@@ -269,74 +304,80 @@ class TestManifestRoundTrip:
             load_manifest(tmp_path / "m")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_frame_names_line(self, tmp_path, value):
-        # the frame bytes can hold NaN and infinities
-        save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "unlabeled.jsonl"
-        _edit_frames(target, 2, lambda raw: raw[:8] + np.float64(value).tobytes() + raw[16:])
-        expected = f"{target}:2: utterance unl-0001: non-finite frame value"
+    def test_non_finite_frame_names_utterance_and_line(self, tmp_path, value):
+        # the frames file can hold NaN and infinities
+        splits = generate_corpus(SMALL, seed=2)
+        save_manifest(splits, tmp_path / "m")
+        npy = tmp_path / "m" / "unlabeled.frames.npy"
+        _edit_frames(npy, _set_row(splits.unlabeled[0].num_frames, value))
+        expected = (f"{npy}: utterance unl-0001 ({tmp_path / 'm' / 'unlabeled.jsonl'}:2): "
+                    "non-finite frame value")
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
-    @pytest.mark.parametrize("index", [0, 255, 256, 599])
-    def test_non_finite_frame_in_any_block_names_its_line(self, tmp_path, index):
-        # frames are finite-checked 256 utterances at a time; the fault's own line is named
-        save_manifest(generate_corpus(dataclasses.replace(SMALL, n_unlabeled=600), seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "unlabeled.jsonl"
-        _edit_frames(target, index + 1, lambda raw: raw[:8] + np.float64("nan").tobytes() + raw[16:])
-        expected = f"{target}:{index + 1}: utterance unl-{index:04d}: non-finite frame value"
+    @pytest.mark.parametrize("index", [0, 1, 300, 599])
+    @pytest.mark.parametrize("last", [False, True], ids=["first-row", "last-row"])
+    def test_non_finite_frame_names_its_own_utterance(self, tmp_path, index, last):
+        splits = generate_corpus(dataclasses.replace(SMALL, n_unlabeled=600), seed=2)
+        save_manifest(splits, tmp_path / "m")
+        npy = tmp_path / "m" / "unlabeled.frames.npy"
+        start = sum(fs.num_frames for fs in splits.unlabeled[:index])
+        _edit_frames(npy, _set_row(start + last * (splits.unlabeled[index].num_frames - 1), np.nan))
+        expected = (f"{npy}: utterance unl-{index:04d} ({tmp_path / 'm' / 'unlabeled.jsonl'}:{index + 1}): "
+                    "non-finite frame value")
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
-    @pytest.mark.parametrize("edit", [
-        lambda rec: {**rec, "frames": "1.5"},
-        lambda rec: {**rec, "feature_dim": rec["feature_dim"] + 1},
-        lambda rec: {**rec, "num_frames": "1"},
-        lambda rec: None,
-    ], ids=["base64", "feature-dim", "field-type", "invalid-json"])
-    def test_non_finite_frame_before_another_fault_is_named_first(self, tmp_path, edit):
-        # a later fault in the same block is found before the block's frame check runs
-        save_manifest(generate_corpus(dataclasses.replace(SMALL, n_labeled=8), seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "labeled.jsonl"
-        _edit_frames(target, 3, lambda raw: raw[:8] + np.float64("nan").tobytes() + raw[16:])
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda rec: {**rec, "feature_dim": 8, "frames": "AAAAAAAAAAA="},
+         "{lines}:7: missing fields [], unknown fields ['feature_dim', 'frames']"),
+        (lambda rec: {**rec, "num_frames": 0}, "{lines}:7: utterance lab-0006: num_frames must be >= 1, got 0"),
+        (lambda rec: {**rec, "num_frames": "1"}, "{lines}:7: field 'num_frames' is str, expected int"),
+        (lambda rec: None, "{lines}:7: invalid JSON: Invalid control character at"),
+        (lambda rec: {**rec, "tokens": []}, "{lines}:7: utterance 'lab-0006': empty transcript"),
+        (lambda rec: {**rec, "num_frames": rec["num_frames"] + 1},
+         "{npy}: 101 rows != 102, the num_frames total of {lines}"),
+    ], ids=["earlier-format", "num-frames", "field-type", "invalid-json", "empty-transcript", "row-count"])
+    def test_line_faults_are_named_before_frame_faults(self, tmp_path, edit, fault):
+        # a split's lines are all read and checked before its frames array: a fault in line 7
+        # is named, not the NaN in line 3's rows; of the array's faults, the row count comes first
+        splits = generate_corpus(dataclasses.replace(SMALL, n_labeled=8), seed=2)
+        save_manifest(splits, tmp_path / "m")
+        target, npy = tmp_path / "m" / "labeled.jsonl", tmp_path / "m" / "labeled.frames.npy"
+        _edit_frames(npy, _set_row(sum(fs.num_frames for fs, _ in splits.labeled[:2]), np.nan))
         lines = target.read_text().splitlines()
         rec = edit(json.loads(lines[6]))
         lines[6] = lines[6][:-5] if rec is None else json.dumps(rec)
         target.write_text("\n".join(lines) + "\n")
-        expected = f"{target}:3: utterance lab-0002: non-finite frame value"
+        expected = fault.format(lines=target, npy=npy)
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
-    @pytest.mark.parametrize("value, expected", [
-        (True, "field 'frames' is bool, expected str"),
-        ("1.5", "utterance unl-0001: frames are not base64: Only base64 data is allowed"),
-        (None, "field 'frames' is NoneType, expected str"),
-        ([1.0], "field 'frames' is list, expected str"),
-    ], ids=["bool", "string", "null", "list"])
-    def test_non_number_frame_names_line_and_utterance(self, tmp_path, value, expected):
-        # frames are one base64 string: a bool, null or a list of numbers (the text-float
-        # format) fails the field table, and text that is not base64 names the utterance too
+    def test_corpus_of_the_earlier_format_names_its_missing_frames_file(self, tmp_path):
+        # frames were once a base64 field of each line, and there was no frames file
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "unlabeled.jsonl"
-        lines = target.read_text().splitlines()
-        lines[1] = json.dumps({**json.loads(lines[1]), "frames": value})
-        target.write_text("\n".join(lines) + "\n")
-        expected = f"{target}:2: {expected}"
+        for name in SPLITS:
+            target = tmp_path / "m" / f"{name}.jsonl"
+            lines = target.read_text().splitlines()
+            target.write_text("".join(json.dumps({**json.loads(line), "feature_dim": 8, "frames": "AAAA"}) + "\n"
+                                      for line in lines))
+            (tmp_path / "m" / f"{name}.frames.npy").unlink()
+        expected = f"{tmp_path / 'm' / 'labeled.frames.npy'}: missing file"
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
-    def test_frame_count_mismatch_rejected(self, tmp_path):
-        # one byte short (not whole floats) and one float short
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_frame_rows_must_sum_to_the_lines_num_frames(self, tmp_path, delta):
+        # a row short, or one row too many, for the lines' num_frames
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")
-        target = tmp_path / "m" / "unlabeled.jsonl"
-        size = 8 * splits.unlabeled[1].frames.size
-        for short in (1, 8):
-            _edit_frames(target, 2, lambda raw: raw[:-short])
-            expected = f"{target}:2: frames hold {size - short} bytes != num_frames*feature_dim*8 {size}"
-            with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
-                load_manifest(tmp_path / "m")
-            save_manifest(splits, tmp_path / "m")
+        npy = tmp_path / "m" / "unlabeled.frames.npy"
+        rows = sum(fs.num_frames for fs in splits.unlabeled)
+        _edit_frames(npy, lambda frames: np.concatenate([frames, frames])[:rows + delta])
+        lines = tmp_path / "m" / "unlabeled.jsonl"
+        expected = f"{npy}: {rows + delta} rows != {rows}, the num_frames total of {lines}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
+            load_manifest(tmp_path / "m")
 
     @pytest.mark.parametrize("field", ["tokens", "feature_dim"])
     def test_meta_missing_field_names_file(self, tmp_path, field):
@@ -359,16 +400,16 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:1: {message}$"):
             load_manifest(tmp_path / "m")
 
-    def test_record_feature_dim_must_match_meta(self, tmp_path):
-        # frames still fill num_frames x feature_dim, so only the meta check can catch it
+    def test_frame_columns_must_match_meta(self, tmp_path):
+        # the same values as twice the rows of half the columns, with num_frames doubled to
+        # match: only the meta check can catch it
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
-        target = tmp_path / "m" / "dev.jsonl"
-        lines = target.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["num_frames"], rec["feature_dim"] = rec["num_frames"] * 2, SMALL.feature_dim // 2
-        lines[1] = json.dumps(rec)
-        target.write_text("\n".join(lines) + "\n")
-        expected = f"{target}:2: utterance dev-0001: feature_dim 4 != manifest 8"
+        target, npy = tmp_path / "m" / "dev.jsonl", tmp_path / "m" / "dev.frames.npy"
+        _edit_frames(npy, lambda frames: frames.reshape(-1, SMALL.feature_dim // 2))
+        target.write_text("".join(json.dumps({**rec, "num_frames": 2 * rec["num_frames"]}) + "\n"
+                                  for rec in map(json.loads, target.read_text().splitlines())))
+        rows = len(np.load(npy))
+        expected = f"{npy}: shape ({rows}, 4), expected (rows, 8) by meta.json"
         with pytest.raises(ManifestError, match=f"^{re.escape(expected)}$"):
             load_manifest(tmp_path / "m")
 
@@ -406,11 +447,12 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(target))}:2: "):
             load_refs(tmp_path / "m")
 
-    def test_missing_split_file(self, tmp_path):
+    @pytest.mark.parametrize("name", ["dev.jsonl", "dev.frames.npy"])
+    def test_missing_split_file(self, tmp_path, name):
         splits = generate_corpus(SMALL, seed=2)
         save_manifest(splits, tmp_path / "m")
-        (tmp_path / "m" / "dev.jsonl").unlink()
-        with pytest.raises(ManifestError, match="missing"):
+        (tmp_path / "m" / name).unlink()
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(tmp_path / 'm' / name))}: missing file$"):
             load_manifest(tmp_path / "m")
 
 
@@ -429,6 +471,7 @@ class TestPartialLoad:
         # the files this load must not open are gone, so opening one would raise
         for name in set(SPLITS) - set(names):
             (d / f"{name}.jsonl").unlink()
+            (d / f"{name}.frames.npy").unlink()
         if "unlabeled" not in names:
             (d / "unlabeled_refs.jsonl").unlink()
         part = load_manifest(d, splits=names)
@@ -445,6 +488,7 @@ class TestPartialLoad:
         full, d = saved
         for name in SPLITS:
             (d / f"{name}.jsonl").unlink()
+            (d / f"{name}.frames.npy").unlink()
         assert load_refs(d) == full.unlabeled_refs
 
     def test_load_refs_without_truth_is_empty(self, tmp_path):
