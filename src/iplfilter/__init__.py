@@ -5,6 +5,7 @@ from .corpus import (
     CorpusSplits,
     FeatureSequence,
     LabelSequence,
+    Split,
     Vocabulary,
     generate_corpus,
     load_manifest,

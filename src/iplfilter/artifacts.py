@@ -9,18 +9,18 @@ equal bytes. Each file is written to ``<name>.tmp`` beside its target, creating 
 directory if needed, and moved into place with ``os.replace``, so a failed write leaves
 the earlier file, or none, never part of one.
 
-Readers stream ``.jsonl`` files line by line, require every record to be an object, and
-check the schema and, given a field table, each record's fields: each value must have
-exactly a JSON type its table lists, and every number in it must be finite (no writer writes
-``NaN``, ``Infinity`` or an integer too large for a float). A violation raises the caller's
-error type naming ``path:line`` and the field. :func:`record_fields` derives a field table.
+Readers require every record to be an object, and check the schema and, given a field table,
+each record's fields: each value must have exactly a JSON type its table lists, and every
+number in it must be finite (no writer writes ``NaN``, ``Infinity`` or an integer too large
+for a float). A violation raises the caller's error type naming ``path:line`` and the field.
+:func:`record_fields` derives a field table.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,7 +41,6 @@ _JSON_TYPES = {int: int, bool: bool, str: str, float: NUMBER, float | None: (*NU
 
 # json.dumps(..., sort_keys=True) would build a new encoder for every record
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
-_DECODER = json.JSONDecoder()
 
 
 def _dump(record: dict) -> str:
@@ -174,22 +173,31 @@ def read_json(path, error, schema: str, fields: dict | None = None) -> dict:
 
 
 def read_jsonl(path, error, fields: dict, schema: str | None = None):
-    """Yield ``("path:line", record)`` for each record after the header, if any."""
+    """The records after the header, if any, and ``where``: ``where(i)`` is record i's ``path:line``.
+
+    All lines are parsed in one ``json.loads`` call when each holds one ``{`` and one ``}``
+    (so no object spans two lines). If that call fails or finds another number of records
+    than lines, each line is parsed alone instead. Each record is then checked in file order,
+    so the first fault raises naming its ``path:line`` either way.
+    """
     path = Path(path)
     if not path.is_file():
         raise error(f"{path}: missing file")
-    table = _Fields(fields)
+    table, name, first = _Fields(fields), str(path), 1 if schema is None else 2
     with path.open("r", encoding="utf-8") as fh:
         if schema is not None:
             _check_schema(f"{path}:1", _parse(path, 1, fh.readline(), error), schema, error)
-        name = str(path)
-        for lineno, line in enumerate(fh, start=1 if schema is None else 2):
-            where = f"{name}:{lineno}"
-            try:  # one decoder call for a line that is one object and its newline
-                rec, end = _DECODER.raw_decode(line)
-            except ValueError:
-                rec = end = None
-            if type(rec) is not dict or line[end:] not in ("\n", ""):
-                rec = _parse(name, lineno, line, error)  # json.loads' whitespace, results and errors
-            table.check(where, rec, error)
-            yield where, rec
+        lines = fh.readlines()
+    ones = [1] * len(lines)
+    try:
+        one_each = [*map(str.count, lines, repeat("{"))] == ones == [*map(str.count, lines, repeat("}"))]
+        recs = json.loads(f"[{','.join(lines)}]") if one_each else None
+    except ValueError:  # a JSONDecodeError, or an integer literal past int()'s digit limit
+        recs = None
+    if recs is None or len(recs) != len(lines):  # each line checked before the next is parsed
+        recs = (_parse(name, lineno, line, error) for lineno, line in enumerate(lines, start=first))
+    checked = []
+    for lineno, rec in enumerate(recs, start=first):
+        table.check(f"{name}:{lineno}", rec, error)
+        checked.append(rec)
+    return checked, lambda i: f"{name}:{first + i}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import NumberList, check_fields, read_json, record_fields, write_json
-from .corpus import FeatureSequence, LabelSequence
+from .corpus import FeatureSequence, LabelSequence, Split
 from .ctc import ctc_log_prob, label_plan
 from .errors import ConfigurationError, ShapeError, TrainingError, check_config
 
@@ -118,17 +118,21 @@ def forward_frames(model: AcousticModel, frames: np.ndarray) -> np.ndarray:
     return logp
 
 
-def check_feature_dim(model: AcousticModel, features: FeatureSequence) -> None:
+def check_feature_dim(model: AcousticModel, uid: str, feature_dim: int) -> None:
     """Raise :class:`ShapeError` naming the utterance if its frames do not fit the model."""
-    if features.feature_dim != model.feature_dim:
-        raise ShapeError(
-            f"utterance {features.utterance_id}: feature_dim {features.feature_dim} "
-            f"!= model feature_dim {model.feature_dim}"
-        )
+    if feature_dim != model.feature_dim:
+        raise ShapeError(f"utterance {uid}: feature_dim {feature_dim} "
+                         f"!= model feature_dim {model.feature_dim}")
+
+
+def check_split(model: AcousticModel, split: Split) -> None:
+    """:func:`check_feature_dim` of a split, naming its first utterance."""
+    if len(split):
+        check_feature_dim(model, split.ids[0], split.frames.shape[1])
 
 
 def forward(model: AcousticModel, features: FeatureSequence) -> FrameLogProbs:
-    check_feature_dim(model, features)
+    check_feature_dim(model, features.utterance_id, features.feature_dim)
     return FrameLogProbs(features.utterance_id, forward_frames(model, features.frames))
 
 
@@ -187,7 +191,7 @@ class TrainResult:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=None) -> TrainResult:
+def train(model: AcousticModel, split: Split, cfg: TrainConfig, weights=None) -> TrainResult:
     """Run `cfg.epochs` of minibatch CTC training; returns an updated copy.
 
     The shuffle order, and therefore the final weights, are a pure function
@@ -199,11 +203,10 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
     therefore match a per-utterance loop to rounding, not bit for bit.
     The loss curve records the per-epoch mean of unweighted utterance losses.
 
-    ``data`` holds (features, labels) pairs, or the features alone given
-    their stacked ``labels`` as ``label_plan`` takes them. The labels are
-    fixed for all epochs: one :func:`~iplfilter.ctc.label_plan` per call
-    holds them, checked against the vocabulary and the frames before
-    any step, and each minibatch passes ``plan[idx]`` to ``ctc_log_prob``.
+    ``split`` is a labeled :class:`~iplfilter.corpus.Split`, whose labels
+    are fixed for all epochs: one :func:`~iplfilter.ctc.label_plan` holds
+    them, checked against the vocabulary and the frames before any step,
+    and each minibatch passes ``plan[idx]`` to ``ctc_log_prob``.
     The parameters (``out.params`` are views), the gradient, which becomes
     the update, and Adam's two moments are the rows of one flat buffer, so a
     step is one set of elementwise operations for all parameters.
@@ -214,21 +217,14 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
     A non-finite value is also named with its epoch and step (counted from
     0), and is raised before any weight of that step is written.
     """
-    if labels is None:
-        pairs = list(data)
-        features, plan = [fs for fs, _ in pairs], label_plan([lab for _, lab in pairs])
-    else:
-        features, plan = list(data), label_plan(*labels)
-    num_frames = np.array([fs.num_frames for fs in features], dtype=np.int64)
+    check_split(model, split)
+    plan, num_frames = label_plan(split.tokens, split.lengths), split.num_frames
     bad_token = plan.max_token > model.vocab_size
-    bad = bad_token | (num_frames < plan.min_frames)
-    for i, fs in enumerate(features):
-        check_feature_dim(model, fs)
-        if bad[i]:
-            raise TrainingError(f"utterance {fs.utterance_id}: " + (
-                f"label token outside the vocabulary 1..{model.vocab_size}" if bad_token[i] else
-                f"label of length {plan.n_states[i] // 2} infeasible for {fs.num_frames} frame(s)"))
-    n = len(features)
+    for i in np.flatnonzero(bad_token | (num_frames < plan.min_frames))[:1]:
+        raise TrainingError(f"utterance {split.ids[i]}: " + (
+            f"label token outside the vocabulary 1..{model.vocab_size}" if bad_token[i] else
+            f"label of length {plan.n_states[i] // 2} infeasible for {num_frames[i]} frame(s)"))
+    n = len(split)
     if weights is None:
         w = np.ones(n)
     else:
@@ -240,7 +236,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
     if n == 0 or cfg.epochs == 0:
         return TrainResult(model=out, loss_curve=[])
 
-    rng = np.random.default_rng(cfg.seed)
+    rng, bounds = np.random.default_rng(cfg.seed), [0, *np.cumsum(num_frames).tolist()]
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
     # rows: the parameters, the batch gradient (then the update), Adam's m and v
@@ -260,7 +256,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lengths = num_frames[idx]
-            x = np.concatenate([features[i].frames for i in idx])
+            x = np.concatenate([split.frames[bounds[i]:bounds[i + 1]] for i in idx.tolist()])
             logp, hidden = _forward_cache(out, x)
             res = ctc_log_prob(logp, plan[idx], with_grad=True, lengths=lengths)
             losses = -res.log_prob
@@ -268,7 +264,7 @@ def train(model: AcousticModel, data, cfg: TrainConfig, weights=None, labels=Non
             np.concatenate([batch_grads[k].ravel() for k in upd], out=g)
             if not (np.isfinite(losses).all() and np.isfinite(g).all()):
                 dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
-                uid = _first_nonfinite([features[i].utterance_id for i in idx], losses, dlogits)
+                uid = _first_nonfinite(split.ids[idx].tolist(), losses, dlogits)
                 raise TrainingError(
                     f"utterance {uid}: non-finite loss or gradient in epoch {epoch}, step {step}"
                 )

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_json, read_jsonl, record_fields, write_json, write_jsonl, write_text
-from .corpus import CorpusSplits, stacked
+from .corpus import CorpusSplits, Split, Transcripts, unstacked
 from .errors import ConfigurationError, InsufficientProbeError, OracleError, check_config
 from .metrics import histogram, overlap_min_ratio, overlap_rate, wer
 # forward and greedy_decode are unused here; they stay because perfbench's traced run wraps them
@@ -155,12 +155,10 @@ class EstimateResult:
     pseudolabels: PseudoLabels  # the probe's labels, with oracle WER
 
 
-def evaluate_wer(model: AcousticModel, pairs) -> float:
-    """Pooled greedy-decode WER of a model over (features, reference) pairs."""
-    pairs = list(pairs)
-    tokens, lengths, _, _ = decode_split(model, [fs for fs, _ in pairs])
-    toks, ends = tokens.tolist(), np.cumsum(lengths).tolist()
-    return wer(zip([ref for _, ref in pairs], [toks[a:b] for a, b in zip([0, *ends], ends)]))
+def evaluate_wer(model: AcousticModel, split: Split) -> float:
+    """Pooled greedy-decode WER of a model over a labeled split."""
+    tokens, lengths, _, _ = decode_split(model, split)
+    return wer(zip(unstacked(split.tokens, split.lengths), unstacked(tokens, lengths)))
 
 
 def check_splits(splits: CorpusSplits) -> None:
@@ -211,13 +209,12 @@ def _run_one_iteration(
         kept = score_filter(pls, cfg.score_threshold) if cfg.filter_mode == "score" else np.arange(len(pls))
     rejected = np.delete(np.arange(len(pls)), kept)
 
-    # the labeled split, then the kept rows, with labels as stacked columns
-    features = [fs for fs, _ in splits.labeled] + [splits.unlabeled[i] for i in kept.tolist()]
-    lab_tokens, lab_lengths = stacked(lab for _, lab in splits.labeled)
-    labels = (np.concatenate([lab_tokens, pls[kept].tokens]), np.concatenate([lab_lengths, pls.lengths[kept]]))
+    # the labeled split, then the kept rows with their pseudo-labels
+    pseudo = {"tokens": pls[kept].tokens, "lengths": pls.lengths[kept]}
+    fused = splits.labeled + replace(splits.unlabeled[kept], **pseudo)
     weights = [1.0] * len(splits.labeled) + [cfg.pseudo_weight] * kept.size
     tcfg = replace(cfg.train, seed=_derived_seed(cfg.seed, iteration))
-    trained = train(model, features, tcfg, weights=weights, labels=labels)
+    trained = train(model, fused, tcfg, weights=weights)
 
     report = IterationReport(
         iteration=iteration,
@@ -342,7 +339,8 @@ def check_probe_size(probe_size: int, min_probe: int) -> None:
         raise InsufficientProbeError(f"probe has {probe_size} utterances; need at least {min_probe}")
 
 
-def estimate_threshold(model: AcousticModel, probe, cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:
+def estimate_threshold(model: AcousticModel, probe: Split,
+                       cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:
     """Estimate a score boundary from a labeled probe, no sweep required.
 
     Predicts the probe, applies the oracle WER filter at ``cfg.max_wer``, then
@@ -358,11 +356,9 @@ def estimate_threshold(model: AcousticModel, probe, cfg: EstimateConfig = Estima
     comes back, which keeps nothing (scores are strictly negative for any
     finite model).
     """
-    pairs = list(probe)
-    check_probe_size(len(pairs), cfg.min_probe)
-    refs = {fs.utterance_id: lab for fs, lab in pairs}
-    pls = generate_pseudolabels(model, [fs for fs, _ in pairs], exclude_blank=cfg.exclude_blank)
-    wer_kept = wer_filter(pls, refs, cfg.max_wer)
+    check_probe_size(len(probe), cfg.min_probe)
+    pls = generate_pseudolabels(model, probe, exclude_blank=cfg.exclude_blank)
+    wer_kept = wer_filter(pls, Transcripts(probe.ids, probe.tokens, probe.lengths), cfg.max_wer)
 
     # the candidates, down the sorted scores, are each tied run's last; the
     # empty prefix trivially qualifies
@@ -374,7 +370,7 @@ def estimate_threshold(model: AcousticModel, probe, cfg: EstimateConfig = Estima
     estimate = float(np.nextafter(ranked[qualifies][-1], -np.inf)) if qualifies.any() else 0.0
 
     score_kept, wer_set = set(score_filter(pls, estimate).tolist()), set(wer_kept.tolist())
-    return EstimateResult(threshold=estimate, probe_size=len(pairs), wer_kept_count=wer_kept.size,
+    return EstimateResult(threshold=estimate, probe_size=len(probe), wer_kept_count=wer_kept.size,
                           score_kept_count=len(score_kept), pseudolabels=pls,
                           overlap_jaccard=overlap_rate(score_kept, wer_set),
                           overlap_min_ratio=overlap_min_ratio(score_kept, wer_set))
@@ -427,13 +423,13 @@ def load_run(run_dir) -> RunRecord:
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     run = RunRecord()
     if (path := run_dir / "teacher_report.jsonl").is_file():
-        recs = [rec for _, rec in read_jsonl(path, ConfigurationError, TEACHER_FIELDS, TEACHER_SCHEMA)]
+        recs, _ = read_jsonl(path, ConfigurationError, TEACHER_FIELDS, TEACHER_SCHEMA)
         if len(recs) != 1:
             raise ConfigurationError(f"{path}: expected one record, found {len(recs)}")
         run.teacher = TeacherReport(**recs[0])
     if (path := run_dir / "reports.jsonl").is_file():
-        run.reports = [IterationReport(**rec) for _, rec in
-                       read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)]
+        run.reports = [IterationReport(**rec) for rec in
+                       read_jsonl(path, ConfigurationError, REPORT_FIELDS, REPORT_SCHEMA)[0]]
         if not run.reports:
             raise ConfigurationError(f"{path}: no iteration records")
     if (path := run_dir / "sweep.json").is_file():

@@ -10,17 +10,17 @@ counterpart and may only run where ground truth is legitimately available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .artifacts import NUMBER, read_jsonl, write_jsonl
-from .corpus import BLANK, LabelSequence, checked_tokens, stacked
+from .corpus import (BLANK, LabelSequence, Split, Transcripts, checked_tokens, json_lines, ragged_rows,
+                     unstacked)
 from .ctc import greedy_decode
 from .errors import ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
 # forward is unused here; it stays because perfbench's traced run wraps this module's name
-from .model import AcousticModel, check_feature_dim, forward, forward_frames  # noqa: F401
+from .model import AcousticModel, check_split, forward, forward_frames  # noqa: F401
 
 PSEUDOLABEL_SCHEMA = "pseudo-labels"
 _PSEUDOLABEL_FIELDS = {"utterance_id": str, "tokens": list, "score": NUMBER, "oracle_wer?": NUMBER}
@@ -55,16 +55,15 @@ class PseudoLabels:
         return self.lengths.size
 
     def __getitem__(self, idx) -> PseudoLabels:
-        lengths, starts = self.lengths[idx], (np.cumsum(self.lengths) - self.lengths)[idx]
-        pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        pos, lengths = ragged_rows(self.lengths, idx)
         wer = None if self.oracle_wer is None else self.oracle_wer[idx]
         return PseudoLabels(self.ids[idx], self.tokens[pos], lengths, self.scores[idx], wer)
 
     def __iter__(self):
-        tokens, ends = self.tokens.tolist(), np.cumsum(self.lengths).tolist()
         wers = [None] * len(self) if self.oracle_wer is None else self.oracle_wer.tolist()
-        for uid, a, b, score, wer in zip(self.ids.tolist(), [0, *ends], ends, self.scores.tolist(), wers):
-            yield PseudoLabel(uid, LabelSequence(tokens[a:b]), score, wer)
+        for uid, tokens, score, wer in zip(self.ids.tolist(), unstacked(self.tokens, self.lengths),
+                                           self.scores.tolist(), wers):
+            yield PseudoLabel(uid, LabelSequence(tokens), score, wer)
 
 
 # Utterances per stacked decode block. Stacking a whole split would grow the
@@ -72,26 +71,24 @@ class PseudoLabels:
 DECODE_BLOCK = 128
 
 
-def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) -> tuple[np.ndarray, ...]:
+def decode_split(model: AcousticModel, split: Split, exclude_blank: bool = False) -> tuple[np.ndarray, ...]:
     """Stacked hypotheses and scored frame maxima: ``(tokens, lengths, maxima, counts)``.
 
-    Every ``feature_dim`` is checked first. Then each block of at most
-    ``DECODE_BLOCK`` utterances is one forward pass over its stacked frames
-    and one batch :func:`greedy_decode`. An utterance's ``counts`` scored
-    maxima are every frame's, or with ``exclude_blank`` those of frames whose
-    argmax is a real token (every frame's again when the decode is pure
-    blank). A NaN frame, whose argmax is 0 (blank), is always scored.
+    The split's utterances are decoded a block of at most ``DECODE_BLOCK``
+    at a time: one forward pass over the block's slice of the frames and
+    one batch :func:`greedy_decode`. An
+    utterance's ``counts`` scored maxima are every frame's, or with
+    ``exclude_blank`` those of frames whose argmax is a real token (every
+    frame's again when the decode is pure blank). A NaN frame, whose argmax
+    is 0 (blank), is always scored.
     """
-    utts = list(utterances)
-    frames = [fs.frames for fs in utts]
-    if any(f.shape[1] != model.feature_dim for f in frames):
-        for fs in utts:  # names the first utterance that does not fit
-            check_feature_dim(model, fs)
-    all_counts = np.fromiter(map(len, frames), np.int64, len(frames))
+    check_split(model, split)
+    ends = [0, *np.cumsum(split.num_frames).tolist()]
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
-    for lo in range(0, len(utts), DECODE_BLOCK):
-        counts = all_counts[lo : lo + DECODE_BLOCK]
-        logp = forward_frames(model, np.concatenate(frames[lo : lo + DECODE_BLOCK]))
+    for lo in range(0, len(split), DECODE_BLOCK):
+        hi = min(lo + DECODE_BLOCK, len(split))
+        counts = split.num_frames[lo:hi]
+        logp = forward_frames(model, split.frames[ends[lo]:ends[hi]])
         tokens, lengths, fmax = greedy_decode(logp, counts)
         if exclude_blank:
             starts = np.cumsum(counts) - counts
@@ -102,7 +99,7 @@ def decode_split(model: AcousticModel, utterances, exclude_blank: bool = False) 
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool = False) -> PseudoLabels:
+def generate_pseudolabels(model: AcousticModel, split: Split, exclude_blank: bool = False) -> PseudoLabels:
     """Greedy-decode and score every unlabeled utterance; order preserved, no oracle info.
 
     A score is the mean of the utterance's scored frame maxima. Those with k
@@ -110,17 +107,15 @@ def generate_pseudolabels(model: AcousticModel, unlabeled, exclude_blank: bool =
     a 1-D array, so every score is bit for bit ``ndarray.mean()``'s. A score
     that is not finite raises :class:`MetricError` naming its utterance.
     """
-    utts = list(unlabeled)
-    tokens, lengths, maxima, counts = decode_split(model, utts, exclude_blank)
+    tokens, lengths, maxima, counts = decode_split(model, split, exclude_blank)
     starts = np.cumsum(counts) - counts
     scores = np.empty(counts.size)
     for k in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma
         rows = np.flatnonzero(counts == k)
         scores[rows] = np.add.reduce(maxima[starts[rows, None] + np.arange(k)], axis=1) / k
-    ids = np.array([fs.utterance_id for fs in utts], dtype=object)
     for i in np.flatnonzero(~np.isfinite(scores))[:1]:
-        raise MetricError(f"utterance {ids[i]}: non-finite confidence score {scores[i]}")
-    return PseudoLabels(ids, tokens, lengths, scores)
+        raise MetricError(f"utterance {split.ids[i]}: non-finite confidence score {scores[i]}")
+    return PseudoLabels(split.ids, tokens, lengths, scores)
 
 
 def score_filter(pseudo_labels: PseudoLabels, boundary: float) -> np.ndarray:
@@ -128,24 +123,23 @@ def score_filter(pseudo_labels: PseudoLabels, boundary: float) -> np.ndarray:
     return np.flatnonzero(pseudo_labels.scores > boundary)
 
 
-def annotate_oracle_wer(pseudo_labels: PseudoLabels, references) -> None:
+def annotate_oracle_wer(pseudo_labels: PseudoLabels, references: Transcripts) -> None:
     """Fill ``oracle_wer`` of every row, all in one batch (oracle-only path).
 
     A row whose reference is missing or empty (an infinite WER) raises
     :class:`OracleError` naming it before any row is filled.
     """
-    ids = pseudo_labels.ids.tolist()
     try:
-        ref_tokens, ref_lengths = stacked(references[uid].tokens for uid in ids)
+        ref_tokens, ref_lengths = references.columns(pseudo_labels.ids)
     except KeyError as e:
         raise OracleError(f"no ground truth for utterance {e.args[0]}") from None
     for i in np.flatnonzero(ref_lengths == 0)[:1]:
-        raise OracleError(f"utterance {ids[i]}: empty reference transcript")
+        raise OracleError(f"utterance {pseudo_labels.ids[i]}: empty reference transcript")
     pseudo_labels.oracle_wer = utterance_wer(ref_tokens, pseudo_labels.tokens, ref_lengths,
                                              pseudo_labels.lengths)
 
 
-def wer_filter(pseudo_labels: PseudoLabels, references, max_wer: float) -> np.ndarray:
+def wer_filter(pseudo_labels: PseudoLabels, references: Transcripts, max_wer: float) -> np.ndarray:
     """Oracle filter: the rows, in order, whose per-utterance WER is strictly below max_wer.
     Annotates ``oracle_wer`` on every row as a side product for analysis."""
     annotate_oracle_wer(pseudo_labels, references)
@@ -160,11 +154,10 @@ def row_lines(pseudo_labels: PseudoLabels, tokens: bool = True):
     wers = np.zeros(len(pls)) if pls.oracle_wer is None else pls.oracle_wer
     if not (np.isfinite(pls.scores).all() and np.isfinite(wers).all()):
         raise ValueError("pseudo-label scores and oracle WERs must be finite")
-    toks, ends = pls.tokens.tolist(), np.cumsum(pls.lengths).tolist()
-    heads = ["{"] * len(pls) if pls.oracle_wer is None else [f'{{"oracle_wer": {w!r}, ' for w in wers.tolist()]
-    parts = [f'"tokens": {toks[a:b]}, ' for a, b in zip([0, *ends], ends)] if tokens else [""] * len(pls)
-    return (f'{head}"score": {score!r}, {part}"utterance_id": {encode_basestring_ascii(uid)}}}\n'
-            for head, part, uid, score in zip(heads, parts, pls.ids.tolist(), pls.scores.tolist()))
+    heads = [f'"score": {score!r}, ' for score in pls.scores.tolist()]
+    if pls.oracle_wer is not None:
+        heads = [f'"oracle_wer": {w!r}, {head}' for w, head in zip(wers.tolist(), heads)]
+    return json_lines(pls.ids, heads, pls.tokens if tokens else None, pls.lengths)
 
 
 def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
@@ -173,18 +166,19 @@ def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
 
 
 def load_pseudolabels(path, num_classes: int | None = None) -> PseudoLabels:
-    """Inverse of :func:`save_pseudolabels`. Records are parsed and their fields checked
-    line by line (a score or oracle WER must be a finite number), then each column in one
-    compare: tokens by :func:`~iplfilter.corpus.checked_tokens`, and oracle WERs >= 0 on
-    every record or none. The first bad record raises ManifestError naming its ``path:line``."""
-    rows = [(where, rec["utterance_id"], rec["tokens"], rec["score"], rec.get("oracle_wer"))
-            for where, rec in read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA)]
-    wheres, ids, token_lists, scores, wers = zip(*rows) if rows else [()] * 5
-    tokens, lengths = checked_tokens(wheres, token_lists, num_classes)
+    """Inverse of :func:`save_pseudolabels`. Records are read by
+    :func:`~iplfilter.artifacts.read_jsonl` (a score or oracle WER must be a finite
+    number), then each column checked in one compare: tokens by
+    :func:`~iplfilter.corpus.checked_tokens`, and oracle WERs >= 0 on every record or
+    none. The first bad record raises ManifestError naming its ``path:line``."""
+    recs, where = read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA)
+    ids, token_lists, scores, wers = (
+        [rec.get(key) for rec in recs] for key in ("utterance_id", "tokens", "score", "oracle_wer"))
+    tokens, lengths = checked_tokens(where, token_lists, num_classes)
     scores = np.array(scores, dtype=np.float64)
     has_wer = np.array([wer is not None for wer in wers], dtype=bool)
     wers = np.array([0.0 if wer is None else wer for wer in wers], dtype=np.float64)
     for i in np.flatnonzero((has_wer != has_wer.any()) | (wers < 0))[:1]:
-        raise ManifestError(f"{wheres[i]}: " + (f"oracle_wer must be >= 0, got {wers[i]}"
+        raise ManifestError(f"{where(i)}: " + (f"oracle_wer must be >= 0, got {wers[i]}"
                                                 if has_wer[i] else "no oracle_wer, unlike other records"))
     return PseudoLabels(np.array(ids, dtype=object), tokens, lengths, scores, wers if has_wer.any() else None)

@@ -21,6 +21,7 @@ from iplfilter.metrics import edit_counts, overlap_rate
 from iplfilter.model import TrainConfig, init_model, lr_at, utterance_loss_and_grads
 from iplfilter.pipeline import select_threshold
 from iplfilter.pseudolabel import PseudoLabel, score_filter, wer_filter
+from rows import transcripts_of
 from test_ctc import is_feasible
 from test_pseudolabel import columns, ids, score_utterance
 
@@ -190,7 +191,7 @@ class TestCriterion5:
                 rows.append(PseudoLabel(f"u{i}", LabelSequence(hyp), -1.0))
             pls = columns(rows)
             cutoff = float(rng.uniform(0.05, 1.5))
-            kept_ids = set(ids(pls, wer_filter(pls, refs, cutoff)))
+            kept_ids = set(ids(pls, wer_filter(pls, transcripts_of(refs), cutoff)))
             for p in pls:
                 assert p.oracle_wer is not None
                 if p.utterance_id in kept_ids:

@@ -81,7 +81,7 @@ class TestReaders:
     def test_streams_checked_records(self, tmp_path):
         path = self.write_lines(tmp_path / "r.jsonl", '{"schema": "demo", "version": 1}',
                                 '{"n": 1, "x": 2}', '{"n": 2, "x": 0.5, "note": "y"}')
-        assert list(read_jsonl(path, Bad, self.FIELDS, "demo")) == [
+        assert read_pairs(path, Bad, self.FIELDS, "demo") == [
             (f"{path}:2", {"n": 1, "x": 2}),
             (f"{path}:3", {"n": 2, "x": 0.5, "note": "y"}),
         ]
@@ -115,6 +115,12 @@ class TestReaders:
         with pytest.raises(Bad, match=message) as info:
             list(read_jsonl(path, Bad, self.FIELDS, "demo"))
         assert str(info.value).startswith(f"{path}:")
+
+    def test_an_object_across_two_lines_is_refused_though_the_counts_agree(self, tmp_path):
+        # joined, the two lines hold two records that pass the table; the first line alone is not JSON
+        path = self.write_lines(tmp_path / "r.jsonl", '{"tokens": [1', '2], "id": "a"}, {"tokens": [3], "id": "b"}')
+        with pytest.raises(Bad, match=f"^{re.escape(str(path))}:1: invalid JSON"):
+            read_jsonl(path, Bad, {"tokens": list, "id": str})
 
     def test_check_fields_checks_a_record_by_the_same_rule(self):
         check_fields("here", {"n": 1, "x": 0.5, "xs": [1, -2.5]}, self.FIELDS, Bad)
@@ -163,14 +169,18 @@ def reference_read_jsonl(path, error, fields, schema=None):
             yield f"{path}:{lineno}", rec
 
 
-def _outcome(records):
-    """The records a reader yields, then the message of its refusal, if any."""
-    out = []
+def read_pairs(path, error, fields, schema=None):
+    """``(path:line, record)`` of every record :func:`read_jsonl` reads."""
+    recs, where = read_jsonl(path, error, fields, schema)
+    return [(where(i), rec) for i, rec in enumerate(recs)]
+
+
+def _outcome(read, *args):
+    """The records a reader reads, or the message of its refusal."""
     try:
-        out.extend(records)
+        return list(read(*args))
     except Bad as e:
-        out.append(str(e))
-    return out
+        return str(e)
 
 
 # Lines a reader may meet: a record padded or not, blank lines, two values on one line, an
@@ -203,5 +213,5 @@ def test_read_jsonl_equals_the_json_loads_reader(tmp_path, lines, ends, last, sc
     path = tmp_path / "r.jsonl"
     path.write_bytes(text.encode("utf-8"))
     fields = {"n": int, "x": NUMBER, "note?": str}
-    assert _outcome(read_jsonl(path, Bad, fields, schema)) == _outcome(
-        reference_read_jsonl(path, Bad, fields, schema))
+    assert _outcome(read_pairs, path, Bad, fields, schema) == _outcome(
+        reference_read_jsonl, path, Bad, fields, schema)

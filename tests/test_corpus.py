@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +12,20 @@ from hypothesis.extra.numpy import arrays
 from iplfilter.artifacts import _dump
 from iplfilter.corpus import (
     CorpusGenConfig,
-    CorpusSplits,
     FeatureSequence,
     LabelSequence,
     Vocabulary,
     default_vocabulary,
     generate_corpus,
     SPLITS,
+    Split,
+    Transcripts,
     load_manifest,
     load_refs,
     save_manifest,
 )
-from iplfilter.errors import ConfigurationError, ManifestError
+from iplfilter.errors import ConfigurationError, ManifestError, ShapeError
+from rows import corpus_of
 from test_pseudolabel import _IDS
 
 SMALL = CorpusGenConfig(n_labeled=3, n_unlabeled=4, n_dev=2, n_test=2)
@@ -85,11 +89,31 @@ class TestTypes:
     def test_duplicate_ids_rejected(self):
         fs = FeatureSequence("dup", np.zeros((1, 2)))
         with pytest.raises(ManifestError, match="dup"):
-            CorpusSplits(
+            corpus_of(
                 vocabulary=default_vocabulary(2),
                 labeled=[(fs, LabelSequence((1,)))],
                 unlabeled=[FeatureSequence("dup", np.zeros((1, 2)))],
             )
+
+    def test_split_frames_are_a_read_only_view_of_the_callers_array(self):
+        frames, one = np.zeros((3, 2)), np.ones(1, np.int64)
+        split = Split(np.array(["u"], dtype=object), frames, np.array([3]), one, one)
+        assert frames.flags.writeable and not split.frames.flags.writeable
+        assert np.shares_memory(split.frames, frames)
+
+    @pytest.mark.parametrize("num_frames, tokens, lengths", [
+        ([2], [1], [1]),  # frames 3 rows, num_frames 2
+        ([3], [1, 2], [1]),  # 2 tokens, lengths summing to 1
+        ([1, 2], [1, 2], [1, 1]),  # two rows of columns for one id
+        ([3], [1], [1, 0]),
+    ])
+    def test_split_columns_of_other_sizes_are_refused(self, num_frames, tokens, lengths):
+        with pytest.raises(ShapeError, match="split of 1 ids"):
+            Split(np.array(["u"], dtype=object), np.zeros((3, 2)), np.array(num_frames, np.int64),
+                  np.array(tokens, np.int64), np.array(lengths, np.int64))
+        if len(num_frames) == 2:
+            with pytest.raises(ShapeError, match="split of 1 ids"):
+                Split(np.array(["u"], dtype=object), np.zeros((3, 2)), np.array(num_frames, np.int64))
 
 
 class TestGeneration:
@@ -131,7 +155,7 @@ class TestGeneration:
     def test_hidden_truth_covers_unlabeled(self):
         splits = generate_corpus(SMALL, seed=1)
         assert set(splits.unlabeled_refs) == {fs.utterance_id for fs in splits.unlabeled}
-        stripped = dataclasses.replace(splits, unlabeled_refs={})
+        stripped = dataclasses.replace(splits, unlabeled_refs=Transcripts())
         assert stripped.unlabeled_refs == {}
         assert stripped.unlabeled == splits.unlabeled
 
@@ -153,6 +177,72 @@ class TestGeneration:
             CorpusGenConfig(**bad)
 
 
+def reference_draw_pairs(rng, cfg: CorpusGenConfig, means: np.ndarray, prefix: str, n: int):
+    """The generator before its columns: each utterance drawn, rendered and
+    built as a (FeatureSequence, LabelSequence) pair on its own."""
+    lo_len, hi_len = cfg.label_len
+    lo_fr, hi_fr = cfg.frames_per_token
+    pairs = []
+    for i in range(n):
+        length = int(rng.integers(lo_len, hi_len + 1))
+        tokens: list[int] = []
+        for _ in range(length):
+            if not tokens:
+                tok = int(rng.integers(1, cfg.vocab_size + 1))
+            else:
+                # uniform over the other vocab_size - 1 tokens (no immediate repeat)
+                r = int(rng.integers(1, cfg.vocab_size))
+                tok = r if r < tokens[-1] else r + 1
+            tokens.append(tok)
+        counts = rng.integers(lo_fr, hi_fr + 1, size=length)
+        frames = np.repeat(means[np.asarray(tokens) - 1], counts, axis=0)
+        frames = frames + cfg.noise_sigma * rng.standard_normal(frames.shape)
+        pairs.append((FeatureSequence(f"{prefix}-{i:04d}", frames), LabelSequence(tuple(tokens))))
+    return pairs
+
+
+def reference_corpus(cfg: CorpusGenConfig, seed: int) -> dict:
+    """Each split's pairs, drawn by :func:`reference_draw_pairs` from ``generate_corpus``'s streams."""
+    s_means, *s_splits = np.random.SeedSequence(seed).spawn(1 + len(SPLITS))
+    means = np.random.default_rng(s_means).standard_normal((cfg.vocab_size, cfg.feature_dim))
+    prefixes = {"labeled": "lab", "unlabeled": "unl", "dev": "dev", "test": "tst"}
+    return {name: reference_draw_pairs(np.random.default_rng(s), cfg, means, prefixes[name],
+                                       getattr(cfg, f"n_{name}")) for name, s in zip(SPLITS, s_splits)}
+
+
+@st.composite
+def gen_configs(draw):
+    """Small generator configs: a bound's lo equal to its hi included, vocab_size from 2."""
+    bounds = [sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))) for _ in range(2)]
+    return CorpusGenConfig(vocab_size=draw(st.integers(2, 5)), feature_dim=draw(st.integers(1, 3)),
+                           label_len=tuple(bounds[0]), frames_per_token=tuple(bounds[1]),
+                           noise_sigma=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0)),
+                           **{f"n_{name}": draw(st.integers(1, 5)) for name in SPLITS})
+
+
+def test_default_corpus_at_seed_0_has_the_committed_digests(tmp_path):
+    # gen-corpus --seed 0 writes these files; the digests were taken from the per-utterance generator
+    save_manifest(generate_corpus(CorpusGenConfig(), seed=0), tmp_path)
+    for line in (Path(__file__).parent / "gen_corpus_seed0.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@given(cfg=gen_configs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_column_generator_equals_the_per_utterance_reference(cfg, seed):
+    splits = generate_corpus(cfg, seed)
+    for name, pairs in reference_corpus(cfg, seed).items():
+        split = getattr(splits, name)
+        labels = splits.unlabeled_refs if name == "unlabeled" else split
+        assert split.ids.tolist() == [fs.utterance_id for fs, _ in pairs]
+        assert labels.ids.tolist() == split.ids.tolist()
+        assert split.frames.tobytes() == np.concatenate([fs.frames for fs, _ in pairs]).tobytes()
+        assert split.num_frames.tolist() == [fs.num_frames for fs, _ in pairs]
+        assert labels.tokens.tolist() == [t for _, lab in pairs for t in lab.tokens]
+        assert labels.lengths.tolist() == [len(lab) for _, lab in pairs]
+
+
 class TestManifestRoundTrip:
     def test_three_utterance_round_trip(self, tmp_path):
         splits = generate_corpus(SMALL, seed=2)
@@ -160,7 +250,7 @@ class TestManifestRoundTrip:
         assert load_manifest(tmp_path / "m") == splits
 
     def test_round_trip_without_truth(self, tmp_path):
-        splits = dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs={})
+        splits = dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs=Transcripts())
         save_manifest(splits, tmp_path / "m")
         assert load_manifest(tmp_path / "m") == splits
 
@@ -191,7 +281,7 @@ class TestManifestRoundTrip:
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_frames_round_trip_bit_for_bit(self, tmp_path, frames):
-        splits = CorpusSplits(vocabulary=default_vocabulary(2),
+        splits = corpus_of(vocabulary=default_vocabulary(2),
                               labeled=[(FeatureSequence("lab", frames), LabelSequence((1,)))],
                               unlabeled=[FeatureSequence("unl", frames[::-1])])
         save_manifest(splits, tmp_path / "m")
@@ -215,23 +305,22 @@ class TestManifestRoundTrip:
                  for name, split in zip(SPLITS, counts)}
         unlabeled = drawn.pop("unlabeled")
         labeled = {name: [(fs, LabelSequence((1, 2))) for fs in utts] for name, utts in drawn.items()}
-        splits = CorpusSplits(vocabulary=default_vocabulary(2), unlabeled=unlabeled, **labeled)
+        splits = corpus_of(vocabulary=default_vocabulary(2), unlabeled=unlabeled, **labeled)
         save_manifest(splits, tmp_path / "m")
         back = load_manifest(tmp_path / "m")
         assert back == splits  # ids, and each utterance's frame shape and values
         ends = np.cumsum([0, *map(sum, counts)])
         for name, lo, hi in zip(SPLITS, ends, ends[1:]):
-            loaded = [fs.frames for fs, _ in back.pairs(name)]
-            assert not any(f.flags.writeable for f in loaded)
+            loaded = getattr(back, name).frames
+            assert not loaded.flags.writeable
             # bit for bit, signed zeros and subnormals included
-            assert np.array_equal(np.concatenate([np.empty((0, dim)), *loaded]).view(np.uint64),
-                                  frames[lo:hi].view(np.uint64))
+            assert np.array_equal(loaded.view(np.uint64), frames[lo:hi].view(np.uint64))
 
     def test_hand_written_zero_utterance_split_loads_empty(self, tmp_path):
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
         (tmp_path / "m" / "dev.jsonl").write_text("")
         np.save(tmp_path / "m" / "dev.frames.npy", np.zeros((0, SMALL.feature_dim)))
-        assert load_manifest(tmp_path / "m").dev == []
+        assert len(load_manifest(tmp_path / "m").dev) == 0
 
     @given(rows=st.lists(st.tuples(_IDS, st.lists(st.integers(1, 3), min_size=1, max_size=6),
                                    arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)))),
@@ -241,19 +330,19 @@ class TestManifestRoundTrip:
     def test_lines_equal_the_record_encoder(self, tmp_path, rows, n_labeled):
         # save_manifest formats each line itself: the bytes must be the encoded record's
         pairs = [(FeatureSequence(uid, frames), LabelSequence(toks)) for uid, toks, frames in rows]
-        splits = CorpusSplits(vocabulary=default_vocabulary(3), labeled=pairs[:n_labeled],
+        splits = corpus_of(vocabulary=default_vocabulary(3), labeled=pairs[:n_labeled],
                               unlabeled=[fs for fs, _ in pairs[n_labeled:]],
                               unlabeled_refs={fs.utterance_id: lab for fs, lab in pairs[n_labeled:]})
         save_manifest(splits, tmp_path / "m")
-        for name in ("labeled", "unlabeled"):
+        for name, rows in (("labeled", splits.labeled), ("unlabeled", ((fs, None) for fs in splits.unlabeled))):
             assert (tmp_path / "m" / f"{name}.jsonl").read_text(encoding="utf-8") == "".join(
-                _dump(_utterance_record(fs, lab)) for fs, lab in splits.pairs(name))
+                _dump(_utterance_record(fs, lab)) for fs, lab in rows)
         assert (tmp_path / "m" / "unlabeled_refs.jsonl").read_text(encoding="utf-8") == "".join(
             _dump({"tokens": list(lab.tokens), "utterance_id": fs.utterance_id})
             for fs, lab in pairs[n_labeled:])
 
     def test_read_labels_are_label_sequences_of_ints(self, tmp_path):
-        # labels read from a file are built without LabelSequence's own conversion
+        # labels built from the token columns read from a file
         save_manifest(generate_corpus(SMALL, seed=2), tmp_path / "m")
         back = load_manifest(tmp_path / "m")
         labels = [*load_refs(tmp_path / "m").values(), *back.unlabeled_refs.values(),
@@ -477,7 +566,7 @@ class TestPartialLoad:
         part = load_manifest(d, splits=names)
         assert part.vocabulary == full.vocabulary
         for name in SPLITS:
-            assert getattr(part, name) == (getattr(full, name) if name in names else []), name
+            assert getattr(part, name) == getattr(full, name) if name in names else not getattr(part, name), name
         assert part.unlabeled_refs == (full.unlabeled_refs if "unlabeled" in names else {})
 
     def test_unknown_split_rejected(self, saved):
@@ -492,7 +581,7 @@ class TestPartialLoad:
         assert load_refs(d) == full.unlabeled_refs
 
     def test_load_refs_without_truth_is_empty(self, tmp_path):
-        save_manifest(dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs={}), tmp_path / "m")
+        save_manifest(dataclasses.replace(generate_corpus(SMALL, seed=2), unlabeled_refs=Transcripts()), tmp_path / "m")
         assert load_refs(tmp_path / "m") == {}
 
     def test_refs_still_checked_against_unlabeled_ids(self, saved):

@@ -26,6 +26,7 @@ from iplfilter.model import (
     train,
     utterance_loss_and_grads,
 )
+from rows import split_of
 from test_ctc import is_feasible
 
 
@@ -183,7 +184,7 @@ class TestAppliedGradient:
         model = init_model(D, V, hidden, seed=5)
         cfg = TrainConfig(epochs=2, batch_size=len(batch), base_lr=self.BASE_LR, warmup_frac=0.0,
                           hold_frac=0.0, seed=3, optimizer="sgd")
-        trained = train(model, batch, cfg, weights=weights).model
+        trained = train(model, split_of(batch), cfg, weights=weights).model
         applied = {k: (p0 - trained.params[k]) / self.BASE_LR for k, p0 in model.params.items()}
         return model, batch, applied
 
@@ -334,7 +335,7 @@ class TestTrainMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_weights_and_loss_curve_are_bit_identical(self, case):
         model, data, cfg, weights = case
-        result = train(model, data, cfg, weights=weights)
+        result = train(model, split_of(data), cfg, weights=weights)
         ref_model, ref_curve = reference_train(model, data, cfg, weights=weights)
         assert list(result.model.params) == list(ref_model.params)
         for k, p in ref_model.params.items():
@@ -379,7 +380,7 @@ class TestTrain:
         target = em_min_ctc_loss(3, 4, labels.tokens)
         model = init_model(8, 3, 0, seed=0)
         result = train(
-            model, [(FeatureSequence("u", frames), labels)],
+            model, split_of([(FeatureSequence("u", frames), labels)]),
             TrainConfig(epochs=400, batch_size=1, base_lr=0.3, seed=1),
         )
         final, _ = utterance_loss_and_grads(result.model, FeatureSequence("u", frames), labels)
@@ -398,7 +399,7 @@ class TestTrain:
         model = init_model(2, 3, 0, seed=0)
         bad = (FeatureSequence("bad-utt", np.zeros((1, 2))), LabelSequence((1, 1)))
         with pytest.raises(TrainingError, match="bad-utt"):
-            train(model, [bad], TrainConfig(epochs=1))
+            train(model, split_of([bad]), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_token_outside_vocabulary_names_utterance_before_any_step(self, seed, monkeypatch):
@@ -407,12 +408,12 @@ class TestTrain:
         data += [(FeatureSequence(f"u{i}", rng.standard_normal((4, 2))), LabelSequence((1, 2))) for i in range(11)]
         monkeypatch.setattr("iplfilter.model.ctc_log_prob", None)  # no step may run
         with pytest.raises(TrainingError, match="^utterance bad-utt: label token outside the vocabulary 1..3$"):
-            train(init_model(2, 3, 0, seed=0), data, TrainConfig(epochs=1, batch_size=4, seed=seed))
+            train(init_model(2, 3, 0, seed=0), split_of(data), TrainConfig(epochs=1, batch_size=4, seed=seed))
 
     def test_infeasible_label_message(self):
         bad = (FeatureSequence("short", np.zeros((2, 2))), LabelSequence((1, 1)))
         with pytest.raises(TrainingError, match=r"^utterance short: label of length 2 infeasible for 2 frame\(s\)$"):
-            train(init_model(2, 3, 0, seed=0), [bad], TrainConfig(epochs=1))
+            train(init_model(2, 3, 0, seed=0), split_of([bad]), TrainConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_frames_name_utterance_epoch_and_step(self):
@@ -424,7 +425,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=2, seed=4)
         step = int(np.flatnonzero(np.random.default_rng(cfg.seed).permutation(4) == 3)[0]) // 2
         with pytest.raises(TrainingError, match=rf"^utterance nan-utt: .* epoch 0, step {step}$"):
-            train(init_model(2, 3, 0, seed=0), data, cfg)
+            train(init_model(2, 3, 0, seed=0), split_of(data), cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_adam_second_moment_overflow_names_parameter_epoch_and_step(self):
@@ -435,7 +436,7 @@ class TestTrain:
         model = init_model(splits.feature_dim, 8, hidden_dim=0, seed=0)
         cfg = TrainConfig(epochs=2, batch_size=6, warmup_frac=0.0, seed=1)
         with pytest.raises(TrainingError, match=r"^parameter W: .* epoch 0, step 0$"):
-            train(model, data, cfg)
+            train(model, split_of(data), cfg)
 
     def test_zero_epochs_returns_model_unchanged(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=2, n_dev=2, n_test=2), seed=0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from iplfilter import metrics, pipeline
 from iplfilter.artifacts import NUMBER, NumberList
-from iplfilter.corpus import CorpusGenConfig, generate_corpus
+from iplfilter.corpus import CorpusGenConfig, Transcripts, generate_corpus
 from iplfilter.errors import ConfigurationError, InsufficientProbeError, OracleError
 from iplfilter.model import TrainConfig, init_model
 from iplfilter.pipeline import (
@@ -187,7 +187,7 @@ class TestRunIpl:
         splits = small_splits()
         cfg = IplConfig(iter_max=2, filter_mode="score", score_threshold=-0.6, train=FAST, seed=1)
         with_truth = run_ipl(splits, cfg)
-        stripped = run_ipl(replace(splits, unlabeled_refs={}), cfg)
+        stripped = run_ipl(replace(splits, unlabeled_refs=Transcripts()), cfg)
         assert all(
             np.array_equal(with_truth.model.params[k], stripped.model.params[k])
             for k in with_truth.model.params
@@ -208,7 +208,7 @@ class TestRunIpl:
         assert rep.mean_score_kept is None
 
     def test_wer_mode_requires_truth(self, tmp_path, monkeypatch):
-        splits = replace(small_splits(), unlabeled_refs={})
+        splits = replace(small_splits(), unlabeled_refs=Transcripts())
         cfg = IplConfig(iter_max=1, filter_mode="wer", max_wer=0.1, train=FAST)
         monkeypatch.setattr(pipeline, "train_teacher", lambda *a: pytest.fail("teacher trained"))
         with pytest.raises(OracleError, match="withholds"):

@@ -14,6 +14,7 @@ from iplfilter.errors import ConfigurationError, ManifestError, MetricError, Ora
 from iplfilter.metrics import wer
 from iplfilter.model import init_model, forward, forward_frames
 from iplfilter.pipeline import ThresholdSchedule, evaluate_wer
+from rows import split_of, transcripts_of
 from iplfilter.pseudolabel import (
     DECODE_BLOCK,
     PseudoLabel,
@@ -164,11 +165,11 @@ class TestGenerate:
         frames[1, 0] = np.nan
         unlabeled = [FeatureSequence("ok", np.ones((3, 2))), FeatureSequence("u-nan", frames)]
         with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
-            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), split_of(unlabeled))
 
     def test_empty_input(self):
         model = init_model(3, 2, 0, seed=0)
-        pls = generate_pseudolabels(model, [])
+        pls = generate_pseudolabels(model, split_of([], 3))
         assert len(pls) == 0 and list(pls) == [] and pls.tokens.size == 0
 
     def test_noiseless_converged_model_recovers_hidden_truth(self):
@@ -223,21 +224,20 @@ class TestGenerate:
                     assert p.oracle_wer is None
                     changed += exclude_blank and score != score_utterance(logp)
             assert changed > 0  # exclude_blank drops frames from some scores
-            assert evaluate_wer(model, pairs) == wer([(ref, hyp) for (_, ref), hyp in zip(pairs, hyps)])
+            assert evaluate_wer(model, split_of(pairs)) == wer([(ref, hyp) for (_, ref), hyp in zip(pairs, hyps)])
 
     def test_exclude_blank_scores_every_frame_of_an_all_blank_decode(self):
         model = init_model(2, 3, 0, seed=0)
         model.params["b"][BLANK] = 5.0  # blank is every frame's argmax
         unlabeled = [FeatureSequence(f"u{i}", np.full((i + 1, 2), 0.5)) for i in range(3)]
-        pls = generate_pseudolabels(model, unlabeled, exclude_blank=True)
+        pls = generate_pseudolabels(model, split_of(unlabeled), exclude_blank=True)
         assert all(p.hypothesis.tokens == () for p in pls)
-        assert [p.score for p in pls] == [p.score for p in generate_pseudolabels(model, unlabeled)]
+        assert [p.score for p in pls] == [p.score for p in generate_pseudolabels(model, split_of(unlabeled))]
 
-    def test_wrong_feature_dim_in_second_block_raises_naming_utterance(self):
-        unlabeled = [FeatureSequence(f"u{i}", np.ones((3, 2))) for i in range(DECODE_BLOCK + 5)]
-        unlabeled[DECODE_BLOCK + 2] = FeatureSequence("u-wide", np.ones((3, 4)))
-        with pytest.raises(ShapeError, match="^utterance u-wide: feature_dim 4 != model feature_dim 2$"):
-            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+    def test_wrong_feature_dim_raises_naming_the_first_utterance(self):
+        unlabeled = [FeatureSequence(f"u{i}", np.ones((3, 4))) for i in range(DECODE_BLOCK + 5)]
+        with pytest.raises(ShapeError, match="^utterance u0: feature_dim 4 != model feature_dim 2$"):
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), split_of(unlabeled))
 
     def test_nan_frame_in_second_block_raises_naming_utterance(self):
         frames = np.ones((3, 2))
@@ -245,7 +245,7 @@ class TestGenerate:
         unlabeled = [FeatureSequence(f"u{i}", np.ones((3, 2))) for i in range(DECODE_BLOCK + 5)]
         unlabeled[DECODE_BLOCK + 2] = FeatureSequence("u-nan", frames)
         with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
-            generate_pseudolabels(init_model(2, 3, 0, seed=0), unlabeled)
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), split_of(unlabeled))
 
     @pytest.mark.parametrize("exclude_blank", [False, True])
     def test_one_nan_feature_raises_with_or_without_exclude_blank(self, exclude_blank):
@@ -253,12 +253,12 @@ class TestGenerate:
         frames = np.random.default_rng(0).standard_normal((6, 2))
         frames[3, 1] = np.nan
         with pytest.raises(MetricError, match="^utterance u-nan: non-finite confidence score nan$"):
-            generate_pseudolabels(init_model(2, 3, 0, seed=0), [FeatureSequence("u-nan", frames)],
+            generate_pseudolabels(init_model(2, 3, 0, seed=0), split_of([FeatureSequence("u-nan", frames)]),
                                   exclude_blank=exclude_blank)
 
     def test_evaluate_wer_on_an_empty_split_raises(self):
         with pytest.raises(MetricError, match="at least one"):
-            evaluate_wer(init_model(2, 3, 0, seed=0), [])
+            evaluate_wer(init_model(2, 3, 0, seed=0), split_of([], 2))
 
 
 class TestScoreFilter:
@@ -292,11 +292,11 @@ class TestScoreFilter:
 
 class TestWerFilter:
     def _setup(self):
-        refs = {
+        refs = transcripts_of({
             "u0": LabelSequence((1, 2, 3)),
             "u1": LabelSequence((1, 2)),
             "u2": LabelSequence((3, 1)),
-        }
+        })
         pls = columns([
             PseudoLabel("u0", LabelSequence((1, 2, 3)), -0.1),   # exact
             PseudoLabel("u1", LabelSequence((1, 3)), -0.2),      # 1 sub / 2 -> 0.5
@@ -332,7 +332,7 @@ class TestWerFilter:
     def test_missing_truth_raises(self):
         _, pls = self._setup()
         with pytest.raises(OracleError, match="u1"):
-            annotate_oracle_wer(pls, {"u0": LabelSequence((1,))})
+            annotate_oracle_wer(pls, transcripts_of({"u0": LabelSequence((1,))}))
 
 
 class TestThresholdSchedule:
@@ -446,7 +446,7 @@ class TestColumnsEqualThePerUtteranceReference:
         # scored-frame counts of 1 to 50 cross numpy's 8-element pairwise-summation block;
         # the example's 140 utterances are two decode blocks
         model, unlabeled = _random_split(lengths, seed, hidden_dim, blank_bias)
-        pls = generate_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+        pls = generate_pseudolabels(model, split_of(unlabeled), exclude_blank=exclude_blank)
         ref = reference_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
         assert ids(pls) == [p.utterance_id for p in ref]
         assert pls.lengths.tolist() == [len(p.hypothesis) for p in ref]
@@ -467,7 +467,7 @@ class TestColumnsEqualThePerUtteranceReference:
         with pytest.raises(MetricError, match=message):
             reference_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
         with pytest.raises(MetricError, match=message):
-            generate_pseudolabels(model, unlabeled, exclude_blank=exclude_blank)
+            generate_pseudolabels(model, split_of(unlabeled), exclude_blank=exclude_blank)
 
 
 # ids with quotes, backslashes, control and non-ASCII characters; scores at the edges of float64
@@ -527,7 +527,7 @@ class TestFilterSelections:
         rows = [PseudoLabel(f"u{i}", LabelSequence(hyp), -1.0) for i, (_, hyp) in enumerate(pairs)]
         refs = {p.utterance_id: LabelSequence(ref) for p, (ref, _) in zip(rows, pairs)}
         pls = columns(rows)
-        assert ids(pls, wer_filter(pls, refs, max_wer)) == [
+        assert ids(pls, wer_filter(pls, transcripts_of(refs), max_wer)) == [
             p.utterance_id for p, (ref, hyp) in zip(rows, pairs) if reference_wer(ref, hyp) < max_wer]
         assert pls.oracle_wer.tolist() == [reference_wer(ref, hyp) for ref, hyp in pairs]
 
@@ -544,5 +544,5 @@ class TestFilterSelections:
         pls = columns([PseudoLabel("u0", LabelSequence((1,)), -0.1),
                        PseudoLabel("u1", LabelSequence(()), -0.1)])
         with pytest.raises(OracleError, match="^utterance u1: empty reference transcript$"):
-            annotate_oracle_wer(pls, {"u0": LabelSequence((1,)), "u1": LabelSequence(())})
+            annotate_oracle_wer(pls, transcripts_of({"u0": LabelSequence((1,)), "u1": LabelSequence(())}))
         assert pls.oracle_wer is None
