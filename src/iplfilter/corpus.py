@@ -73,25 +73,20 @@ def default_vocabulary(size: int = 8) -> Vocabulary:
     return Vocabulary(tuple(names))
 
 
-@dataclass(frozen=True)
-class LabelSequence:
-    """A blank-free sequence of token class indices (values >= 1)."""
+class LabelSequence(tuple):
+    """A blank-free tuple of token class indices (values >= 1); it equals the plain tuple of its tokens."""
 
-    tokens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(map(int, self.tokens)))
-        if min(self.tokens, default=1) < 1:
+    def __new__(cls, tokens):
+        self = super().__new__(cls, map(int, tokens))
+        if min(self, default=1) < 1:
             raise ValueError("label tokens must be >= 1; blank (0) is excluded")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return tuple(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,13 +105,6 @@ class FeatureSequence:
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError("frames must be a (T, D) matrix with T >= 1")
         object.__setattr__(self, "frames", frames)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureSequence):
-            return NotImplemented
-        return self.utterance_id == other.utterance_id and np.array_equal(
-            self.frames, other.frames
-        )
 
     @property
     def num_frames(self) -> int:
@@ -146,7 +134,8 @@ class Split:
 
     ``frames``, a read-only view, stacks the utterances' (T, D) matrices by
     ``num_frames``, and ``tokens`` their transcripts by ``lengths`` (None
-    in the unlabeled split); columns of other sizes raise ShapeError.
+    in the unlabeled split); columns of other sizes raise ShapeError, and
+    so does a row of no frames, naming the first.
     ``split[i]`` builds row i, a (FeatureSequence, LabelSequence) pair or
     the features alone, as iterating does for every row; ``split[idx]`` is
     the Split of rows ``idx``, in order.
@@ -162,11 +151,13 @@ class Split:
         self.frames = self.frames.view()
         self.frames.flags.writeable = False
         n, labeled, T = len(self.ids), self.lengths is not None, self.num_frames.sum()
-        if (self.num_frames.shape != (n,) or self.frames.ndim != 2 or len(self.frames) != T
+        short = self.ids[self.num_frames < 1] if self.num_frames.shape == (n,) else self.ids[:0]
+        if (self.num_frames.shape != (n,) or len(short) or self.frames.ndim != 2 or len(self.frames) != T
                 or labeled and (self.lengths.shape != (n,) or self.tokens.shape != (self.lengths.sum(),))):
             labels = f", tokens {self.tokens.shape} by lengths {self.lengths.shape}" if labeled else ""
+            rows = f"; utterance {short[0]}: num_frames < 1" if len(short) else ""
             raise ShapeError(f"split of {n} ids: frames {self.frames.shape} by num_frames "
-                             f"{self.num_frames.shape} summing to {T}{labels}")
+                             f"{self.num_frames.shape} summing to {T}{labels}{rows}")
 
     def __len__(self) -> int:
         return self.ids.size
@@ -380,7 +371,8 @@ def _read_utterances(root: Path, name: str, vocab: Vocabulary, feature_dim: int)
     npy, path, with_labels = root / _FRAME_FILES[name], root / _SPLIT_FILES[name], name != "unlabeled"
     frames = read_npy(npy, ManifestError)
     recs, where = read_jsonl(path, ManifestError, _LABELED_FIELDS if with_labels else _UTTERANCE_FIELDS)
-    uids, counts = [rec["utterance_id"] for rec in recs], [rec["num_frames"] for rec in recs]
+    uids = checked_ids(where, [rec["utterance_id"] for rec in recs])
+    counts = [rec["num_frames"] for rec in recs]
     if min(counts, default=1) < 1:
         i = next(i for i, T in enumerate(counts) if T < 1)
         raise ManifestError(f"{where(i)}: utterance {uids[i]}: num_frames must be >= 1, got {counts[i]}")
@@ -406,6 +398,16 @@ def stacked(labels) -> tuple[np.ndarray, np.ndarray]:
     labels = list(labels)
     lengths = np.fromiter(map(len, labels), np.int64, len(labels))
     return np.fromiter(chain.from_iterable(labels), np.int64, int(lengths.sum())), lengths
+
+
+def checked_ids(where, ids: list) -> list:
+    """``ids`` read from a file, id i from ``where(i)`` (a ``path:line``); the first
+    that repeats an earlier one raises ManifestError naming its ``where``."""
+    seen = set()
+    for i in range(len(ids) if len(set(ids)) != len(ids) else 0):
+        if ids[i] in seen or seen.add(ids[i]):
+            raise ManifestError(f"{where(i)}: duplicate utterance_id {ids[i]!r}")
+    return ids
 
 
 def checked_tokens(where, token_lists, num_classes: int | None = None, uids=None):
@@ -452,10 +454,7 @@ def _read_refs(root: Path, vocab: Vocabulary) -> Transcripts:
     if not refs_path.is_file():
         return Transcripts()
     recs, where = read_jsonl(refs_path, ManifestError, _REFS_FIELDS)
-    ids, seen = [rec["utterance_id"] for rec in recs], set()
-    for i in range(len(ids) if len(set(ids)) != len(ids) else 0):
-        if ids[i] in seen or seen.add(ids[i]):
-            raise ManifestError(f"{where(i)}: duplicate utterance_id {ids[i]!r}")
+    ids = checked_ids(where, [rec["utterance_id"] for rec in recs])
     tokens = checked_tokens(where, [rec["tokens"] for rec in recs], vocab.num_classes, ids)
     return Transcripts(np.array(ids, dtype=object), *tokens)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BLANK, LabelSequence, stacked
+from .corpus import BLANK, LabelSequence
 from .errors import FeasibilityError
 
 NEG_INF = float("-inf")
@@ -48,7 +48,7 @@ class CtcResult:
 
 
 def _as_logp(logp) -> np.ndarray:
-    arr = np.asarray(getattr(logp, "logp", logp), dtype=np.float64)
+    arr = np.asarray(logp, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("logp must be a (T, C) matrix with T >= 1")
     return arr
@@ -56,13 +56,7 @@ def _as_logp(logp) -> np.ndarray:
 
 def collapse(alignment) -> LabelSequence:
     """Merge consecutive repeats, then drop blanks."""
-    out = []
-    prev = None
-    for z in alignment:
-        if z != prev and z != BLANK:
-            out.append(int(z))
-        prev = z
-    return LabelSequence(tuple(out))
+    return LabelSequence(z for z, _ in itertools.groupby(alignment) if z != BLANK)
 
 
 @dataclass(frozen=True)
@@ -95,12 +89,10 @@ class LabelPlan:
         return LabelPlan(ext, n_states, self.min_frames[idx], self.max_token[idx], self.scratch)
 
 
-def label_plan(labels, lengths=None) -> LabelPlan:
-    """The :class:`LabelPlan` of a list of token sequences, or with ``lengths``
-    of their stacked tokens, sequence b owning the next ``lengths[b]``."""
-    if lengths is None:
-        labels, lengths = stacked(labels)
-    flat = np.asarray(labels, dtype=np.int64)
+def label_plan(tokens, lengths) -> LabelPlan:
+    """The :class:`LabelPlan` of stacked token sequences, sequence b owning the
+    next ``lengths[b]`` of ``tokens``."""
+    flat = np.asarray(tokens, dtype=np.int64)
     n_tokens = np.asarray(lengths, dtype=np.int64)
     col = np.repeat(np.arange(n_tokens.size), n_tokens)
     pos = np.arange(flat.size) - np.repeat(np.cumsum(n_tokens) - n_tokens, n_tokens)
@@ -122,26 +114,25 @@ def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResu
     forward-backward occupancies are turned into the gradient of the loss
     -log P with respect to the logits behind the given log-softmax output.
 
-    With ``lengths`` the call covers a batch: ``logp`` stacks the frames of
-    B utterances (utterance b owns the next ``lengths[b]`` rows), ``labels``
-    holds their B token sequences, and the result holds a (B,) array of
-    log-probs and a gradient stacked like ``logp``. A single utterance is
-    the batch of one; either way one padded, time-major pass covers the
-    whole batch.
+    Without ``lengths``, ``labels`` is one utterance's token sequence. With
+    ``lengths`` the call covers a batch: ``logp`` stacks the frames of B
+    utterances (utterance b owns the next ``lengths[b]`` rows), ``labels``
+    is the :class:`LabelPlan` of their B token sequences, or its slice
+    ``plan[idx]``, and the result holds a (B,) array of log-probs and a
+    gradient stacked like ``logp``. A single utterance is the batch of one;
+    either way one padded, time-major pass covers the whole batch.
 
-    ``labels`` may also be a :class:`LabelPlan`, or its slice ``plan[idx]``,
-    built once for many calls; token lists get a plan per call. Each call
-    checks every label's largest token against C and its ``min_frames``
-    against ``lengths`` (one vectorized compare each), and the first failing
-    utterance is named by its position in the batch.
+    Each call checks every label's largest token against C and its
+    ``min_frames`` against ``lengths`` (one vectorized compare each), and the
+    first failing utterance is named by its position in the batch.
     """
     if lengths is None:  # a batch of one
         arr = _as_logp(logp)
-        res = ctc_log_prob(arr, labels if isinstance(labels, LabelPlan) else [labels], with_grad, [len(arr)])
+        res = ctc_log_prob(arr, label_plan(labels, [len(labels)]), with_grad, [len(arr)])
         return CtcResult(log_prob=float(res.log_prob[0]), grad=res.grad)
     arr = np.asarray(logp, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    plan = labels if isinstance(labels, LabelPlan) else label_plan(labels)
+    plan = labels
     if arr.ndim != 2 or lengths.ndim != 1:
         raise ValueError("a batch needs a stacked (N, C) logp and a 1-D lengths")
     if len(plan) != lengths.size:
@@ -309,7 +300,7 @@ def brute_force_ctc(logp, labels) -> float:
     target = tuple(int(t) for t in labels)
     total = NEG_INF
     for z in itertools.product(range(C), repeat=T):
-        if collapse(z).tokens != target:
+        if collapse(z) != target:
             continue
         path_lp = sum(arr[t, k] for t, k in enumerate(z))
         total = np.logaddexp(total, path_lp)

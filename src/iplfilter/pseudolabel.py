@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import NUMBER, read_jsonl, write_jsonl
-from .corpus import (BLANK, LabelSequence, Split, Transcripts, checked_tokens, json_lines, ragged_rows,
-                     unstacked)
+from .corpus import (BLANK, LabelSequence, Split, Transcripts, checked_ids, checked_tokens, json_lines,
+                     ragged_rows, unstacked)
 from .ctc import greedy_decode
 from .errors import ManifestError, MetricError, OracleError
 from .metrics import utterance_wer
@@ -168,12 +168,14 @@ def save_pseudolabels(pseudo_labels: PseudoLabels, path) -> None:
 def load_pseudolabels(path, num_classes: int | None = None) -> PseudoLabels:
     """Inverse of :func:`save_pseudolabels`. Records are read by
     :func:`~iplfilter.artifacts.read_jsonl` (a score or oracle WER must be a finite
-    number), then each column checked in one compare: tokens by
-    :func:`~iplfilter.corpus.checked_tokens`, and oracle WERs >= 0 on every record or
-    none. The first bad record raises ManifestError naming its ``path:line``."""
+    number), then each column checked in one compare: ids unique by
+    :func:`~iplfilter.corpus.checked_ids`, tokens by :func:`~iplfilter.corpus.checked_tokens`,
+    and oracle WERs >= 0 on every record or none. The first bad record raises
+    ManifestError naming its ``path:line``."""
     recs, where = read_jsonl(path, ManifestError, _PSEUDOLABEL_FIELDS, PSEUDOLABEL_SCHEMA)
     ids, token_lists, scores, wers = (
         [rec.get(key) for rec in recs] for key in ("utterance_id", "tokens", "score", "oracle_wer"))
+    checked_ids(where, ids)
     tokens, lengths = checked_tokens(where, token_lists, num_classes)
     scores = np.array(scores, dtype=np.float64)
     has_wer = np.array([wer is not None for wer in wers], dtype=bool)

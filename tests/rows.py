@@ -1,9 +1,11 @@
 """Rows as the library takes them: tests build utterances as FeatureSequence and
-LabelSequence rows, and hand them over as a Split, Transcripts or CorpusSplits."""
+LabelSequence rows, and hand them over as a Split, Transcripts, CorpusSplits or
+LabelPlan."""
 
 import numpy as np
 
 from iplfilter.corpus import CorpusSplits, Split, Transcripts, stacked
+from iplfilter.ctc import LabelPlan, label_plan
 
 
 def split_of(rows, feature_dim: int = 0) -> Split:
@@ -16,6 +18,11 @@ def split_of(rows, feature_dim: int = 0) -> Split:
     return Split(np.array([fs.utterance_id for fs in feats], dtype=object), frames,
                  np.array([fs.num_frames for fs in feats], dtype=np.int64),
                  *(stacked(lab for _, lab in rows) if labeled else ()))
+
+
+def plan_of(labels) -> LabelPlan:
+    """The LabelPlan of token sequences, as a batch ``ctc_log_prob`` takes their labels."""
+    return label_plan(*stacked(labels))
 
 
 def transcripts_of(refs) -> Transcripts:

@@ -821,6 +821,12 @@ def _empty_transcript(uid):
                                  f"utterance {uid!r}: empty transcript")}
 
 
+def _repeated_id(uid):
+    """A line's utterance_id set to ``uid``, an earlier line's."""
+    return {"repeated": (_edit_record(lambda rec: rec.update(utterance_id=uid)),
+                         f"duplicate utterance_id {uid!r}")}
+
+
 # Every artifact a command reads: (file, line to damage or None for the whole text, or a .npy
 # file's bytes, error, argv in the world copy, damages)
 DAMAGED_INPUTS = {
@@ -844,6 +850,9 @@ DAMAGED_INPUTS = {
                             _on("ipl", "--epochs", "0", "--iter-max", "1"), _empty_transcript("unl-0001")),
     "refs-transcript-filter": ("corpus/unlabeled_refs.jsonl", 2, "ManifestError", _WER_FILTER,
                                _empty_transcript("unl-0001")),
+    "pseudo-label-id": ("pl/pseudolabels.jsonl", 3, "ManifestError", _FILTER, _repeated_id("unl-0000")),
+    "refs-id": ("corpus/unlabeled_refs.jsonl", 2, "ManifestError", _WER_FILTER, _repeated_id("unl-0000")),
+    "dev-id": ("corpus/dev.jsonl", 2, "ManifestError", _ESTIMATE, _repeated_id("dev-0000")),
     "pseudo-label-wer-score": ("pl/pseudolabels.jsonl", 2, "ManifestError", _FILTER, WER_DAMAGES),
     "pseudo-label-wer-third-line": ("pl/pseudolabels.jsonl", 3, "ManifestError", _FILTER,
                                     {"negative": WER_DAMAGES["negative"]}),

@@ -79,8 +79,10 @@ class TestTypes:
             LabelSequence((1, 0, 2))
 
     def test_label_sequence_is_a_sequence(self):
-        lab = LabelSequence((3, 1))
+        lab = LabelSequence([3, np.int64(1)])
         assert len(lab) == 2 and list(lab) == [3, 1] and lab[0] == 3
+        assert lab == (3, 1) and lab.tokens == (3, 1) and type(lab.tokens) is tuple
+        assert all(type(t) is int for t in lab)
 
     def test_feature_sequence_needs_matrix(self):
         with pytest.raises(ValueError):
@@ -94,6 +96,11 @@ class TestTypes:
                 labeled=[(fs, LabelSequence((1,)))],
                 unlabeled=[FeatureSequence("dup", np.zeros((1, 2)))],
             )
+
+    def test_feature_dim_of_a_corpus_without_utterances_is_refused(self):
+        corpus = corpus_of(default_vocabulary(2), labeled=[], unlabeled=[])
+        with pytest.raises(ValueError, match="^corpus has no utterances$"):
+            corpus.feature_dim
 
     def test_split_frames_are_a_read_only_view_of_the_callers_array(self):
         frames, one = np.zeros((3, 2)), np.ones(1, np.int64)
@@ -114,6 +121,13 @@ class TestTypes:
         if len(num_frames) == 2:
             with pytest.raises(ShapeError, match="split of 1 ids"):
                 Split(np.array(["u"], dtype=object), np.zeros((3, 2)), np.array(num_frames, np.int64))
+
+    @pytest.mark.parametrize("num_frames, uid", [([0, 3], "u"), ([3, 0], "v"), ([-1, 4], "u"), ([0, 0], "u")])
+    def test_split_row_of_no_frames_is_refused_naming_it(self, num_frames, uid):
+        ids, frames = np.array(["u", "v"], dtype=object), np.zeros((sum(num_frames), 2))
+        for labels in ((), (np.ones(2, np.int64), np.ones(2, np.int64))):
+            with pytest.raises(ShapeError, match=f"; utterance {uid}: num_frames < 1$"):
+                Split(ids, frames, np.array(num_frames, np.int64), *labels)
 
 
 class TestGeneration:

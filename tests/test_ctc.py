@@ -8,9 +8,9 @@ from iplfilter.ctc import (
     collapse,
     ctc_log_prob,
     greedy_decode,
-    label_plan,
 )
 from iplfilter.errors import FeasibilityError
+from rows import plan_of
 
 
 def random_logp(rng, T, C):
@@ -131,6 +131,13 @@ class TestCtcLogProb:
         assert is_feasible(T + 1, labels)
         assert np.isfinite(ctc_log_prob(logp, labels).log_prob)
 
+    @pytest.mark.parametrize("logp", [np.zeros(3), np.zeros((0, 3))], ids=["1-d", "no-frames"])
+    @pytest.mark.parametrize("call", [lambda lp: ctc_log_prob(lp, [1]), greedy_decode,
+                                      lambda lp: brute_force_ctc(lp, [1])], ids=["ctc", "decode", "brute"])
+    def test_single_form_needs_a_matrix_of_frames(self, call, logp):
+        with pytest.raises(ValueError, match=r"^logp must be a \(T, C\) matrix with T >= 1$"):
+            call(logp)
+
 
 def is_feasible(num_frames: int, labels) -> bool:
     """A label fits in T frames iff T >= L + (# adjacent equal pairs); the
@@ -185,10 +192,10 @@ def reference_ctc_log_prob(logp, labels):
 
 
 def stacked(batch):
-    """(stacked logp, labels, lengths) of a list of (logp, labels) pairs."""
+    """(stacked logp, label plan, lengths) of a list of (logp, labels) pairs."""
     return (
         np.concatenate([lp for lp, _ in batch]),
-        [lab for _, lab in batch],
+        plan_of(lab for _, lab in batch),
         [lp.shape[0] for lp, _ in batch],
     )
 
@@ -210,7 +217,7 @@ def ragged_batches(draw):
 
 class TestBatchLoss:
     def test_empty_batch_costs_zero(self):
-        res = ctc_log_prob(np.zeros((0, 3)), [], with_grad=True, lengths=[])
+        res = ctc_log_prob(np.zeros((0, 3)), plan_of([]), with_grad=True, lengths=[])
         assert res.log_prob.shape == (0,) and -res.log_prob.sum() == 0.0
         assert res.grad.shape == (0, 3)
 
@@ -218,7 +225,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(5)
         logp = random_logp(rng, 4, 3)
         labels = [1, 2]
-        batch = ctc_log_prob(logp, [labels], with_grad=True, lengths=[4])
+        batch = ctc_log_prob(logp, plan_of([labels]), with_grad=True, lengths=[4])
         single = ctc_log_prob(logp, labels, with_grad=True)
         assert np.array_equal(batch.log_prob, [single.log_prob])
         assert np.array_equal(batch.grad, single.grad)
@@ -259,9 +266,15 @@ class TestBatchLoss:
         rng = np.random.default_rng(7)
         logp = np.concatenate([random_logp(rng, 4, 3), random_logp(rng, 5, 3)])
         with pytest.raises(ValueError, match="mismatch"):
-            ctc_log_prob(logp, [[1]], lengths=[4, 5])
+            ctc_log_prob(logp, plan_of([[1]]), lengths=[4, 5])
         with pytest.raises(ValueError, match="sum to the 9 stacked"):
-            ctc_log_prob(logp, [[1], [2]], lengths=[4, 4])
+            ctc_log_prob(logp, plan_of([[1], [2]]), lengths=[4, 4])
+
+    @pytest.mark.parametrize("logp, lengths", [(np.zeros(4), [4]), (np.zeros((4, 3)), [[4]])],
+                             ids=["1-d-logp", "2-d-lengths"])
+    def test_batch_needs_stacked_logp_and_1d_lengths(self, logp, lengths):
+        with pytest.raises(ValueError, match="^a batch needs a stacked"):
+            ctc_log_prob(logp, plan_of([[1]]), lengths=lengths)
 
     @given(ragged_batches())
     @settings(max_examples=200, deadline=None)
@@ -282,7 +295,7 @@ class TestBatchLoss:
 
 class TestLabelPlan:
     def test_columns_counts_and_token_maxima(self):
-        plan = label_plan([[2, 2, 1], [], [3]])
+        plan = plan_of([[2, 2, 1], [], [3]])
         assert plan.ext.tolist() == [
             [BLANK, BLANK, BLANK],
             [2, -1, 3],
@@ -297,16 +310,16 @@ class TestLabelPlan:
         assert plan.max_token.tolist() == [2, 0, 3]
 
     def test_blank_or_negative_token_maxes_out(self):
-        assert label_plan([[1, BLANK], [-2, 1], [1]]).max_token.tolist() == [np.iinfo(np.int64).max] * 2 + [1]
+        assert plan_of([[1, BLANK], [-2, 1], [1]]).max_token.tolist() == [np.iinfo(np.int64).max] * 2 + [1]
 
     @given(st.lists(st.lists(st.integers(1, 3), max_size=6), max_size=8))
     def test_min_frames_is_the_feasibility_boundary(self, labels):
-        plan = label_plan(labels)
+        plan = plan_of(labels)
         for lab, m in zip(labels, plan.min_frames.tolist()):
             assert is_feasible(m, lab) and (m == 0 or not is_feasible(m - 1, lab))
 
     def test_slice_pads_to_its_longest_label(self):
-        plan = label_plan([[1, 2, 3], [1], [2, 2]])
+        plan = plan_of([[1, 2, 3], [1], [2, 2]])
         part = plan[np.array([2, 1])]
         assert part.ext.shape == (5, 2) and len(part) == 2
         assert part.ext[:, 0].tolist() == plan.ext[:5, 2].tolist()
@@ -320,7 +333,7 @@ class TestLabelPlan:
         extra = data.draw(st.lists(st.lists(st.integers(1, 9), max_size=9), max_size=4))
         labels = [lab for _, lab in batch] + extra
         order = data.draw(st.permutations(range(len(labels))))
-        plan = label_plan([labels[i] for i in order])
+        plan = plan_of([labels[i] for i in order])
         idx = np.array([order.index(b) for b in range(len(batch))])
         logp, labs, lengths = stacked(batch)
         for with_grad in (False, True):
@@ -329,14 +342,14 @@ class TestLabelPlan:
             assert np.array_equal(got.log_prob, want.log_prob)
             assert (got.grad is None) if not with_grad else np.array_equal(got.grad, want.grad)
         lp, lab = batch[0]
-        single = ctc_log_prob(lp, plan[idx[:1]], with_grad=True)
-        assert single.log_prob == want.log_prob[0] and np.array_equal(single.grad, want.grad[: len(lp)])
+        one = ctc_log_prob(lp, plan[idx[:1]], with_grad=True, lengths=[len(lp)])
+        assert one.log_prob[0] == want.log_prob[0] and np.array_equal(one.grad, want.grad[: len(lp)])
 
     @given(ragged_batches(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_slices_sharing_work_arrays_match_fresh_calls(self, batch, data):
         # one plan's slices of varying sizes, in turn, as train's minibatches use them
-        plan = label_plan([lab for _, lab in batch])
+        plan = plan_of([lab for _, lab in batch])
         for _ in range(3):
             idx = np.array(data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=4)))
             part = [batch[i] for i in idx]
@@ -348,8 +361,7 @@ class TestLabelPlan:
     def test_plan_errors_keep_their_messages(self):
         rng = np.random.default_rng(12)
         batch = [(random_logp(rng, 4, 3), [1]), (random_logp(rng, 1, 3), [1, 1]), (random_logp(rng, 4, 3), [7])]
-        logp, labels, lengths = stacked(batch)
-        plan = label_plan(labels)
+        logp, plan, lengths = stacked(batch)
         with pytest.raises(FeasibilityError, match="^utterance 1: label of length 2 with 1 repeat pair"):
             ctc_log_prob(logp, plan, lengths=lengths)
         with pytest.raises(ValueError, match="^utterance 0: label token outside the non-blank class range$"):

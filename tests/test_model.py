@@ -26,14 +26,14 @@ from iplfilter.model import (
     train,
     utterance_loss_and_grads,
 )
-from rows import split_of
+from rows import plan_of, split_of
 from test_ctc import is_feasible
 
 
 def greedy_accuracy(model, data) -> float:
     """Fraction of utterances whose greedy decode equals the reference."""
     pairs = list(data)
-    hits = sum(greedy_decode(forward(model, fs))[0].tokens == lab.tokens for fs, lab in pairs)
+    hits = sum(greedy_decode(forward(model, fs).logp)[0] == lab for fs, lab in pairs)
     return hits / len(pairs)
 
 
@@ -99,6 +99,8 @@ class TestInitAndForward:
         m = init_model(5, 2, 0, seed=0)
         with pytest.raises(ShapeError, match="u1"):
             forward(m, FeatureSequence("u1", np.zeros((2, 4))))
+        with pytest.raises(ShapeError, match=r"^expected \(T, 5\) frames, got \(2, 4\)$"):
+            forward_frames(m, np.zeros((2, 4)))
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -253,6 +255,10 @@ class TestLrSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(warmup_frac=0.7, hold_frac=0.5)
 
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(ConfigurationError, match="^unknown optimizer 'rmsprop'$"):
+            TrainConfig(optimizer="rmsprop")
+
     @pytest.mark.parametrize("base_lr", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_bad_base_lr_rejected(self, base_lr):
         with pytest.raises(ConfigurationError, match="base_lr"):
@@ -261,7 +267,7 @@ class TestLrSchedule:
 
 def reference_train(model, data, cfg, weights=None):
     """``train`` as it was before the label plan and the flat Adam buffer:
-    label lists handed to ``ctc_log_prob`` per minibatch, and Adam updated
+    a label plan built per minibatch for ``ctc_log_prob``, and Adam updated
     parameter by parameter. The reference for ``train``'s weights and loss
     curve, bit for bit."""
     pairs = list(data)
@@ -288,7 +294,7 @@ def reference_train(model, data, cfg, weights=None):
             lengths = [f.shape[0] for f in frames]
             x = np.concatenate(frames)
             logp, hidden = _forward_cache(out, x)
-            res = ctc_log_prob(logp, [pairs[i][1] for i in idx], with_grad=True, lengths=lengths)
+            res = ctc_log_prob(logp, plan_of(pairs[i][1] for i in idx), with_grad=True, lengths=lengths)
             batch_grads = _backprop(out, x, hidden, res.grad * np.repeat(w[idx], lengths)[:, None])
             epoch_losses.extend((-res.log_prob).tolist())
             lr = lr_at(step, total_steps, cfg)
@@ -437,6 +443,20 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=6, warmup_frac=0.0, seed=1)
         with pytest.raises(TrainingError, match=r"^parameter W: .* epoch 0, step 0$"):
             train(model, split_of(data), cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_batch_gradient_overflow_of_finite_utterances_names_the_whole_batch(self):
+        # each utterance's loss and CTC gradient stay finite; weighted by 1e308,
+        # their summed parameter gradient does not, so no one utterance is named
+        rng = np.random.default_rng(0)
+        data = [(FeatureSequence(f"u{i}", rng.standard_normal((4, 2))), LabelSequence((1, 2))) for i in range(2)]
+        with pytest.raises(TrainingError, match=r"^utterance (u0, u1|u1, u0): non-finite .* epoch 0, step 0$"):
+            train(init_model(2, 3, 0, seed=0), split_of(data), TrainConfig(epochs=1), weights=[1e308, 1e308])
+
+    def test_weights_of_another_length_rejected(self):
+        data = [(FeatureSequence(f"u{i}", np.zeros((2, 2))), LabelSequence((1,))) for i in range(2)]
+        with pytest.raises(ConfigurationError, match="^weights must match the number of utterances$"):
+            train(init_model(2, 3, 0, seed=0), split_of(data), TrainConfig(epochs=1), weights=[1.0])
 
     def test_zero_epochs_returns_model_unchanged(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=2, n_dev=2, n_test=2), seed=0)

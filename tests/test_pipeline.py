@@ -53,6 +53,10 @@ class TestIplConfig:
         with pytest.raises(ConfigurationError):
             IplConfig(filter_mode="score", score_threshold=-0.1, max_wer=0.1, train=FAST)
 
+    def test_unknown_filter_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^filter_mode must be one of \('none', 'score', 'wer'\)$"):
+            IplConfig(filter_mode="bogus", train=FAST)
+
     def test_iter_max_positive(self):
         with pytest.raises(ConfigurationError):
             IplConfig(iter_max=0, train=FAST)
