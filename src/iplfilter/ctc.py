@@ -7,15 +7,17 @@ log-sum-exp; -inf is the absorbing "no path" value and numpy's ``logaddexp``
 propagates it without special casing. The same fact pads batches: a state or
 frame whose emission is -inf stays -inf, and ``logaddexp(x, -inf)`` is
 exactly ``x``, so one padded recursion over a whole minibatch gives every
-utterance bit for bit what a recursion over that utterance alone gives.
-For the gradient the batch is appended flipped in time and in state, so the
-one forward loop also runs the backward recursion, operand for operand.
+utterance bit for bit what a recursion over that utterance alone gives, and
+a skip the label forbids is left out by a ``where`` mask. For the gradient
+the batch is appended flipped in time and in state, so the one forward loop,
+three ufunc calls a frame, also runs the backward recursion.
 
-A batch's labels and the kernel's work arrays live in a :class:`LabelPlan`,
-which ``model.train`` builds once and slices per minibatch. Each call checks
-tokens and frame counts against it; infeasible (frames, label) pairs raise
-:class:`FeasibilityError` there, while the brute-force oracle stays total and
-returns -inf, so it can double as the ground truth for the error paths too.
+A batch's labels, their skip mask and the kernel's work arrays live in a
+:class:`LabelPlan`, which ``model.train`` builds once and slices per
+minibatch. Each call checks tokens and frame counts against it; infeasible
+(frames, label) pairs raise :class:`FeasibilityError` there, while the
+brute-force oracle stays total and returns -inf, so it can double as the
+ground truth for the error paths too.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ class LabelPlan:
     """The label side of a CTC batch, built once by :func:`label_plan`.
 
     Column b of ``ext`` is utterance b's blank-interleaved label (blank, y1,
-    blank, ..., yL, blank), padded with -1 (no class) to the longest;
+    blank, ..., yL, blank), padded with -1 (no class) to the longest, and
+    ``allowed`` marks the states s >= 2 the skip from s - 2 may enter: a
+    non-blank unlike s - 2 (padding too, harmless: its cells stay -inf).
     ``n_states`` is 2L + 1, ``min_frames`` the fewest frames the label fits
     in, L + (# adjacent equal pairs), and ``max_token`` its largest token (0
     if empty, the int64 maximum if any is blank or negative), so that
@@ -75,6 +79,7 @@ class LabelPlan:
     """
 
     ext: np.ndarray  # (S, n) int64
+    allowed: np.ndarray  # (S, n) bool
     n_states: np.ndarray
     min_frames: np.ndarray
     max_token: np.ndarray
@@ -85,8 +90,9 @@ class LabelPlan:
 
     def __getitem__(self, idx) -> "LabelPlan":
         n_states = self.n_states[idx]
-        ext = self.ext[: n_states.max(initial=1), idx]
-        return LabelPlan(ext, n_states, self.min_frames[idx], self.max_token[idx], self.scratch)
+        S = n_states.max(initial=1)
+        return LabelPlan(self.ext[:S, idx], self.allowed[:S, idx], n_states, self.min_frames[idx],
+                         self.max_token[idx], self.scratch)
 
 
 def label_plan(tokens, lengths) -> LabelPlan:
@@ -99,11 +105,13 @@ def label_plan(tokens, lengths) -> LabelPlan:
     n_states = 2 * n_tokens + 1
     ext = np.where(np.arange(n_states.max(initial=1))[:, None] < n_states, BLANK, -1)
     ext[2 * pos + 1, col] = flat
+    allowed = np.zeros(ext.shape, dtype=bool)
+    allowed[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
     pairs = (col[1:] == col[:-1]) & (flat[1:] == flat[:-1])
     max_token = np.zeros(n_tokens.size, dtype=np.int64)
     np.maximum.at(max_token, col, np.where(flat > BLANK, flat, np.iinfo(np.int64).max))
     min_frames = n_tokens + np.bincount(col[1:][pairs], minlength=n_tokens.size)
-    return LabelPlan(ext, n_states, min_frames, max_token)
+    return LabelPlan(ext, allowed, n_states, min_frames, max_token)
 
 
 def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResult:
@@ -135,22 +143,23 @@ def ctc_log_prob(logp, labels, with_grad: bool = False, lengths=None) -> CtcResu
     plan = labels
     if arr.ndim != 2 or lengths.ndim != 1:
         raise ValueError("a batch needs a stacked (N, C) logp and a 1-D lengths")
-    if len(plan) != lengths.size:
-        raise ValueError(f"batch length mismatch: {lengths.size} lengths vs {len(plan)} labels")
-    if (lengths < 1).any() or lengths.sum() != arr.shape[0]:
+    sizes = lengths.tolist()
+    if len(plan) != len(sizes):
+        raise ValueError(f"batch length mismatch: {len(sizes)} lengths vs {len(plan)} labels")
+    if min(sizes, default=1) < 1 or sum(sizes) != arr.shape[0]:
         raise ValueError(f"lengths must be >= 1 and sum to the {arr.shape[0]} stacked frame(s)")
-    if not len(plan):
+    if not sizes:
         return CtcResult(log_prob=np.zeros(0), grad=np.zeros_like(arr) if with_grad else None)
-    bad_token = plan.max_token >= arr.shape[1]
-    for b in np.flatnonzero(bad_token | (lengths < plan.min_frames))[:1]:  # the first bad one
-        if bad_token[b]:
+    bad = (plan.max_token >= arr.shape[1]) | (lengths < plan.min_frames)
+    for b in bad.nonzero()[0][:1]:  # the first bad one
+        if plan.max_token[b] >= arr.shape[1]:
             raise ValueError(f"utterance {b}: label token outside the non-blank class range")
         n_tokens = plan.n_states[b] // 2
         raise FeasibilityError(
             f"utterance {b}: label of length {n_tokens} with {plan.min_frames[b] - n_tokens} "
             f"repeat pair(s) does not fit in {lengths[b]} frame(s)"
         )
-    return CtcResult(*_forward_backward(arr, plan.ext, plan.n_states, lengths, with_grad, plan.scratch))
+    return CtcResult(*_forward_backward(arr, plan, lengths, with_grad))
 
 
 def _work_array(scratch: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -161,24 +170,36 @@ def _work_array(scratch: dict, name: str, shape: tuple, dtype=np.float64) -> np.
     return scratch[name][:size].reshape(shape)
 
 
-def _forward_backward(arr: np.ndarray, ext: np.ndarray, n_states, lengths: np.ndarray, with_grad: bool,
-                      scratch: dict):
+def _skip_mask(allowed: np.ndarray, with_grad: bool) -> np.ndarray:
+    """Rows 1, 3, ... of ``allowed``; with ``with_grad``, beside the flipped columns', its rows reversed."""
+    if with_grad:
+        S, B = allowed.shape
+        allowed = np.concatenate([allowed, np.zeros((S, B), dtype=bool)], axis=1)
+        allowed[2:, B:] = allowed[S - 1 : 1 : -1, :B]
+    return allowed[1::2]
+
+
+def _forward_backward(arr: np.ndarray, plan: LabelPlan, lengths: np.ndarray, with_grad: bool):
     """(B,) log-probs and the stacked gradient (or None) of a stacked batch.
 
-    ``ext``, ``n_states`` and ``scratch`` are those of a checked
-    :class:`LabelPlan`. Every (T, S, ...) array lives in ``scratch`` (freed
-    and allocated anew on every call, they page-faulted afresh each time);
-    the returned arrays are new. Layout (T, S + 2, W): time-major, then state, then column, padded to the
-    longest utterance and label. Frames past an utterance's end and states
-    past its label have -inf emissions, and transitions only move along the
-    state axis, so columns never mix. Every logaddexp/exp is the same
-    elementwise operation a single utterance's recursion performs.
+    ``plan`` is a checked :class:`LabelPlan`; every (T, S, ...) array lives
+    in its ``scratch`` (allocated anew per call, they page-faulted each
+    time), the returned arrays are new. Layout (T, S + 2, W): time-major,
+    then state, then column, padded to the longest utterance and label.
+    Frames past an utterance's end and states past its label have -inf
+    emissions, and transitions only move along the state axis, so columns
+    never mix; every logaddexp/exp is the one a single recursion performs.
 
     Columns 0..B-1 hold the batch. With ``with_grad``, columns B..2B-1 hold
     it flipped in time and in state, where the forward recursion is the
     backward one: flipped utterance b enters at frame T - lengths[b] in
     states S - n_states[b] and the next, and beta is a reversed view.
+
+    A frame is three ufunc calls on views of ``alpha``: the s and s - 1
+    transitions, the s - 2 skip where the plan allows it (``where`` leaves the
+    other states as a -inf skip would), and the emission.
     """
+    ext, n_states, scratch = plan.ext, plan.n_states, plan.scratch
     N, C = arr.shape
     S, B = ext.shape
     ar = np.arange(B)
@@ -197,46 +218,33 @@ def _forward_backward(arr: np.ndarray, ext: np.ndarray, n_states, lengths: np.nd
     # mode "clip" lets take write into ``out`` directly
     gathered = _work_array(scratch, "gathered", (T, S, B))
     e = padded.ravel().take(cell, out=gathered, mode="clip")
-    seeds = {}
+    seeds, skip = {}, _skip_mask(plan.allowed, with_grad)
     if with_grad:
         e = _work_array(scratch, "e", (T, S, 2 * B))
         e[:, :, :B], e[:, :, B:] = gathered, gathered[::-1, ::-1]
-        ext = np.hstack([ext, ext[::-1]])
         # the recursion leaves a flipped column -inf up to its first frame,
         # where its seed is set (one state if the label is empty); seeds[t]
         # lists frame t's (cell, value) pairs, cells flat within the frame
-        two = n_states > 1
-        seed_t = T - np.concatenate([lengths, lengths[two]])
-        seed_s = S - np.concatenate([n_states, n_states[two] - 1])
-        seed_c = B + np.concatenate([ar, ar[two]])
-        flat = ((seed_s + 2) * 2 * B + seed_c).tolist()
-        for t, at, value in zip(seed_t.tolist(), flat, e[seed_t, seed_s, seed_c].tolist()):
-            seeds.setdefault(t, []).append((at, value))
+        for c, t, first in zip(range(B, 2 * B), (T - lengths).tolist(), (S - n_states).tolist()):
+            for s in range(first, min(first + 2, S)):
+                seeds.setdefault(t, []).append(((s + 2) * 2 * B + c, e[t, s, c]))
 
-    # A label state s (odd) may also come from s - 2, unless both carry the
-    # same token; blanks (even) never skip. Forbidden skips add -inf, and
-    # logaddexp(x, -inf) is exactly x. A skip into or out of a padded state
-    # may be allowed; padded cells are always -inf, so it adds nothing.
-    skip = np.full(ext.shape, NEG_INF)
-    skip[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
-    into = skip[1::2]  # s - 2 -> s, for s = 1, 3, ..., S - 2
-
-    # state s sits in row s + 2; the two -inf rows in front make the s-1 and
-    # s-2 transitions plain slices
+    # state s sits in row s + 2; the two -inf rows in front make the s - 1
+    # and s - 2 transitions plain views: s from s and s - 1 over rows 2:,
+    # odd s from s - 2 over rows 3::2
     alpha = _work_array(scratch, "alpha", (T, S + 2, e.shape[2]))
     alpha.fill(NEG_INF)
     alpha[0, 2:4] = e[0, :2]
-    tmp = np.empty_like(into)
-    for t in range(T):
-        cur = alpha[t]
-        if t:
-            prev = alpha[t - 1]
-            np.logaddexp(prev[2:], prev[1:-1], out=cur[2:])
-            np.add(prev[1:-2:2], into, out=tmp)
-            np.logaddexp(cur[3::2], tmp, out=cur[3::2])
-            cur[2:] += e[t]
+    if 0 in seeds:
+        alpha[0].put(*zip(*seeds[0]))
+    same, back, odd = alpha[:, 2:], alpha[:, 1:-1], alpha[:, 3::2]
+    frames = zip(range(1, T), same[1:], same, back, odd[1:], alpha[:, 1:-2:2], e[1:])
+    for t, cur, prev, prev_back, cur_odd, prev_skipped, emit in frames:
+        np.logaddexp(prev, prev_back, out=cur)
+        np.logaddexp(cur_odd, prev_skipped, out=cur_odd, where=skip)
+        cur += emit
         if t in seeds:
-            cur.put(*zip(*seeds[t]))
+            alpha[t].put(*zip(*seeds[t]))
 
     last = lengths - 1
     log_prob = np.logaddexp(alpha[last, n_states + 1, ar], alpha[last, n_states, ar])

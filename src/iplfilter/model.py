@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import NumberList, check_fields, read_json, record_fields, write_json
-from .corpus import FeatureSequence, LabelSequence, Split
+from .corpus import FeatureSequence, LabelSequence, Split, ragged_rows
 from .ctc import ctc_log_prob, label_plan
 from .errors import ConfigurationError, ShapeError, TrainingError, check_config
 
@@ -206,16 +206,19 @@ def train(model: AcousticModel, split: Split, cfg: TrainConfig, weights=None) ->
     ``split`` is a labeled :class:`~iplfilter.corpus.Split`, whose labels
     are fixed for all epochs: one :func:`~iplfilter.ctc.label_plan` holds
     them, checked against the vocabulary and the frames before any step,
-    and each minibatch passes ``plan[idx]`` to ``ctc_log_prob``.
-    The parameters (``out.params`` are views), the gradient, which becomes
-    the update, and Adam's two moments are the rows of one flat buffer, so a
-    step is one set of elementwise operations for all parameters.
+    and each minibatch passes ``plan[idx]`` to ``ctc_log_prob`` and takes its
+    frames by row indices built once per epoch. The parameters (``out.params``
+    are views), Adam's two moments and the gradient, which becomes the update,
+    are the rows of one flat buffer, so a step is one set of elementwise
+    operations for all parameters, with one finite check of v and the update.
 
-    A token outside the vocabulary, an infeasible label, or a non-finite loss
-    or batch gradient raises :class:`TrainingError` naming the utterance; a
-    non-finite Adam second moment or update raises it naming the parameter.
-    A non-finite value is also named with its epoch and step (counted from
-    0), and is raised before any weight of that step is written.
+    A weight that is not a finite number >= 0 raises
+    :class:`ConfigurationError` naming the utterance. A token outside the
+    vocabulary, an infeasible label, or a non-finite loss or batch gradient
+    raises :class:`TrainingError` naming the utterance; a non-finite Adam
+    second moment or update raises it naming the parameter. A non-finite
+    value is also named with its epoch and step (counted from 0), and is
+    raised before any weight of that step is written.
     """
     check_split(model, split)
     plan, num_frames = label_plan(split.tokens, split.lengths), split.num_frames
@@ -231,55 +234,59 @@ def train(model: AcousticModel, split: Split, cfg: TrainConfig, weights=None) ->
         w = np.asarray(list(weights), dtype=np.float64)
         if w.shape != (n,):
             raise ConfigurationError("weights must match the number of utterances")
+        for i in np.flatnonzero(~(np.isfinite(w) & (w >= 0)))[:1]:
+            raise ConfigurationError(f"utterance {split.ids[i]}: weight {w[i]}, expected a finite number >= 0")
 
     out = model.copy()
     if n == 0 or cfg.epochs == 0:
         return TrainResult(model=out, loss_curve=[])
 
-    rng, bounds = np.random.default_rng(cfg.seed), [0, *np.cumsum(num_frames).tolist()]
-    batches_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * batches_per_epoch
-    # rows: the parameters, the batch gradient (then the update), Adam's m and v
+    rng, total_steps = np.random.default_rng(cfg.seed), cfg.epochs * math.ceil(n / cfg.batch_size)
+    # rows: the parameters, Adam's m and v, and the batch gradient (then the update)
     shapes = {k: p.shape for k, p in out.params.items()}
     ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
     flat = np.zeros((4, ends[-1]))
     flat[0] = np.concatenate([p.ravel() for p in out.params.values()])
-    out.params, upd, _, adam_v = (
-        {k: part.reshape(shapes[k]) for k, part in zip(shapes, np.split(row, ends[:-1]))} for row in flat
+    param, moments, g = flat[0], flat[1:3], flat[3]
+    out.params, adam_v, upd = (
+        {k: part.reshape(shapes[k]) for k, part in zip(shapes, np.split(row, ends[:-1]))} for row in (param, flat[2], g)
     )
-    param, g, m, v = flat
+    betas = np.array([[ADAM_BETA1], [ADAM_BETA2]])
     step = 0
     curve = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
+        # the epoch's frame rows and per-frame weights, in minibatch order
+        rows, perm_frames = ragged_rows(num_frames, perm)
+        frame_w = np.repeat(w[perm], perm_frames)[:, None]
+        bounds = [0, *np.cumsum(perm_frames).tolist()]
         epoch_losses = []
-        for b in range(batches_per_epoch):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            lengths = num_frames[idx]
-            x = np.concatenate([split.frames[bounds[i]:bounds[i + 1]] for i in idx.tolist()])
+        for lo in range(0, n, cfg.batch_size):
+            hi = min(lo + cfg.batch_size, n)
+            idx, lengths, span = perm[lo:hi], perm_frames[lo:hi], slice(bounds[lo], bounds[hi])
+            x = split.frames.take(rows[span], axis=0)
             logp, hidden = _forward_cache(out, x)
             res = ctc_log_prob(logp, plan[idx], with_grad=True, lengths=lengths)
-            losses = -res.log_prob
-            batch_grads = _backprop(out, x, hidden, res.grad * np.repeat(w[idx], lengths)[:, None])
+            losses = (-res.log_prob).tolist()
+            batch_grads = _backprop(out, x, hidden, res.grad * frame_w[span])
             np.concatenate([batch_grads[k].ravel() for k in upd], out=g)
-            if not (np.isfinite(losses).all() and np.isfinite(g).all()):
+            if not (np.isfinite(g).all() and all(map(math.isfinite, losses))):
                 dlogits = np.split(res.grad, np.cumsum(lengths)[:-1])
                 uid = _first_nonfinite(split.ids[idx].tolist(), losses, dlogits)
                 raise TrainingError(
                     f"utterance {uid}: non-finite loss or gradient in epoch {epoch}, step {step}"
                 )
-            epoch_losses.extend(losses.tolist())
+            epoch_losses.extend(losses)
             lr = lr_at(step, total_steps, cfg)
             g /= idx.size  # g becomes the update, applied once it is finite
             if cfg.optimizer == "sgd":
                 g *= lr
             else:
-                m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-                v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g**2
-                m_hat = m / (1 - ADAM_BETA1 ** (step + 1))
-                v_hat = v / (1 - ADAM_BETA2 ** (step + 1))
-                g[...] = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if not (np.isfinite(v).all() and np.isfinite(g).all()):
+                moments *= betas
+                moments += (1 - betas) * (g, g * g)
+                m_hat, v_hat = moments / [[1 - ADAM_BETA1 ** (step + 1)], [1 - ADAM_BETA2 ** (step + 1)]]
+                np.divide(lr * m_hat, np.sqrt(v_hat) + ADAM_EPS, out=g)
+                if not np.isfinite(flat[2:]).all():  # v and the update
                     k = next(k for k in batch_grads if not np.isfinite([adam_v[k], upd[k]]).all())
                     raise TrainingError(f"parameter {k}: non-finite Adam state in epoch {epoch}, step {step}")
             param -= g

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from iplfilter.corpus import BLANK
 from iplfilter.ctc import (
+    _skip_mask,
     brute_force_ctc,
     collapse,
     ctc_log_prob,
@@ -324,7 +325,23 @@ class TestLabelPlan:
         assert part.ext.shape == (5, 2) and len(part) == 2
         assert part.ext[:, 0].tolist() == plan.ext[:5, 2].tolist()
         assert part.n_states.tolist() == [5, 3] and part.min_frames.tolist() == [3, 1]
+        assert part.allowed.shape == (5, 2) and part.allowed[:, 0].tolist() == plan.allowed[:5, 2].tolist()
+        assert part.allowed[1::2, 0].tolist() == [False, False]  # the repeat 2, 2 may not skip
         assert len(plan[np.array([], dtype=np.int64)]) == 0
+
+    @given(st.lists(st.lists(st.integers(1, 3), max_size=6), max_size=8), st.data())
+    def test_skip_mask_matches_the_stacked_flipped_labels(self, labels, data):
+        # the mask the kernel reads, against one computed from the labels and
+        # their flips side by side, as the kernel once built it on every call
+        plan = plan_of(labels)
+        idx = np.array(data.draw(st.lists(st.integers(0, max(len(labels) - 1, 0)), max_size=5 if labels else 0)),
+                       dtype=np.int64)
+        for part in (plan, plan[idx]):
+            both = np.hstack([part.ext, part.ext[::-1]])
+            want = np.zeros(both.shape, dtype=bool)
+            want[2:] = (both[2:] != BLANK) & (both[2:] != both[:-2])
+            assert np.array_equal(_skip_mask(part.allowed, True), want[1::2])
+            assert np.array_equal(_skip_mask(part.allowed, False), want[1::2, : len(part)])
 
     @given(ragged_batches(), st.data())
     @settings(max_examples=200, deadline=None)

@@ -359,6 +359,22 @@ class TestTrainMatchesReference:
             assert result.loss_curve == ref_curve
 
 
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_long_adam_run_is_bit_identical(self, hidden):
+        # 120 Adam steps: the bias corrections as an array power first differ
+        # from the float power at step 49, past every shorter comparison here
+        rng = np.random.default_rng(7)
+        data = [(FeatureSequence(f"u{i}", rng.standard_normal((5, 3))), LabelSequence(lab))
+                for i, lab in enumerate([(1, 2), (2, 2, 1)])]
+        model = init_model(3, 2, hidden, seed=1)
+        cfg = TrainConfig(epochs=60, batch_size=1, seed=3)
+        result = train(model, split_of(data), cfg)
+        ref_model, ref_curve = reference_train(model, data, cfg)
+        for k, p in ref_model.params.items():
+            assert np.array_equal(result.model.params[k], p), f"param {k}"
+        assert result.loss_curve == ref_curve
+
+
 class TestTrain:
     def test_noiseless_corpus_learns_exactly(self):
         cfg = CorpusGenConfig(noise_sigma=0.0, n_labeled=8, n_unlabeled=2, n_dev=2, n_test=2)
@@ -457,6 +473,13 @@ class TestTrain:
         data = [(FeatureSequence(f"u{i}", np.zeros((2, 2))), LabelSequence((1,))) for i in range(2)]
         with pytest.raises(ConfigurationError, match="^weights must match the number of utterances$"):
             train(init_model(2, 3, 0, seed=0), split_of(data), TrainConfig(epochs=1), weights=[1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
+    def test_bad_weight_names_utterance_before_any_step(self, bad, monkeypatch):
+        data = [(FeatureSequence(f"u{i}", np.zeros((2, 2))), LabelSequence((1,))) for i in range(4)]
+        monkeypatch.setattr("iplfilter.model.ctc_log_prob", None)  # no step may run
+        with pytest.raises(ConfigurationError, match=rf"^utterance u2: weight {bad}, expected a finite number >= 0$"):
+            train(init_model(2, 3, 0, seed=0), split_of(data), TrainConfig(epochs=1), weights=[1, 0, bad, -1])
 
     def test_zero_epochs_returns_model_unchanged(self):
         splits = generate_corpus(CorpusGenConfig(n_labeled=2, n_unlabeled=2, n_dev=2, n_test=2), seed=0)
